@@ -16,7 +16,10 @@
 // when set; --smoke shrinks every selected scenario (job count, sweep
 // width, horizon) so the full registry sweeps in CI time.  Overrides are
 // applied BEFORE hashing, so the emitted config_hash identifies the
-// configuration that actually ran.
+// configuration that actually ran.  Each scenario and each cell also
+// carries its wall-clock `wall_s` (cells of one sweep run concurrently
+// under --threads, so their times need not sum to the scenario's).
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -171,13 +174,18 @@ int main(int argc, char** argv) {
   w.Key("scenarios");
   w.BeginArray();
   for (const sim::Scenario& s : selected) {
+    const auto start = std::chrono::steady_clock::now();
     const sim::ScenarioRunResult result =
         bench::RunScenarioOrDie(s, static_cast<int>(threads));
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
     util::Table table({"cell", "axis", "mode", "rejection %",
                        "mean running (s)", "outage rate"});
     w.BeginObject();
     w.Member("name", s.name);
     w.Member("config_hash", sim::ScenarioConfigHash(s));
+    w.Member("wall_s", wall_s);
     w.Key("cells");
     w.BeginArray();
     for (const sim::ScenarioCell& cell : result.cells) {
@@ -188,6 +196,7 @@ int main(int argc, char** argv) {
       w.Member("axis_index", static_cast<int64_t>(cell.axis_index));
       w.Member("axis_value", cell.axis_value);
       w.Member("mode", cell.online ? "online" : "batch");
+      w.Member("wall_s", cell.wall_s);
       if (cell.online) {
         const sim::OnlineResult& r = cell.online_result;
         w.Member("accepted", r.accepted);

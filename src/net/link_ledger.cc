@@ -23,7 +23,7 @@ bool ValidAllStates(const LinkState& s, double mean_add, double var_add,
     return false;
   }
   if (s.capacity <= 0) return true;
-  for (const BackupDomainSums& g : s.backup_domains) {
+  for (const BackupDomainSums& g : s.backup_pareto) {
     if (!SatisfiesGuarantee(s.capacity, s.deterministic + det_add + g.det_sum,
                             s.mean_sum + mean_add + g.mean_sum,
                             s.var_sum + var_add + g.var_sum, c)) {
@@ -41,7 +41,7 @@ double WorstOccupancyIfValid(const LinkState& s, double mean_add,
       OccupancyRatioIfValid(s.capacity, s.deterministic + det_add,
                             s.mean_sum + mean_add, s.var_sum + var_add, c);
   if (s.capacity <= 0) return worst;
-  for (const BackupDomainSums& g : s.backup_domains) {
+  for (const BackupDomainSums& g : s.backup_pareto) {
     worst = std::max(
         worst, OccupancyRatioIfValid(s.capacity,
                                      s.deterministic + det_add + g.det_sum,
@@ -51,22 +51,99 @@ double WorstOccupancyIfValid(const LinkState& s, double mean_add,
   return worst;
 }
 
-// Adds one backup record's moments into the per-domain sums, keeping the
-// vector sorted by domain id.
-void AccumulateDomain(std::vector<BackupDomainSums>& sums,
-                      topology::VertexId domain, double mean, double variance,
-                      double deterministic) {
-  auto it = std::lower_bound(
-      sums.begin(), sums.end(), domain,
-      [](const BackupDomainSums& g, topology::VertexId d) {
-        return g.domain < d;
-      });
+// Occupancy (6) of the link's worst state, without the validity verdict:
+// the no-failure state alone on links without backup records or with the
+// link drained (post-failure states are not enforced there).
+double WorstOccupancy(const LinkState& s, double c) {
+  double worst =
+      OccupancyRatio(s.capacity, s.deterministic, s.mean_sum, s.var_sum, c);
+  if (s.capacity <= 0) return worst;
+  for (const BackupDomainSums& g : s.backup_pareto) {
+    worst = std::max(worst,
+                     OccupancyRatio(s.capacity, s.deterministic + g.det_sum,
+                                    s.mean_sum + g.mean_sum,
+                                    s.var_sum + g.var_sum, c));
+  }
+  return worst;
+}
+
+// Whether post-failure state `a` makes every kernel at least as loaded as
+// `b` does: `a` is no smaller in any moment, and `b` has zero variance only
+// if `a` does too.  Occupancy and the condition-(4) verdict are monotone in
+// each moment within one branch of condition (4), and a positive domain
+// variance keeps the total variance positive, so `b`'s value can never
+// exceed `a`'s.  Only this relation licenses pruning `b`.
+bool Dominates(const BackupDomainSums& a, const BackupDomainSums& b) {
+  return a.det_sum >= b.det_sum && a.mean_sum >= b.mean_sum &&
+         a.var_sum >= b.var_sum && (b.var_sum > 0 || a.var_sum <= 0);
+}
+
+// Adds `g` to a set of mutually non-dominating states unless a member
+// dominates it, dropping the members it dominates.  O(set size).
+void InsertMaximal(std::vector<BackupDomainSums>& pareto,
+                   const BackupDomainSums& g) {
+  for (const BackupDomainSums& p : pareto) {
+    if (Dominates(p, g)) return;
+  }
+  std::erase_if(pareto,
+                [&](const BackupDomainSums& p) { return Dominates(g, p); });
+  pareto.push_back(g);
+}
+
+void RebuildPareto(LinkState& s) {
+  s.backup_pareto.clear();
+  for (const BackupDomainSums& g : s.backup_domains) {
+    InsertMaximal(s.backup_pareto, g);
+  }
+}
+
+// Folds domain state `g`, whose sums just grew, into the Pareto set in
+// O(set size): the grown state at most joins the set and evicts what it
+// now dominates.  The exception is a member whose variance just left zero:
+// the zero-variance states only it dominated may be maximal again, so the
+// set is rebuilt.
+void RaisePareto(LinkState& s, const BackupDomainSums& g, bool var_was_zero) {
+  auto self = std::find_if(
+      s.backup_pareto.begin(), s.backup_pareto.end(),
+      [&](const BackupDomainSums& p) { return p.domain == g.domain; });
+  if (self != s.backup_pareto.end()) {
+    if (var_was_zero && g.var_sum > 0) {
+      RebuildPareto(s);
+      return;
+    }
+    s.backup_pareto.erase(self);
+  }
+  InsertMaximal(s.backup_pareto, g);
+}
+
+bool DomainLess(const BackupDomainSums& g, topology::VertexId domain) {
+  return g.domain < domain;
+}
+
+// The sums of `domain` in `sums` (sorted by domain id), inserted as zero
+// when absent.
+BackupDomainSums& DomainSums(std::vector<BackupDomainSums>& sums,
+                             topology::VertexId domain) {
+  auto it = std::lower_bound(sums.begin(), sums.end(), domain, DomainLess);
   if (it == sums.end() || it->domain != domain) {
     it = sums.insert(it, BackupDomainSums{domain, 0, 0, 0});
   }
-  it->mean_sum += mean;
-  it->var_sum += variance;
-  it->det_sum += deterministic;
+  return *it;
+}
+
+// Recomputes the per-domain sums and their Pareto set from the surviving
+// backup records: exact (a domain whose records drain disappears entirely,
+// so stale near-zero sums cannot linger in the worst-case kernels) and
+// O(records).
+void RebuildDomainSums(LinkState& s) {
+  s.backup_domains.clear();
+  for (const BackupDemand& b : s.backup) {
+    BackupDomainSums& g = DomainSums(s.backup_domains, b.domain);
+    g.mean_sum += b.mean;
+    g.var_sum += b.variance;
+    g.det_sum += b.deterministic;
+  }
+  RebuildPareto(s);
 }
 }  // namespace
 
@@ -204,14 +281,15 @@ double LinkLedger::Occupancy(topology::VertexId v) const {
 }
 
 double LinkLedger::Slack(topology::VertexId v) const {
-  return std::max(-1.0, 1.0 - Occupancy(v));
+  assert(v != topo_->root());
+  return std::max(-1.0, 1.0 - WorstOccupancy(rows_[v], c_));
 }
 
 double LinkLedger::OccupancyWith(topology::VertexId v, double mean_add,
                                  double var_add, double det_add) const {
   assert(v != topo_->root());
   const LinkState& s = rows_[v];
-  if (s.backup_domains.empty()) {
+  if (s.backup_pareto.empty()) {
     return OccupancyRatioIfValid(s.capacity, s.deterministic + det_add,
                                  s.mean_sum + mean_add, s.var_sum + var_add,
                                  c_);
@@ -223,7 +301,7 @@ bool LinkLedger::ValidWith(topology::VertexId v, double mean_add,
                            double var_add, double det_add) const {
   assert(v != topo_->root());
   const LinkState& s = rows_[v];
-  if (s.backup_domains.empty()) {
+  if (s.backup_pareto.empty()) {
     return SatisfiesGuarantee(s.capacity, s.deterministic + det_add,
                               s.mean_sum + mean_add, s.var_sum + var_add, c_);
   }
@@ -237,14 +315,12 @@ double LinkLedger::OccupancyWithDomain(topology::VertexId v,
   assert(v != topo_->root());
   const LinkState& s = rows_[v];
   double gm = 0, gv = 0, gd = 0;
-  for (const BackupDomainSums& g : s.backup_domains) {
-    if (g.domain == domain) {
-      gm = g.mean_sum;
-      gv = g.var_sum;
-      gd = g.det_sum;
-      break;
-    }
-    if (g.domain > domain) break;  // sorted by domain id
+  auto it = std::lower_bound(s.backup_domains.begin(), s.backup_domains.end(),
+                             domain, DomainLess);
+  if (it != s.backup_domains.end() && it->domain == domain) {
+    gm = it->mean_sum;
+    gv = it->var_sum;
+    gd = it->det_sum;
   }
   return OccupancyRatioIfValid(s.capacity, s.deterministic + det_add + gd,
                                s.mean_sum + mean_add + gm,
@@ -261,16 +337,10 @@ bool LinkLedger::ValidWithDomain(topology::VertexId v,
 double LinkLedger::BackupShare(topology::VertexId v) const {
   assert(v != topo_->root());
   const LinkState& s = rows_[v];
-  if (s.backup_domains.empty() || s.capacity <= 0) return 0;
+  if (s.backup_pareto.empty() || s.capacity <= 0) return 0;
   const double base =
       OccupancyRatio(s.capacity, s.deterministic, s.mean_sum, s.var_sum, c_);
-  double worst = base;
-  for (const BackupDomainSums& g : s.backup_domains) {
-    worst = std::max(worst,
-                     OccupancyRatio(s.capacity, s.deterministic + g.det_sum,
-                                    s.mean_sum + g.mean_sum,
-                                    s.var_sum + g.var_sum, c_));
-  }
+  const double worst = WorstOccupancy(s, c_);
   if (!std::isfinite(worst) || !std::isfinite(base)) return 0;
   return std::clamp(worst - base, 0.0, 1.0);
 }
@@ -322,7 +392,7 @@ void LinkLedger::OccupancyWithBatch(topology::VertexId v,
   // Shared-backup class: fold in each post-failure state.  Links without
   // backup records (every link unless survivability is on) skip this pass,
   // keeping the legacy loop's output bit-identical.
-  for (const BackupDomainSums& g : s.backup_domains) {
+  for (const BackupDomainSums& g : s.backup_pareto) {
     for (int i = 0; i < count; ++i) {
       out[i] = std::max(
           out[i], OccupancyRatioIfValid(capacity, d0 + det_add[i] + g.det_sum,
@@ -344,7 +414,7 @@ int LinkLedger::FeasibleFrontier(topology::VertexId v, const double* mean_add,
   // is monotone in the candidate's moments).
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
-    const bool valid = s.backup_domains.empty()
+    const bool valid = s.backup_pareto.empty()
                            ? SatisfiesGuarantee(
                                  s.capacity, s.deterministic + det_add[mid],
                                  s.mean_sum + mean_add[mid],
@@ -370,7 +440,7 @@ int LinkLedger::FeasibleFrontierDescending(topology::VertexId v,
   // Invariant: every index < lo is infeasible, every index > hi feasible.
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
-    const bool valid = s.backup_domains.empty()
+    const bool valid = s.backup_pareto.empty()
                            ? SatisfiesGuarantee(
                                  s.capacity, s.deterministic + det_add[mid],
                                  s.mean_sum + mean_add[mid],
@@ -467,7 +537,12 @@ void LinkLedger::AddBackup(topology::VertexId v, RequestId req,
   }
   LinkState& s = rows_[v];
   s.backup.push_back({req, domain, mean, variance, deterministic});
-  AccumulateDomain(s.backup_domains, domain, mean, variance, deterministic);
+  BackupDomainSums& g = DomainSums(s.backup_domains, domain);
+  const bool var_was_zero = g.var_sum <= 0;
+  g.mean_sum += mean;
+  g.var_sum += variance;
+  g.det_sum += deterministic;
+  RaisePareto(s, g, var_was_zero);
   Touch(req, v);
 }
 
@@ -481,11 +556,7 @@ void LinkLedger::RebuildSums(topology::VertexId v) {
     s.var_sum += d.variance;
   }
   for (const auto& d : s.reserved) s.deterministic += d.amount;
-  s.backup_domains.clear();
-  for (const auto& b : s.backup) {
-    AccumulateDomain(s.backup_domains, b.domain, b.mean, b.variance,
-                     b.deterministic);
-  }
+  RebuildDomainSums(s);
 }
 
 void LinkLedger::AssignAggregatesFrom(const LinkLedger& other) {
@@ -501,12 +572,13 @@ void LinkLedger::AssignAggregatesFrom(const LinkLedger& other) {
     dst.mean_sum = src.mean_sum;
     dst.var_sum = src.var_sum;
     dst.up = src.up;
-    // Backup-domain sums are aggregates too: snapshots must see reserved
-    // backup bandwidth or speculative admission would over-commit the
-    // post-failure states.  The emptiness guard keeps the legacy
-    // (no-survivability) capture allocation-free.
+    // Backup-domain sums and their Pareto set are aggregates too:
+    // snapshots must see reserved backup bandwidth or speculative admission
+    // would over-commit the post-failure states.  The emptiness guard keeps
+    // the legacy (no-survivability) capture allocation-free.
     if (!src.backup_domains.empty() || !dst.backup_domains.empty()) {
       dst.backup_domains = src.backup_domains;
+      dst.backup_pareto = src.backup_pareto;
     }
     // A view carries no records; clears are free once the lists are empty.
     dst.stochastic.clear();
@@ -532,6 +604,7 @@ void LinkLedger::AssignAggregatesFromLinks(
     dst.up = src.up;
     if (!src.backup_domains.empty() || !dst.backup_domains.empty()) {
       dst.backup_domains = src.backup_domains;
+      dst.backup_pareto = src.backup_pareto;
     }
   }
 }
@@ -592,16 +665,7 @@ void LinkLedger::RemoveRecords(RequestId req,
         ++i;
       }
     }
-    if (backup_removed) {
-      // Rebuild the per-domain sums from the surviving records: exact (a
-      // domain whose records drain disappears entirely, so stale near-zero
-      // sums cannot linger in the worst-case kernels) and O(records).
-      s.backup_domains.clear();
-      for (const BackupDemand& b : s.backup) {
-        AccumulateDomain(s.backup_domains, b.domain, b.mean, b.variance,
-                         b.deterministic);
-      }
-    }
+    if (backup_removed) RebuildDomainSums(s);
   }
 }
 

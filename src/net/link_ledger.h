@@ -54,8 +54,7 @@ struct BackupDemand {
 };
 
 // Running sums of one domain's backup records on one link — the post-failure
-// state of that domain is the link's base sums plus these.  Kept sorted by
-// domain id (a handful of entries per link in practice).
+// state of that domain is the link's base sums plus these.
 struct BackupDomainSums {
   topology::VertexId domain = topology::kNoVertex;
   double mean_sum = 0;
@@ -69,11 +68,20 @@ struct LinkState {
   double mean_sum = 0;       // sum of stochastic means on the link
   double var_sum = 0;        // sum of stochastic variances on the link
   bool up = true;            // fault-plane state; capacity drains to 0 down
+  // The Pareto-maximal entries of backup_domains in (det, mean, var): the
+  // only post-failure states that can be a link's worst, so every
+  // worst-case kernel walks these instead of every domain.  A state with
+  // zero variance is only pruned by another zero-variance state, since
+  // condition (4) takes its deterministic branch at zero total variance
+  // and the two branches round differently.  Kept beside the sums, which
+  // every kernel reads together with its emptiness test.
+  std::vector<BackupDomainSums> backup_pareto;
   std::vector<StochasticDemand> stochastic;
   std::vector<DeterministicDemand> reserved;
-  // Shared-backup class: per-record bookkeeping plus per-domain sums.  Both
-  // stay empty unless survivable admission is on, so the legacy read paths
-  // below cost one emptiness test.
+  // Shared-backup class: per-record bookkeeping plus per-domain sums
+  // (sorted by domain id).  All three backup vectors stay empty unless
+  // survivable admission is on, so the legacy read paths below cost one
+  // emptiness test.
   std::vector<BackupDemand> backup;
   std::vector<BackupDomainSums> backup_domains;
 };
@@ -147,10 +155,12 @@ class LinkLedger {
   double Occupancy(topology::VertexId v) const;
 
   // Condition-(4) occupancy slack of the link under current state:
-  // 1 - O_L.  0 means the link sits exactly at its admissible stochastic
-  // load; clamped below at -1 so drained links (O_L = +inf once capacity
-  // is zero) stay finite — the decision log serializes this per binding
-  // link (docs/OBSERVABILITY.md "Decision records").
+  // 1 - O_L, where on a link with backup records O_L is the worst
+  // post-failure occupancy (the state survivable admission enforces
+  // condition (4) on).  0 means the link sits exactly at its admissible
+  // stochastic load; clamped below at -1 so drained links (O_L = +inf once
+  // capacity is zero) stay finite — the decision log serializes this per
+  // binding link (docs/OBSERVABILITY.md "Decision records").
   double Slack(topology::VertexId v) const;
 
   // Occupancy if a candidate demand (stochastic moments + deterministic
@@ -202,8 +212,11 @@ class LinkLedger {
   // Every read kernel above (OccupancyWith / ValidWith / the batch and
   // frontier variants) evaluates the WORST post-failure state of the link:
   // the no-failure state plus, for each protected domain d with backup
-  // records here, the state with d's backup sums activated.  Links without
-  // backup records take the legacy single-state path bit-identically.
+  // records here, the state with d's backup sums activated.  They walk only
+  // LinkState::backup_pareto; each pruned state is dominated by a kept one
+  // on the same branch of condition (4), so the maximum is bit-identical
+  // to a walk over every domain.  Links without backup records take the
+  // legacy single-state path bit-identically.
   // Post-failure states are only enforced on up links — a drained link's
   // backup records are unenforceable until switchover re-validates them
   // through AdmitPlacement.
@@ -212,7 +225,7 @@ class LinkLedger {
   // candidate demand added (the candidate is the backup group's own demand
   // plus any primary demand the same placement puts on this link), or +inf
   // when that state would violate condition (4).  Domains with no backup
-  // records on v degrade to the plain fused kernel.
+  // records on v degrade to the plain fused kernel.  O(log domains on v).
   double OccupancyWithDomain(topology::VertexId v, topology::VertexId domain,
                              double mean_add, double var_add,
                              double det_add) const;

@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -864,6 +865,7 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
                      const ResolvedVariant& resolved,
                      const core::Allocator& allocator,
                      const ScenarioRunOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
   const std::string& axis = s.sweep.parameter;
   const bool on_axis = spec.axis_index >= 0;
 
@@ -938,6 +940,9 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   } else {
     cell.batch = engine.RunBatch(jobs);
   }
+  cell.wall_s = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
   return cell;
 }
 

@@ -205,6 +205,9 @@ struct ScenarioCell {
   bool online = false;
   BatchResult batch;
   OnlineResult online_result;
+  // Wall-clock seconds the cell took, set-up included.  The one
+  // non-deterministic field: identity checks compare the others.
+  double wall_s = 0;
 };
 
 struct ScenarioRunResult {

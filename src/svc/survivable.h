@@ -46,10 +46,13 @@ util::Status CheckSurvivableCapacity(const net::LinkLedger& ledger,
 // Chooses the backup group for an already-placed request: the non-primary
 // up machine with enough free slots for the largest primary VM group that
 // minimizes the worst post-failure occupancy over the induced demand links
-// (lowest machine id breaks ties, so the choice is deterministic).  Returns
-// the placement with backup_machine/backup_slots set, or kInfeasible when
-// no machine can host a valid backup.  Reads only the given books — safe
-// against snapshots from any thread.
+// (lowest machine id breaks ties, so the choice is deterministic).  The
+// search shares per-subtree score terms across candidates and stops early
+// (docs/ROBUSTNESS.md "Survivability"), yet chooses exactly what scoring
+// every candidate's rows would.  Returns the placement with
+// backup_machine/backup_slots set, or kInfeasible when no machine can host
+// a valid backup.  Reads only the given books — safe against snapshots
+// from any thread.
 util::Result<Placement> PlanBackup(const topology::Topology& topo,
                                    const Request& request, Placement placement,
                                    const net::LinkLedger& ledger,

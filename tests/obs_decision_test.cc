@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "net/admission.h"
+#include "net/link_ledger.h"
 #include "obs/decision_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -224,6 +226,44 @@ TEST(DecisionProvenance, AdmitAndRejectRecordBindingLinks) {
   EXPECT_STREQ(reject.reason, "capacity");
   // The tightest-descent fallback still names at least one binding link.
   EXPECT_GE(reject.num_links, 1);
+}
+
+TEST(DecisionProvenance, SurvivableBindingSlackIsWorstPostFailureSlack) {
+  DecisionScope scope;
+  obs::ClearDecisions();
+  const topology::Topology topo = topology::BuildTwoTier(2, 3, 4, 1000, 2.0);
+  NetworkManager manager(topo, 0.05);
+  core::AdmissionOptions options;
+  options.survivability = true;
+  manager.set_admission_options(options);
+  core::HomogeneousDpAllocator alloc;
+  ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 6, 100, 40), alloc).ok());
+
+  obs::DecisionRecord admit;
+  ASSERT_TRUE(obs::FindDecision(1, &admit));
+  ASSERT_GE(admit.num_links, 1);
+  // Condition (4) binds on the worst post-failure state, so that is the
+  // occupancy each binding link's slack must report.
+  const net::LinkLedger& ledger = manager.ledger();
+  bool backup_binds = false;
+  for (int i = 0; i < admit.num_links; ++i) {
+    const net::LinkState& s = ledger.link(admit.links[i].link);
+    const double base =
+        net::OccupancyRatio(s.capacity, s.deterministic, s.mean_sum,
+                            s.var_sum, ledger.quantile());
+    double worst = base;
+    for (const net::BackupDomainSums& g : s.backup_domains) {
+      worst = std::max(worst, net::OccupancyRatio(
+                                  s.capacity, s.deterministic + g.det_sum,
+                                  s.mean_sum + g.mean_sum,
+                                  s.var_sum + g.var_sum, ledger.quantile()));
+    }
+    EXPECT_EQ(admit.links[i].slack,
+              static_cast<float>(std::max(-1.0, 1.0 - worst)))
+        << "link " << admit.links[i].link;
+    backup_binds = backup_binds || worst > base;
+  }
+  EXPECT_TRUE(backup_binds) << "no binding link carries a backup reservation";
 }
 
 // --- Pipeline provenance --------------------------------------------------

@@ -1,20 +1,27 @@
 // Survivable admission (docs/ROBUSTNESS.md "Survivability"): the ledger's
 // shared-backup demand class, backup planning, switchover recovery, planned
-// drains, fault-config validation, scripted-schedule ordering, and the
-// engine's bit-identical replay of a survivable run through the concurrent
-// admission pipeline.
+// drains, fault-config validation, scripted-schedule ordering, the engine's
+// bit-identical replay of a survivable run through the concurrent admission
+// pipeline, and differential oracles for the factored backup search and the
+// Pareto-pruned worst-case kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/interpreter.h"
+#include "net/admission.h"
 #include "net/link_ledger.h"
 #include "sim/engine.h"
 #include "sim/event_log.h"
 #include "sim/fault_injector.h"
+#include "stats/rng.h"
 #include "svc/homogeneous_search.h"
 #include "svc/manager.h"
 #include "svc/slot_map.h"
@@ -722,6 +729,496 @@ TEST(SurvivableCli, DrillRackReportsSwitchoverOutcome) {
   EXPECT_FALSE(interp.Execute("survivable maybe", err));
   ASSERT_TRUE(interp.Execute("survivable off", err));
   EXPECT_FALSE(interp.manager().admission_options().survivability);
+}
+
+// --- Differential oracles: factored backup search, pruned kernels ---
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The per-candidate backup search PlanBackup replaced, kept as its oracle:
+// every up machine off the primary's domains with room for the backup group
+// is scored by walking its whole backup row set; the lowest score wins and
+// the lowest id breaks ties.
+util::Result<Placement> OraclePlanBackup(const topology::Topology& topo,
+                                         const Request& request,
+                                         Placement placement,
+                                         const net::LinkLedger& ledger,
+                                         const core::SlotMap& slots) {
+  placement.backup_machine = topology::kNoVertex;
+  placement.backup_slots = 0;
+  if (placement.total_vms() == 0) {
+    return {util::ErrorCode::kInvalidArgument, "empty placement"};
+  }
+  std::map<topology::VertexId, int> counts;
+  for (topology::VertexId m : placement.vm_machine) ++counts[m];
+  int needed = 0;
+  for (const auto& [m, c] : counts) needed = std::max(needed, c);
+  const std::vector<core::LinkDemand> primary =
+      core::ComputeSurvivableLinkDemands(topo, request, placement);
+  double primary_score = 0;
+  for (const core::LinkDemand& d : primary) {
+    primary_score = std::max(
+        primary_score,
+        ledger.OccupancyWith(d.link, d.mean, d.variance, d.deterministic));
+  }
+  if (primary_score == kInf) {
+    return {util::ErrorCode::kInfeasible, "primary violates (4)"};
+  }
+  topology::VertexId best = topology::kNoVertex;
+  double best_score = kInf;
+  for (topology::VertexId m : topo.machines()) {
+    if (counts.count(m) || !slots.machine_up(m) ||
+        slots.free_slots(m) < needed) {
+      continue;
+    }
+    Placement candidate = placement;
+    candidate.backup_machine = m;
+    candidate.backup_slots = needed;
+    double score = primary_score;
+    bool ok = true;
+    for (const core::LinkDemand& d :
+         core::ComputeSurvivableLinkDemands(topo, request, candidate)) {
+      if (d.domain == topology::kNoVertex) continue;
+      double pm = 0, pv = 0, pd = 0;
+      for (const core::LinkDemand& p : primary) {
+        if (p.link == d.link) {
+          pm = p.mean;
+          pv = p.variance;
+          pd = p.deterministic;
+          break;
+        }
+      }
+      const double occ = ledger.OccupancyWithDomain(
+          d.link, d.domain, pm + d.mean, pv + d.variance,
+          pd + d.deterministic);
+      if (occ == kInf) {
+        ok = false;
+        break;
+      }
+      score = std::max(score, occ);
+    }
+    if (ok && (score < best_score || (score == best_score && m < best))) {
+      best = m;
+      best_score = score;
+    }
+  }
+  if (best == topology::kNoVertex) {
+    return {util::ErrorCode::kInfeasible, "no backup machine"};
+  }
+  placement.backup_machine = best;
+  placement.backup_slots = needed;
+  return placement;
+}
+
+// Calls fn(capacity, det, mean, var, c) for every state of link v — no
+// failure, then each backup domain (unpruned; domain states only while the
+// link is up) — with the candidate (mean, var, det) added.
+template <typename Fn>
+void ForEachState(const net::LinkLedger& ledger, topology::VertexId v,
+                  double mean, double var, double det, Fn fn) {
+  const net::LinkState& s = ledger.link(v);
+  const double c = ledger.quantile();
+  fn(s.capacity, s.deterministic + det, s.mean_sum + mean, s.var_sum + var,
+     c);
+  if (s.capacity <= 0) return;
+  for (const net::BackupDomainSums& g : s.backup_domains) {
+    fn(s.capacity, s.deterministic + det + g.det_sum,
+       s.mean_sum + mean + g.mean_sum, s.var_sum + var + g.var_sum, c);
+  }
+}
+
+double BruteOccupancyWith(const net::LinkLedger& ledger, topology::VertexId v,
+                          double mean, double var, double det) {
+  double worst = 0;
+  ForEachState(ledger, v, mean, var, det, [&](auto... state) {
+    worst = std::max(worst, net::OccupancyRatioIfValid(state...));
+  });
+  return worst;
+}
+
+bool BruteValidWith(const net::LinkLedger& ledger, topology::VertexId v,
+                    double mean, double var, double det) {
+  bool valid = true;
+  ForEachState(ledger, v, mean, var, det, [&](auto... state) {
+    valid = valid && net::SatisfiesGuarantee(state...);
+  });
+  return valid;
+}
+
+double BruteWorstOccupancy(const net::LinkLedger& ledger,
+                           topology::VertexId v) {
+  double worst = 0;
+  ForEachState(ledger, v, 0, 0, 0, [&](auto... state) {
+    worst = std::max(worst, net::OccupancyRatio(state...));
+  });
+  return worst;
+}
+
+// The frontier binary search (FeasibleFrontier, or with `descending`
+// FeasibleFrontierDescending) driven by brute-force verdicts.
+int BruteFrontier(const net::LinkLedger& truth, topology::VertexId v,
+                  const double* mean, const double* var, const double* det,
+                  int count, bool descending) {
+  int lo = 0, hi = count - 1;
+  while (lo <= hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (BruteValidWith(truth, v, mean[mid], var[mid], det[mid]) != descending) {
+      lo = mid + 1;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+// Checks every worst-case kernel of `ledger` on `links` against the
+// brute-force maximum over every domain state of `truth` (the same ledger,
+// or the one it captured), bit for bit, for random candidates scaled to
+// each link's headroom so both verdicts occur.
+void ExpectKernelsMatchBruteForce(
+    const net::LinkLedger& ledger, const net::LinkLedger& truth,
+    const std::vector<topology::VertexId>& links, stats::Rng& rng) {
+  constexpr int kCandidates = 12;
+  for (topology::VertexId v : links) {
+    SCOPED_TRACE("link " + std::to_string(v));
+    const net::LinkState& s = truth.link(v);
+    // The pruned set's invariant: its members are domain states, and every
+    // domain state has a member at least as large in every moment — with
+    // zero variance only if the domain state has zero variance too.
+    const std::vector<net::BackupDomainSums>& pareto =
+        ledger.link(v).backup_pareto;
+    for (const net::BackupDomainSums& g : s.backup_domains) {
+      EXPECT_TRUE(std::any_of(
+          pareto.begin(), pareto.end(), [&](const net::BackupDomainSums& p) {
+            return p.det_sum >= g.det_sum && p.mean_sum >= g.mean_sum &&
+                   p.var_sum >= g.var_sum && (g.var_sum > 0 || p.var_sum == 0);
+          }))
+          << "domain " << g.domain << " pruned without a dominating member";
+    }
+    for (const net::BackupDomainSums& p : pareto) {
+      EXPECT_TRUE(std::any_of(
+          s.backup_domains.begin(), s.backup_domains.end(),
+          [&](const net::BackupDomainSums& g) {
+            return g.domain == p.domain && g.det_sum == p.det_sum &&
+                   g.mean_sum == p.mean_sum && g.var_sum == p.var_sum;
+          }))
+          << "member " << p.domain << " is not a domain state";
+    }
+    const double room =
+        std::max(1.0, s.capacity - s.deterministic - s.mean_sum);
+    double mean[kCandidates], var[kCandidates], det[kCandidates];
+    for (int i = 0; i < kCandidates; ++i) {
+      mean[i] = i % 4 == 0 ? 0 : rng.Uniform(0, room);
+      var[i] = i % 3 == 0 ? 0 : rng.Uniform(0, room * room / 16);
+      det[i] = i % 2 == 0 ? 0 : rng.Uniform(0, room / 2);
+    }
+    double out[kCandidates];
+    ledger.OccupancyWithBatch(v, mean, var, det, kCandidates, out);
+    for (int i = 0; i < kCandidates; ++i) {
+      const double want = BruteOccupancyWith(truth, v, mean[i], var[i], det[i]);
+      EXPECT_EQ(ledger.OccupancyWith(v, mean[i], var[i], det[i]), want) << i;
+      EXPECT_EQ(out[i], want) << i;
+      EXPECT_EQ(ledger.ValidWith(v, mean[i], var[i], det[i]),
+                BruteValidWith(truth, v, mean[i], var[i], det[i]))
+          << i;
+    }
+    // Frontier searches over jointly monotone candidates.
+    std::sort(mean, mean + kCandidates);
+    std::sort(var, var + kCandidates);
+    std::sort(det, det + kCandidates);
+    EXPECT_EQ(ledger.FeasibleFrontier(v, mean, var, det, 0, kCandidates - 1),
+              BruteFrontier(truth, v, mean, var, det, kCandidates, false));
+    std::reverse(mean, mean + kCandidates);
+    std::reverse(var, var + kCandidates);
+    std::reverse(det, det + kCandidates);
+    EXPECT_EQ(ledger.FeasibleFrontierDescending(v, mean, var, det, 0,
+                                                kCandidates - 1),
+              BruteFrontier(truth, v, mean, var, det, kCandidates, true));
+
+    const double worst = BruteWorstOccupancy(truth, v);
+    EXPECT_EQ(ledger.Slack(v), std::max(-1.0, 1.0 - worst));
+    double share = 0;
+    const double base = net::OccupancyRatio(
+        s.capacity, s.deterministic, s.mean_sum, s.var_sum, truth.quantile());
+    if (!s.backup_domains.empty() && s.capacity > 0 && std::isfinite(worst) &&
+        std::isfinite(base)) {
+      share = std::clamp(worst - base, 0.0, 1.0);
+    }
+    EXPECT_EQ(ledger.BackupShare(v), share);
+  }
+}
+
+// The kernels of `ledger` itself, of a full capture of it, and of a partial
+// capture of a random half of its links.
+void ExpectKernelsAndCapturesMatch(const net::LinkLedger& ledger,
+                                   stats::Rng& rng) {
+  const topology::Topology& topo = ledger.topo();
+  std::vector<topology::VertexId> links, half;
+  for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
+    links.push_back(v);
+    if (rng.UniformInt(0, 1) == 1) half.push_back(v);
+  }
+  ExpectKernelsMatchBruteForce(ledger, ledger, links, rng);
+  net::LinkLedger full(topo, ledger.epsilon());
+  full.AssignAggregatesFrom(ledger);
+  ExpectKernelsMatchBruteForce(full, ledger, links, rng);
+  net::LinkLedger partial(topo, ledger.epsilon());
+  partial.AssignAggregatesFromLinks(ledger, half);
+  ExpectKernelsMatchBruteForce(partial, ledger, half, rng);
+}
+
+TEST(SurvivableOracle, ZeroVarianceStateIsOnlyPrunedByZeroVarianceState) {
+  // Condition (4) rounds differently on its zero-variance branch, so a
+  // state with zero variance can violate it while an otherwise equal state
+  // with a tiny positive variance passes.  Find such a (det, mean) pair on
+  // a 1000 Mbps link: pruning the zero-variance state because the other
+  // one dominates it in every moment would then flip the verdict.
+  const topology::Topology topo = topology::BuildStar(4, 4, 1000);
+  const topology::VertexId v = topo.machines()[0];
+  const double capacity = topo.uplink_capacity(v);
+  const double c = net::GuaranteeQuantile(0.05);
+  constexpr double kTinyVar = 1e-40;
+  double det = 0, mean = 0;
+  for (int k = 1; k < 1000 && det == 0; ++k) {
+    double m = capacity + 1e-9 * capacity - k * 0.37;
+    for (int i = 0; i < 8; ++i) m = std::nextafter(m, 0.0);
+    for (int i = 0; i < 16; ++i, m = std::nextafter(m, kInf)) {
+      if (!net::SatisfiesGuarantee(capacity, k * 0.37, m, 0, c) &&
+          net::SatisfiesGuarantee(capacity, k * 0.37, m, kTinyVar, c)) {
+        det = k * 0.37;
+        mean = m;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(det, 0) << "no branch-rounding pair found";
+
+  for (const bool zero_first : {true, false}) {
+    SCOPED_TRACE(zero_first ? "zero variance first" : "positive first");
+    net::LinkLedger ledger(topo, 0.05);
+    const topology::VertexId zero = topo.machines()[1];
+    const topology::VertexId positive = topo.machines()[2];
+    if (zero_first) ledger.AddBackup(v, 1, zero, mean, 0, det);
+    ledger.AddBackup(v, 2, positive, mean, kTinyVar, det);
+    if (!zero_first) ledger.AddBackup(v, 1, zero, mean, 0, det);
+    EXPECT_FALSE(ledger.ValidWith(v, 0, 0, 0));
+    EXPECT_EQ(ledger.OccupancyWith(v, 0, 0, 0), kInf);
+    stats::Rng rng(7);
+    ExpectKernelsAndCapturesMatch(ledger, rng);
+  }
+}
+
+std::vector<topology::Topology> OracleFabrics(stats::Rng& rng) {
+  std::vector<topology::Topology> fabrics;
+  fabrics.push_back(topology::BuildStar(
+      static_cast<int>(rng.UniformInt(5, 9)), 4, 1000));
+  fabrics.push_back(topology::BuildTwoTier(
+      static_cast<int>(rng.UniformInt(2, 4)), 4, 4, 1000, 2.0));
+  topology::ThreeTierConfig config;
+  config.racks = 4;
+  config.racks_per_agg = 2;
+  config.machines_per_rack = static_cast<int>(rng.UniformInt(3, 4));
+  config.slots_per_machine = 4;
+  fabrics.push_back(topology::BuildThreeTier(config));
+  return fabrics;
+}
+
+// A tenant for survivable churn: a homogeneous SVC or, one time in three, a
+// sigma = 0 VC, so zero-variance backup domains occur.
+Request ChurnTenant(core::RequestId id, stats::Rng& rng) {
+  const int n = static_cast<int>(rng.UniformInt(2, 8));
+  if (rng.UniformInt(0, 2) == 0) {
+    return Request::Deterministic(id, n, rng.Uniform(20, 150));
+  }
+  return Request::Homogeneous(id, n, rng.Uniform(20, 150),
+                              rng.Uniform(5, 60));
+}
+
+// Seeded survivable churn: admissions, releases, machine and link faults
+// under switchover (a drained link keeps other tenants' backup rows) and
+// recoveries.  Calls `probe` after every step.
+void RunSurvivableOracleChurn(
+    const topology::Topology& topo, uint64_t seed, int steps,
+    const std::function<void(const NetworkManager&, stats::Rng&)>& probe) {
+  NetworkManager manager(topo, 0.05);
+  manager.set_admission_options(Survivable());
+  core::HomogeneousDpAllocator alloc;
+  stats::Rng rng(seed);
+  core::RequestId next_id = 1;
+  std::vector<core::RequestId> live;
+  for (int step = 0; step < steps; ++step) {
+    const double r = rng.UniformDouble();
+    if (r < 0.5) {
+      if (manager.Admit(ChurnTenant(next_id, rng), alloc).ok()) {
+        live.push_back(next_id);
+      }
+      ++next_id;
+    } else if (r < 0.7 && !live.empty()) {
+      const size_t i = rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1);
+      if (manager.IsLive(live[i])) manager.Release(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (r < 0.85) {
+      const topology::VertexId v = static_cast<topology::VertexId>(
+          rng.UniformInt(1, topo.num_vertices() - 1));
+      if (!manager.IsFailed(v)) {
+        const FaultKind kind = topo.is_machine(v) && rng.UniformInt(0, 1) == 0
+                                   ? FaultKind::kMachine
+                                   : FaultKind::kLink;
+        ASSERT_TRUE(manager
+                        .HandleFault(kind, v, RecoveryPolicy::kSwitchover,
+                                     alloc)
+                        .ok());
+      }
+    } else if (!manager.Faults().empty()) {
+      ASSERT_TRUE(
+          manager.HandleRecovery(manager.Faults().begin()->first).ok());
+    }
+    probe(manager, rng);
+  }
+}
+
+TEST(SurvivableOracle, PlanBackupMatchesBruteForceSearch) {
+  int planned = 0, infeasible = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    stats::Rng fabric_rng(seed);
+    for (const topology::Topology& topo : OracleFabrics(fabric_rng)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " + topo.Describe());
+      core::HomogeneousDpAllocator alloc;
+      net::LinkLedger view(topo, 0.05);
+      RunSurvivableOracleChurn(
+          topo, seed, 60, [&](const NetworkManager& manager, stats::Rng& rng) {
+            // The allocator's primary for a fresh tenant, and a random
+            // heterogeneous placement (mixed zero and positive variances,
+            // possibly violating condition (4) on its own).
+            std::vector<std::pair<Request, Placement>> cases;
+            const Request fresh = ChurnTenant(1000000, rng);
+            auto placed =
+                alloc.Allocate(fresh, manager.ledger(), manager.slots());
+            if (placed.ok()) cases.emplace_back(fresh, *placed);
+            const int n = static_cast<int>(rng.UniformInt(1, 6));
+            std::vector<stats::Normal> demands;
+            Placement random;
+            for (int vm = 0; vm < n; ++vm) {
+              demands.push_back({rng.Uniform(10, 200),
+                                 rng.UniformInt(0, 1) == 0
+                                     ? 0.0
+                                     : rng.Uniform(0, 3000)});
+              random.vm_machine.push_back(topo.machines()[rng.UniformInt(
+                  0, static_cast<int64_t>(topo.machines().size()) - 1)]);
+            }
+            random.subtree_root = topo.root();
+            cases.emplace_back(Request::Heterogeneous(1000001, demands),
+                               random);
+
+            view.AssignAggregatesFrom(manager.ledger());
+            const net::LinkLedger* ledgers[] = {&manager.ledger(), &view};
+            for (const auto& [request, placement] : cases) {
+              for (const net::LinkLedger* books : ledgers) {
+                const auto got = core::PlanBackup(topo, request, placement,
+                                                  *books, manager.slots());
+                const auto want = OraclePlanBackup(topo, request, placement,
+                                                   *books, manager.slots());
+                ASSERT_EQ(got.ok(), want.ok());
+                if (!got.ok()) {
+                  EXPECT_EQ(got.status().code(), want.status().code());
+                  ++infeasible;
+                  continue;
+                }
+                ++planned;
+                EXPECT_EQ(got->backup_machine, want->backup_machine);
+                EXPECT_EQ(got->backup_slots, want->backup_slots);
+                EXPECT_EQ(got->vm_machine, placement.vm_machine);
+              }
+            }
+          });
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(planned, 100);
+  EXPECT_GT(infeasible, 10);
+}
+
+TEST(SurvivableOracle, KernelsMatchBruteForceUnderSurvivableChurn) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    stats::Rng fabric_rng(seed + 100);
+    for (const topology::Topology& topo : OracleFabrics(fabric_rng)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " + topo.Describe());
+      RunSurvivableOracleChurn(
+          topo, seed + 100, 40,
+          [&](const NetworkManager& manager, stats::Rng& rng) {
+            ExpectKernelsAndCapturesMatch(manager.ledger(), rng);
+            bool valid = true;
+            for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
+              valid = valid && BruteValidWith(manager.ledger(), v, 0, 0, 0);
+            }
+            EXPECT_EQ(manager.StateValid(), valid);
+          });
+    }
+  }
+}
+
+TEST(SurvivableOracle, KernelsMatchBruteForceUnderDirectLedgerChurn) {
+  // Direct ledger churn reaches states admission never builds: many
+  // records per domain, deterministic-only and mean-only (zero-variance)
+  // domain states whose variance later leaves zero, invalid no-failure
+  // states, drained links and RebuildSums.
+  const topology::Topology topo = topology::BuildTwoTier(2, 3, 4, 1000, 2.0);
+  const std::vector<topology::VertexId>& machines = topo.machines();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    stats::Rng rng(seed);
+    net::LinkLedger ledger(topo, 0.05);
+    std::vector<net::RequestId> live;
+    net::RequestId next_id = 1;
+    for (int step = 0; step < 400; ++step) {
+      const double r = rng.UniformDouble();
+      const topology::VertexId v = static_cast<topology::VertexId>(
+          rng.UniformInt(1, topo.num_vertices() - 1));
+      if (r < 0.6) {
+        const net::RequestId id = next_id++;
+        live.push_back(id);
+        for (int k = static_cast<int>(rng.UniformInt(1, 3)); k > 0; --k) {
+          const topology::VertexId link = static_cast<topology::VertexId>(
+              rng.UniformInt(1, topo.num_vertices() - 1));
+          const double cap = topo.uplink_capacity(link) / 6;
+          const topology::VertexId domain = machines[rng.UniformInt(0, 4)];
+          switch (rng.UniformInt(0, 5)) {
+            case 0:
+              ledger.AddStochastic(link, id, rng.Uniform(0, cap),
+                                   rng.Uniform(0, cap * cap / 8));
+              break;
+            case 1:
+              ledger.AddDeterministic(link, id, rng.Uniform(0, cap));
+              break;
+            case 2:  // deterministic-only domain state
+              ledger.AddBackup(link, id, domain, 0, 0, rng.Uniform(0, cap));
+              break;
+            case 3:  // mean-only: zero variance
+              ledger.AddBackup(link, id, domain, rng.Uniform(0, cap), 0, 0);
+              break;
+            case 4:
+              ledger.AddBackup(link, id, domain, rng.Uniform(0, cap),
+                               rng.Uniform(0, cap * cap / 8), 0);
+              break;
+            default:  // variance-only
+              ledger.AddBackup(link, id, domain, 0,
+                               rng.Uniform(0, cap * cap / 8), 0);
+              break;
+          }
+        }
+      } else if (r < 0.85 && !live.empty()) {
+        const size_t i =
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1);
+        ledger.RemoveRequest(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (r < 0.95) {
+        ledger.SetLinkState(v, !ledger.link_up(v));
+      } else {
+        ledger.RebuildSums(v);
+      }
+      if (step % 8 == 0) ExpectKernelsAndCapturesMatch(ledger, rng);
+    }
+  }
 }
 
 }  // namespace
