@@ -10,15 +10,20 @@
 //   * hetero heuristic — bounded (std::stable_sort's temporary buffer is
 //     the one per-call allocation; the DP itself is arena-resident);
 //   * homogeneous level-parallel — bounded (task handoff may touch the
-//     pool's deque chunks; the DP rows and scratch stay arena-resident).
+//     pool's deque chunks; the DP rows and scratch stay arena-resident);
+//   * the simulator's max-min solve — hard zero after one warm-up solve,
+//     even when every tick rebuilds its flat topology arrays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "alloc_counter.h"
 #include "obs/decision_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/max_min.h"
 #include "stats/rng.h"
 #include "svc/hetero_exact.h"
 #include "svc/hetero_heuristic.h"
@@ -197,6 +202,49 @@ TEST(ObsAllocOverhead, ParallelAllocateStaysBoundedWithObsEnabled) {
   const int64_t levels_bound = 4;  // levels that can fan out per call
   EXPECT_LE(allocations,
             static_cast<int64_t>(iters) * levels_bound * pool.num_threads() * 2);
+}
+
+// The engine rebuilds the solver's topology arrays on most ticks (a
+// finishing flow renumbers the flows) and redraws every desire: with the
+// metrics registry and tracing armed, those solves must reuse the arrays'
+// high-water mark rather than reallocate them.
+TEST(ObsAllocOverhead, MaxMinSolveStaysZeroAllocWithMetricsEnabled) {
+  obs::SetMetricsEnabled(true);
+  obs::SetTraceEnabled(true);
+  topology::ThreeTierConfig config;
+  config.racks = 20;
+  config.machines_per_rack = 10;
+  config.racks_per_agg = 4;
+  config.tor_trunk = 2;
+  const topology::Topology topo = topology::BuildThreeTier(config);
+  std::vector<double> capacity;
+  topo.FillCableCapacities(capacity);
+  stats::Rng rng(5);
+  std::vector<sim::SimFlow> flows(600);
+  const auto& machines = topo.machines();
+  for (sim::SimFlow& flow : flows) {
+    const auto a = machines[rng.UniformInt(0, machines.size() - 1)];
+    const auto b = machines[rng.UniformInt(0, machines.size() - 1)];
+    if (a != b) topo.PathCablesDirected(a, b, rng.NextU64(), flow.links);
+  }
+  // Some desires are zero, so the unfrozen set changes from tick to tick.
+  const auto redraw = [&] {
+    for (sim::SimFlow& flow : flows) {
+      flow.desired = std::max(0.0, rng.Normal(300, 250));
+    }
+  };
+  sim::MaxMinScratch scratch(static_cast<int>(capacity.size()));
+  redraw();
+  scratch.Allocate(flows, capacity, /*flows_changed=*/true);  // warm-up
+  const int64_t before = bench::AllocationCount();
+  for (int tick = 0; tick < 200; ++tick) {
+    redraw();
+    scratch.Allocate(flows, capacity, /*flows_changed=*/true);
+  }
+  const int64_t allocations = bench::AllocationCount() - before;
+  obs::SetMetricsEnabled(false);
+  obs::SetTraceEnabled(false);
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Diff two BENCH_PERF.json snapshots produced by bench/perf_suite.
 
+Also diffs scenario_run JSON output (any snapshot with a ``scenarios``
+list; see below).
+
 Compares the benchmark throughput rates (``*_per_sec``) and the metrics
 counters of a *before* and an *after* snapshot, prints a delta table, and
 exits non-zero when any benchmark regressed by more than the allowed
@@ -32,8 +35,22 @@ never a failure condition: tail latency at bench scale is too noisy to
 gate on, and adding a gate here would change the tool's exit-code
 contract.
 
-``--list`` prints the benchmark and latency-histogram names a snapshot
-carries (useful for picking --require-speedup targets) and exits 0.
+Scenario runs (``bench/scenario_run --out``) carry a ``scenarios`` list
+whose entries hold a ``wall_s`` and a ``cells`` list with one ``wall_s``
+per cell.  Scenarios are keyed by name and cells by scenario name plus
+cell label, with ``@<axis value>`` appended for a cell on a sweep axis (a
+key still repeated within one snapshot gets a ``#2``, ``#3`` suffix).
+Both are diffed as speedups (before wall_s / after wall_s, so + is
+faster, as for the benchmarks), and --max-regression applies to the
+per-scenario rows: a scenario fails when its speedup falls below
+1 - PCT/100, the same throughput drop a benchmark is allowed.  Cell rows
+are informational, because the cells of one sweep run concurrently and
+their wall-clock depends on scheduling.  A scenario whose ``config_hash``
+differs between the snapshots is a warning, not a failure.
+
+``--list`` prints the benchmark, scenario and latency-histogram names a
+snapshot carries (useful for picking --require-speedup targets) and
+exits 0.
 """
 
 import argparse
@@ -68,6 +85,78 @@ def latency_histograms(snapshot):
     }
 
 
+def unique_key(table, key):
+    """`key`, or `key#2`, `key#3`, ... if `table` already holds it."""
+    if key not in table:
+        return key
+    suffix = 2
+    while f"{key}#{suffix}" in table:
+        suffix += 1
+    return f"{key}#{suffix}"
+
+
+def scenario_tables(snapshot):
+    """(scenarios, cells) of a scenario_run snapshot.
+
+    scenarios maps the scenario name to its entry; cells maps
+    "<scenario>/<cell label>[@<axis value>]" to the cell entry.
+    """
+    scenarios = {}
+    cells = {}
+    for scenario in snapshot.get("scenarios", []):
+        name = unique_key(scenarios, scenario.get("name", "?"))
+        scenarios[name] = scenario
+        for cell in scenario.get("cells", []):
+            key = f"{name}/{cell.get('label', '?')}"
+            if cell.get("axis_index", -1) >= 0:
+                key += f"@{cell.get('axis_value', 0):g}"
+            cells[unique_key(cells, key)] = cell
+    return scenarios, cells
+
+
+def wall_rows(before, after):
+    """(key, before wall_s, after wall_s, speedup) over both tables' keys.
+
+    speedup is None unless both sides carry a positive wall_s.
+    """
+    rows = []
+    for key in sorted(before.keys() | after.keys()):
+        b_wall = before.get(key, {}).get("wall_s")
+        a_wall = after.get(key, {}).get("wall_s")
+        speedup = b_wall / a_wall if b_wall and a_wall else None
+        rows.append((key, b_wall, a_wall, speedup))
+    return rows
+
+
+def fmt_seconds(value):
+    return f"{value:.3f}" if value is not None else "-"
+
+
+def delta_note(key, speedup, before, after):
+    """The delta column: the speedup as a signed percentage, or why not."""
+    if speedup:
+        return f"{(speedup - 1.0) * 100.0:+.1f}%"
+    if key not in before:
+        return "(added)"
+    if key not in after:
+        return "(removed)"
+    return "(missing)"
+
+
+def print_wall_table(title, rows, before, after):
+    width = max([len(title)] + [len(r[0]) for r in rows])
+    print(
+        f"\n{title:<{width}}  {'wall_s before':>14}  {'wall_s after':>14}  "
+        "delta"
+    )
+    for key, b_wall, a_wall, speedup in rows:
+        print(
+            f"{key:<{width}}  {fmt_seconds(b_wall):>14}  "
+            f"{fmt_seconds(a_wall):>14}  "
+            f"{delta_note(key, speedup, before, after)}"
+        )
+
+
 def list_snapshot(path, snapshot):
     print(f"{path}:")
     benches = snapshot.get("benchmarks", [])
@@ -75,12 +164,19 @@ def list_snapshot(path, snapshot):
         key, rate = rate_of(bench)
         rate_note = f"  {key}={fmt_rate(rate)}" if key else ""
         print(f"  bench      {bench['name']}{rate_note}")
+    scenarios, _ = scenario_tables(snapshot)
+    for name, scenario in scenarios.items():
+        print(
+            f"  scenario   {name}  wall_s={fmt_seconds(scenario.get('wall_s'))}"
+            f"  cells={len(scenario.get('cells', []))}"
+            f"  config_hash={scenario.get('config_hash', '?')}"
+        )
     for name, h in sorted(latency_histograms(snapshot).items()):
         print(
             f"  histogram  {name}  count={h.get('count', 0)}  "
             f"p50={h.get('p50', 0):.1f}us  p99={h.get('p99', 0):.1f}us"
         )
-    if not benches:
+    if not benches and not scenarios:
         print("  (no benchmarks)")
 
 
@@ -185,6 +281,19 @@ def main():
             parser.error(f"--require-speedup needs NAME:FACTOR, got {spec!r}")
         required[name] = float(factor)
 
+    b_scenarios, b_cells = scenario_tables(before)
+    a_scenarios, a_cells = scenario_tables(after)
+    for name in sorted(b_scenarios.keys() & a_scenarios.keys()):
+        b_hash = b_scenarios[name].get("config_hash")
+        a_hash = a_scenarios[name].get("config_hash")
+        if b_hash and a_hash and b_hash != a_hash:
+            print(
+                f"WARNING: scenario {name} config differs between snapshots "
+                f"(before: {b_hash}, after: {a_hash}); its wall_s delta may "
+                "reflect the workload, not the change",
+                file=sys.stderr,
+            )
+
     failures = []
     rows = []
     for name in before_benches.keys() | after_benches.keys():
@@ -219,6 +328,15 @@ def main():
         if name not in before_benches or name not in after_benches:
             failures.append(f"{name}: required benchmark missing from snapshot")
 
+    scenario_rows = wall_rows(b_scenarios, a_scenarios)
+    for name, b_wall, a_wall, speedup in scenario_rows:
+        if speedup and speedup < 1.0 - args.max_regression / 100.0:
+            failures.append(
+                f"scenario {name}: wall_s {b_wall:.3f} -> {a_wall:.3f} s, "
+                f"{(1.0 - speedup) * 100.0:.1f}% slower "
+                f"(allowed {args.max_regression:.1f}%)"
+            )
+
     for spec in args.require_zero:
         name, _, metric = spec.partition(":")
         if not metric:
@@ -234,20 +352,22 @@ def main():
             failures.append(f"{name}.{metric} = {bench[metric]} (required 0)")
 
     width = max((len(r[0]) for r in rows), default=4)
-    print(f"{'benchmark':<{width}}  {'before/s':>14}  {'after/s':>14}  delta")
+    if rows or not scenario_rows:  # a scenario-only diff has no benchmarks
+        print(
+            f"{'benchmark':<{width}}  {'before/s':>14}  {'after/s':>14}  delta"
+        )
     for name, b_rate, a_rate, speedup in sorted(rows):
-        if speedup:
-            delta = f"{(speedup - 1.0) * 100.0:+.1f}%"
-        elif name not in before_benches:
-            delta = "(added)"
-        elif name not in after_benches:
-            delta = "(removed)"
-        else:
-            delta = "(missing)"
+        delta = delta_note(name, speedup, before_benches, after_benches)
         print(
             f"{name:<{width}}  {fmt_rate(b_rate):>14}  {fmt_rate(a_rate):>14}  "
             f"{delta}"
         )
+
+    if scenario_rows:
+        print_wall_table("scenario", scenario_rows, b_scenarios, a_scenarios)
+        cell_rows = wall_rows(b_cells, a_cells)
+        if cell_rows:
+            print_wall_table("cell", cell_rows, b_cells, a_cells)
 
     b_hists = latency_histograms(before)
     a_hists = latency_histograms(after)
