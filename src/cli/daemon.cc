@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "svc/snapshot.h"
 #include "topology/builders.h"
 #include "util/json.h"
+#include "util/json_fields.h"
 #include "util/json_reader.h"
 
 namespace svc::cli {
@@ -95,54 +97,72 @@ Status Errno(const std::string& what) {
 // session state the checkpoint needs to reconstruct.
 struct Session {
   Interpreter* interpreter = nullptr;
-  const sim::Scenario* scenario = nullptr;
   std::string scenario_hash;
-
-  // Failed and cordoned elements, from the manager's own books.
-  void CollectFaultState(std::vector<std::pair<int64_t, bool>>* failed,
-                         std::vector<int64_t>* cordoned) const {
-    const core::NetworkManager& manager = interpreter->manager();
-    for (const auto& [vertex, kind] : manager.Faults()) {
-      failed->emplace_back(vertex, kind == core::FaultKind::kMachine);
-    }
-    for (topology::VertexId m : manager.topo().machines()) {
-      if (!manager.slots().machine_up(m) && !manager.IsFailed(m)) {
-        cordoned->push_back(m);
-      }
-    }
-  }
 };
+
+struct FailedElement {
+  topology::VertexId vertex = 0;
+  std::string kind;  // machine | link
+};
+
+// The checkpoint file: everything a restarted daemon needs beyond its
+// scenario.
+struct Checkpoint {
+  std::string scenario_hash;
+  std::string allocator;
+  std::string policy;
+  bool survivable = false;
+  std::vector<FailedElement> failed;
+  std::vector<topology::VertexId> cordoned;  // drained, not failed
+  bool snapshot_ok = false;
+  std::string snapshot;  // svc/snapshot.h text
+};
+
+const util::Fields<FailedElement>& FailedElementFields() {
+  using C = FailedElement;
+  static const auto* fields = new util::Fields<C>{
+      util::Number("vertex", &C::vertex, util::Range::AtLeast(1)),
+      util::Text("kind", &C::kind, {"machine", "link"}),
+  };
+  return *fields;
+}
+
+const util::Fields<Checkpoint>& CheckpointFields() {
+  using C = Checkpoint;
+  static const auto* fields = new util::Fields<C>{
+      util::Text("scenario_hash", &C::scenario_hash),
+      util::Text("allocator", &C::allocator),
+      util::Text("policy", &C::policy, {"reallocate", "patch", "evict", "switchover"}),
+      util::Flag("survivable", &C::survivable),
+      util::Objects("failed", &C::failed, FailedElementFields()),
+      util::List("cordoned", &C::cordoned, util::Range::AtLeast(1)),
+      util::Flag("snapshot_ok", &C::snapshot_ok),
+      util::Text("snapshot", &C::snapshot),
+  };
+  return *fields;
+}
 
 std::string SerializeCheckpoint(const Session& session) {
   const core::NetworkManager& manager = session.interpreter->manager();
-  std::vector<std::pair<int64_t, bool>> failed;
-  std::vector<int64_t> cordoned;
-  session.CollectFaultState(&failed, &cordoned);
-  std::ostringstream snapshot;
-  const Status saved = core::SaveSnapshot(manager, snapshot);
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("scenario_hash", session.scenario_hash);
-  w.Member("allocator", session.interpreter->allocator_name());
-  w.Member("policy",
-           std::string(core::ToString(session.interpreter->recovery_policy())));
-  w.Member("survivable", manager.admission_options().survivability);
-  w.Key("failed");
-  w.BeginArray();
-  for (const auto& [vertex, is_machine] : failed) {
-    w.BeginObject();
-    w.Member("vertex", vertex);
-    w.Member("kind", is_machine ? "machine" : "link");
-    w.EndObject();
+  Checkpoint checkpoint;
+  checkpoint.scenario_hash = session.scenario_hash;
+  checkpoint.allocator = session.interpreter->allocator_name();
+  checkpoint.policy = core::ToString(session.interpreter->recovery_policy());
+  checkpoint.survivable = manager.admission_options().survivability;
+  for (const auto& [vertex, kind] : manager.Faults()) {
+    checkpoint.failed.push_back(
+        {vertex, kind == core::FaultKind::kMachine ? "machine" : "link"});
   }
-  w.EndArray();
-  w.Key("cordoned");
-  w.BeginArray();
-  for (int64_t m : cordoned) w.Value(m);
-  w.EndArray();
-  w.Member("snapshot_ok", saved.ok());
-  w.Member("snapshot", snapshot.str());
-  w.EndObject();
+  for (topology::VertexId m : manager.topo().machines()) {
+    if (!manager.slots().machine_up(m) && !manager.IsFailed(m)) {
+      checkpoint.cordoned.push_back(m);
+    }
+  }
+  std::ostringstream snapshot;
+  checkpoint.snapshot_ok = core::SaveSnapshot(manager, snapshot).ok();
+  checkpoint.snapshot = snapshot.str();
+  util::JsonWriter w;
+  util::WriteFields(CheckpointFields(), checkpoint, w);
   return w.str() + "\n";
 }
 
@@ -166,98 +186,73 @@ Status RestoreCheckpoint(const Session& session, const std::string& path) {
   if (!in) return Status::Ok();  // no checkpoint — fresh start
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  util::Result<util::JsonValue> doc = util::ParseJson(buffer.str());
-  if (!doc) {
-    return {ErrorCode::kInvalidArgument,
-            "corrupt checkpoint " + path + ": " + doc.status().message()};
+  Checkpoint checkpoint;
+  Status status = util::ParseFields(CheckpointFields(), buffer.str(),
+                                    "checkpoint", &checkpoint);
+  if (status.ok()) {
+    status = util::CheckFields(CheckpointFields(), checkpoint, "checkpoint");
   }
-  const util::JsonValue* hash = doc->Find("scenario_hash");
-  if (hash == nullptr || !hash->is_string() ||
-      hash->AsString() != session.scenario_hash) {
+  if (status.ok() && !checkpoint.snapshot_ok) {
+    status = {ErrorCode::kInvalidArgument,
+              "checkpoint.snapshot_ok: the tenant snapshot was not saved"};
+  }
+  if (!status.ok()) {
+    return {ErrorCode::kInvalidArgument,
+            "corrupt checkpoint " + path + ": " + status.message()};
+  }
+  if (checkpoint.scenario_hash != session.scenario_hash) {
     return {ErrorCode::kFailedPrecondition,
             "checkpoint " + path + " was written for a different scenario "
-            "config (hash " +
-                (hash != nullptr && hash->is_string() ? hash->AsString()
-                                                      : "<missing>") +
-                ", serving " + session.scenario_hash + ")"};
+            "config (hash " + checkpoint.scenario_hash + ", serving " +
+                session.scenario_hash + ")"};
   }
   Interpreter& interp = *session.interpreter;
   std::ostringstream sink;
-  const util::JsonValue* allocator = doc->Find("allocator");
-  if (allocator != nullptr && allocator->is_string() &&
-      !interp.SelectAllocator(allocator->AsString())) {
+  if (!interp.SelectAllocator(checkpoint.allocator)) {
     return {ErrorCode::kInvalidArgument,
-            "checkpoint allocator unknown: " + allocator->AsString()};
+            "checkpoint allocator unknown: " + checkpoint.allocator};
   }
-  const util::JsonValue* policy = doc->Find("policy");
-  if (policy != nullptr && policy->is_string() &&
-      !interp.Execute("policy " + policy->AsString(), sink)) {
+  interp.Execute("policy " + checkpoint.policy, sink);
+  interp.Execute(
+      std::string("survivable ") + (checkpoint.survivable ? "on" : "off"),
+      sink);
+  std::istringstream text(checkpoint.snapshot);
+  const Status restored = core::RestoreSnapshot(text, interp.manager());
+  if (!restored.ok()) {
     return {ErrorCode::kInvalidArgument,
-            "checkpoint policy unknown: " + policy->AsString()};
-  }
-  const util::JsonValue* survivable = doc->Find("survivable");
-  if (survivable != nullptr && survivable->is_bool()) {
-    interp.Execute(
-        std::string("survivable ") + (survivable->AsBool() ? "on" : "off"),
-        sink);
-  }
-  const util::JsonValue* snapshot = doc->Find("snapshot");
-  if (snapshot != nullptr && snapshot->is_string()) {
-    std::istringstream text(snapshot->AsString());
-    const Status restored =
-        core::RestoreSnapshot(text, interp.manager());
-    if (!restored.ok()) {
-      return {ErrorCode::kInvalidArgument,
-              "checkpoint snapshot replay failed: " + restored.message()};
-    }
+            "checkpoint snapshot replay failed: " + restored.message()};
   }
   // Re-apply the fault plane AFTER the tenant replay: at checkpoint time
   // no live placement touched a failed element, so each HandleFault here
   // affects zero tenants and only takes the capacity down, exactly as it
   // was.  Cordons likewise re-drain empty machines.
-  const util::JsonValue* failed = doc->Find("failed");
-  if (failed != nullptr && failed->is_array()) {
-    for (const util::JsonValue& entry : failed->items()) {
-      const util::JsonValue* vertex = entry.Find("vertex");
-      const util::JsonValue* kind = entry.Find("kind");
-      if (vertex == nullptr || !vertex->is_number()) continue;
-      const bool is_machine = kind != nullptr && kind->is_string() &&
-                              kind->AsString() == "machine";
-      auto outcome = interp.manager().HandleFault(
-          is_machine ? core::FaultKind::kMachine : core::FaultKind::kLink,
-          static_cast<topology::VertexId>(vertex->AsInt()),
-          interp.recovery_policy(), interp.allocator());
-      if (!outcome) {
-        return {ErrorCode::kInvalidArgument,
-                "checkpoint fault replay failed: " +
-                    outcome.status().message()};
-      }
+  for (const FailedElement& element : checkpoint.failed) {
+    auto outcome = interp.manager().HandleFault(
+        element.kind == "machine" ? core::FaultKind::kMachine
+                                  : core::FaultKind::kLink,
+        element.vertex, interp.recovery_policy(), interp.allocator());
+    if (!outcome) {
+      return {ErrorCode::kInvalidArgument,
+              "checkpoint fault replay failed: " + outcome.status().message()};
     }
   }
-  const util::JsonValue* cordoned = doc->Find("cordoned");
-  if (cordoned != nullptr && cordoned->is_array()) {
-    for (const util::JsonValue& entry : cordoned->items()) {
-      if (!entry.is_number()) continue;
-      auto outcome = interp.manager().DrainMachine(
-          static_cast<topology::VertexId>(entry.AsInt()),
-          interp.allocator());
-      if (!outcome) {
-        return {ErrorCode::kInvalidArgument,
-                "checkpoint cordon replay failed: " +
-                    outcome.status().message()};
-      }
+  for (const topology::VertexId machine : checkpoint.cordoned) {
+    auto outcome = interp.manager().DrainMachine(machine, interp.allocator());
+    if (!outcome) {
+      return {ErrorCode::kInvalidArgument,
+              "checkpoint cordon replay failed: " + outcome.status().message()};
     }
   }
   return Status::Ok();
 }
 
 // One NDJSON response line.
-std::string Response(const util::JsonValue* id, bool ok,
+std::string Response(std::optional<int64_t> id, bool ok,
                      const std::string& output_key,
                      const std::string& output) {
   util::JsonWriter w;
   w.BeginObject();
-  if (id != nullptr && id->is_number()) w.Member("id", id->AsInt());
+  if (id) w.Member("id", *id);
   w.Member("ok", ok);
   w.Member(output_key, output);
   w.EndObject();
@@ -304,7 +299,6 @@ util::Status Daemon::Serve() {
 
   Session session;
   session.interpreter = &interpreter;
-  session.scenario = &config_.scenario;
   session.scenario_hash = sim::ScenarioConfigHash(config_.scenario);
   if (!config_.checkpoint_path.empty()) {
     const Status restored =
@@ -353,15 +347,25 @@ util::Status Daemon::Serve() {
       util::Result<util::JsonValue> request = util::ParseJson(line);
       const util::JsonValue* cmd =
           request ? request->Find("cmd") : nullptr;
-      if (!request || cmd == nullptr || !cmd->is_string()) {
+      const util::JsonValue* id_value =
+          request ? request->Find("id") : nullptr;
+      const std::optional<int64_t> id =
+          id_value != nullptr ? id_value->AsInteger() : std::nullopt;
+      std::string error;
+      if (!request) {
+        error = request.status().message();
+      } else if (cmd == nullptr || !cmd->is_string()) {
+        error = "request needs a string \"cmd\" member";
+      } else if (id_value != nullptr && !id) {
+        error = "request \"id\" must be an integer in [-" +
+                std::to_string(util::kMaxSafeInteger) + ", " +
+                std::to_string(util::kMaxSafeInteger) + "]";
+      }
+      if (!error.empty()) {
         SVC_METRIC_INC("daemon/request_errors");
-        const std::string what =
-            !request ? request.status().message()
-                     : "request needs a string \"cmd\" member";
-        WriteAll(conn, Response(nullptr, false, "error", what));
+        WriteAll(conn, Response(std::nullopt, false, "error", error));
         continue;
       }
-      const util::JsonValue* id = request->Find("id");
       if (cmd->AsString() == "shutdown") {
         WriteAll(conn, Response(id, true, "output", "shutting down\n"));
         stop_.store(true);

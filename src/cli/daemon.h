@@ -10,6 +10,9 @@
 //   request:   {"cmd": "admit 1 homogeneous 10 200 120"}        (+ opt "id")
 //   response:  {"ok": true, "output": "admit 1: placed ...\n"}  (id echoed)
 //
+// An "id" must be an integer within ±(2^53 - 1) so it echoes exactly;
+// any other id gets an error response.
+//
 // Two requests are handled by the daemon itself rather than the
 // interpreter: "checkpoint" forces a checkpoint now, "shutdown" stops the
 // serve loop after responding.  A malformed request line yields
@@ -28,7 +31,10 @@
 // state — the acceptance drill in tests/daemon_test.cc kills a daemon
 // mid-soak and diffs the decisions of the resumed run against an
 // uninterrupted one.  A hash mismatch is an error: serving a different
-// scenario against restored state would corrupt silently.
+// scenario against restored state would corrupt silently.  So is a
+// malformed checkpoint: restore reads it through a strict field table
+// (util/json_fields.h), and an unknown key, a mistyped or out-of-range
+// member, or "snapshot_ok": false stops the daemon from starting.
 #pragma once
 
 #include <atomic>

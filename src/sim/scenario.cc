@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -16,19 +17,14 @@
 #include "svc/allocator_registry.h"
 #include "svc/manager.h"
 #include "util/json.h"
-#include "util/json_reader.h"
+#include "util/json_fields.h"
 
 namespace svc::sim {
 namespace {
 
-using util::ErrorCode;
-using util::JsonValue;
+using util::FieldError;
 using util::JsonWriter;
 using util::Status;
-
-Status Err(const std::string& path, const std::string& what) {
-  return Status(ErrorCode::kInvalidArgument, path + ": " + what);
-}
 
 // --- Token tables (scenario JSON spellings of the library enums) ---
 
@@ -48,597 +44,219 @@ bool ParseEnforcementToken(const std::string& token, Enforcement* out) {
   return true;
 }
 
-bool ParseDistributionToken(const std::string& token,
-                            workload::RateDistribution* out) {
-  if (token == "normal") *out = workload::RateDistribution::kNormal;
-  else if (token == "lognormal") *out = workload::RateDistribution::kLogNormal;
-  else return false;
-  return true;
+const std::vector<std::pair<std::string, workload::RateDistribution>>&
+DistributionTokens() {
+  static const auto* tokens =
+      new std::vector<std::pair<std::string, workload::RateDistribution>>{
+          {"normal", workload::RateDistribution::kNormal},
+          {"lognormal", workload::RateDistribution::kLogNormal}};
+  return *tokens;
 }
 
-const char* DistributionToken(workload::RateDistribution distribution) {
-  return distribution == workload::RateDistribution::kLogNormal ? "lognormal"
-                                                                : "normal";
+// --- Field tables: one line per JSON key, in canonical order ---
+//
+// Each line is the key's parser, its canonical writer, and its range or
+// spelling check (util/json_fields.h).  ValidateScenario adds only the
+// checks that relate two fields, or a field and a mode.
+
+using util::Fields;
+using util::Flag;
+using util::List;
+using util::Name;
+using util::Number;
+using util::Object;
+using util::Objects;
+using util::Range;
+using util::Text;
+using util::Token;
+
+const Fields<topology::ThreeTierConfig>& TopologyFields() {
+  using C = topology::ThreeTierConfig;
+  static const auto* fields = new Fields<C>{
+      Number("racks", &C::racks, Range::AtLeast(1)),
+      Number("machines_per_rack", &C::machines_per_rack, Range::AtLeast(1)),
+      Number("slots_per_machine", &C::slots_per_machine, Range::AtLeast(1)),
+      Number("racks_per_agg", &C::racks_per_agg, Range::AtLeast(1)),
+      Number("machine_link_mbps", &C::machine_link_mbps, Range::Above(0)),
+      Number("oversubscription", &C::oversubscription, Range::AtLeast(1)),
+      Number("tor_trunk", &C::tor_trunk, Range::AtLeast(1)),
+      Number("agg_trunk", &C::agg_trunk, Range::AtLeast(1)),
+  };
+  return *fields;
 }
 
-bool ValidArrivalMode(const std::string& mode) {
-  return mode == "batch" || mode == "poisson" || mode == "static" ||
-         mode == "flash_crowd" || mode == "diurnal";
+const Fields<workload::WorkloadConfig>& WorkloadFields() {
+  using C = workload::WorkloadConfig;
+  static const auto* fields = new Fields<C>{
+      Number("num_jobs", &C::num_jobs, Range::AtLeast(0)),
+      Number("mean_job_size", &C::mean_job_size, Range::Above(0)),
+      Number("min_job_size", &C::min_job_size, Range::AtLeast(1)),
+      Number("max_job_size", &C::max_job_size, Range::AtLeast(1)),
+      Number("compute_time_lo", &C::compute_time_lo, Range::Above(0)),
+      Number("compute_time_hi", &C::compute_time_hi, Range::Above(0)),
+      List("rate_means", &C::rate_means, Range::Above(0), /*non_empty=*/true),
+      Number("deviation_lo", &C::deviation_lo, Range::AtLeast(0)),
+      Number("deviation_hi", &C::deviation_hi, Range::AtLeast(0)),
+      Number("fixed_deviation", &C::fixed_deviation),
+      Number("flow_time_lo", &C::flow_time_lo, Range::Above(0)),
+      Number("flow_time_hi", &C::flow_time_hi, Range::Above(0)),
+      Flag("heterogeneous", &C::heterogeneous),
+      Token("rate_distribution", &C::rate_distribution, DistributionTokens()),
+  };
+  return *fields;
 }
 
-bool ValidSweepParameter(const std::string& parameter) {
-  return parameter.empty() || parameter == "load" || parameter == "oversub" ||
-         parameter == "rho" || parameter == "epsilon" ||
-         parameter == "trunk" || parameter == "quantile" ||
-         parameter == "mtbf";
+const Fields<ArrivalConfig>& ArrivalFields() {
+  using C = ArrivalConfig;
+  static const auto* fields = new Fields<C>{
+      Text("mode", &C::mode, {"batch", "poisson", "static", "flash_crowd", "diurnal"}),
+      Number("load", &C::load, Range::Above(0)),
+      Number("burst_factor", &C::burst_factor, Range::AtLeast(1)),
+      Number("burst_start", &C::burst_start, Range::Closed(0, 1)),
+      Number("burst_length", &C::burst_length, Range::Closed(0, 1)),
+      Number("period_seconds", &C::period_seconds, Range::Above(0)),
+      Number("amplitude", &C::amplitude, Range::ClosedOpen(0, 1)),
+  };
+  return *fields;
 }
 
-bool ValidScriptedKind(const std::string& kind) {
-  return kind == "machine" || kind == "link";
+const Fields<FixedJobConfig>& FixedJobFields() {
+  using C = FixedJobConfig;
+  static const auto* fields = new Fields<C>{
+      Number("count", &C::count, Range::AtLeast(0)),
+      Number("size", &C::size, Range::AtLeast(2)),
+      Number("compute_time", &C::compute_time, Range::Above(0)),
+      Number("rate_mean", &C::rate_mean, Range::Above(0)),
+      Number("rho", &C::rho, Range::AtLeast(0)),
+      Number("flow_seconds", &C::flow_seconds, Range::Above(0)),
+  };
+  return *fields;
 }
 
-bool ValidCorrelatedKind(const std::string& kind) {
-  return kind == "rack_power" || kind == "tor_loss" ||
-         kind == "planned_drain";
+const Fields<AdmissionConfig>& AdmissionFields() {
+  using C = AdmissionConfig;
+  static const auto* fields = new Fields<C>{
+      Text("abstraction", &C::abstraction, {"svc", "mean_vc", "percentile_vc"}),
+      Text("allocator", &C::allocator),
+      Number("epsilon", &C::epsilon, Range::Open(0, 1)),
+      Number("vc_quantile", &C::vc_quantile, Range::Open(0, 1)),
+      Flag("survivability", &C::survivability),
+      Number("workers", &C::workers, Range::AtLeast(0)),
+      Number("shards", &C::shards, Range::AtLeast(0)),
+      Number("window", &C::window, Range::AtLeast(1)),
+      Number("lookahead", &C::lookahead, Range::AtLeast(1)),
+      Text("placement", &C::placement, {"none", "compact", "scatter", "shard_node"}),
+  };
+  return *fields;
 }
 
-// --- Checked JsonValue readers ---
-
-bool ReadDouble(const JsonValue& v, double* out) {
-  if (!v.is_number()) return false;
-  *out = v.AsDouble();
-  return true;
+const Fields<EnforcementConfig>& EnforcementFields() {
+  using C = EnforcementConfig;
+  static const auto* fields = new Fields<C>{
+      Text("mode", &C::mode, {"hard_cap", "token_bucket"}),
+      Number("burst_seconds", &C::burst_seconds, Range::Above(0)),
+  };
+  return *fields;
 }
 
-bool ReadInt(const JsonValue& v, int* out) {
-  if (!v.is_number()) return false;
-  const double d = v.AsDouble();
-  if (d != std::floor(d) || std::abs(d) > 2147483647.0) return false;
-  *out = static_cast<int>(d);
-  return true;
+const Fields<ScriptedEventConfig>& ScriptedFields() {
+  using C = ScriptedEventConfig;
+  static const auto* fields = new Fields<C>{
+      Number("time", &C::time, Range::AtLeast(0)),
+      Number("vertex", &C::vertex, Range::Closed(-1, INT32_MAX)),
+      Text("kind", &C::kind, {"machine", "link"}),
+      Flag("fail", &C::fail),
+      Flag("drain", &C::drain),
+  };
+  return *fields;
 }
 
-bool ReadInt64(const JsonValue& v, int64_t* out) {
-  if (!v.is_number()) return false;
-  const double d = v.AsDouble();
-  if (d != std::floor(d)) return false;
-  *out = static_cast<int64_t>(d);
-  return true;
+const Fields<CorrelatedEventConfig>& CorrelatedFields() {
+  using C = CorrelatedEventConfig;
+  static const auto* fields = new Fields<C>{
+      Text("kind", &C::kind, {"rack_power", "tor_loss", "planned_drain"}),
+      Number("index", &C::index, Range::AtLeast(0)),
+      Number("time_frac", &C::time_frac, Range::Closed(0, 1)),
+      Number("outage_seconds", &C::outage_seconds),
+  };
+  return *fields;
 }
 
-bool ReadUint64(const JsonValue& v, uint64_t* out) {
-  if (!v.is_number()) return false;
-  const double d = v.AsDouble();
-  if (d != std::floor(d) || d < 0) return false;
-  *out = static_cast<uint64_t>(d);
-  return true;
+const Fields<ScenarioFaultConfig>& FaultFields() {
+  using C = ScenarioFaultConfig;
+  static const auto* fields = new Fields<C>{
+      Number("machine_mtbf_seconds", &C::machine_mtbf_seconds, Range::AtLeast(0)),
+      Number("link_mtbf_seconds", &C::link_mtbf_seconds, Range::AtLeast(0)),
+      Number("link_mtbf_factor", &C::link_mtbf_factor, Range::AtLeast(0)),
+      Number("mttr_seconds", &C::mttr_seconds, Range::AtLeast(0)),
+      Number("horizon_seconds", &C::horizon_seconds, Range::AtLeast(0)),
+      Number("seed", &C::seed),
+      Text("policy", &C::policy, {"reallocate", "patch", "evict", "switchover"}),
+      Objects("scripted", &C::scripted, ScriptedFields()),
+      Objects("correlated", &C::correlated, CorrelatedFields()),
+  };
+  return *fields;
 }
 
-bool ReadBool(const JsonValue& v, bool* out) {
-  if (!v.is_bool()) return false;
-  *out = v.AsBool();
-  return true;
+const Fields<SweepConfig>& SweepFields() {
+  using C = SweepConfig;
+  static const auto* fields = new Fields<C>{
+      Text("parameter", &C::parameter, {"", "load", "oversub", "rho", "epsilon", "trunk", "quantile", "mtbf"}),
+      List("values", &C::values),
+  };
+  return *fields;
 }
 
-bool ReadString(const JsonValue& v, std::string* out) {
-  if (!v.is_string()) return false;
-  *out = v.AsString();
-  return true;
+const Fields<VariantConfig>& VariantFields() {
+  using C = VariantConfig;
+  static const auto* fields = new Fields<C>{
+      Name("label", &C::label),
+      Text("abstraction", &C::abstraction, {"", "svc", "mean_vc", "percentile_vc"}),
+      Text("allocator", &C::allocator),
+      Number("epsilon", &C::epsilon, Range::Open(0, 1).OrNegative()),
+      Number("vc_quantile", &C::vc_quantile, Range::Open(0, 1).OrNegative()),
+      Text("enforcement", &C::enforcement, {"", "hard_cap", "token_bucket"}),
+      Text("rate_distribution", &C::rate_distribution, {"", "normal", "lognormal"}),
+      Text("policy", &C::policy, {"", "reallocate", "patch", "evict", "switchover"}),
+      Number("survivable", &C::survivable, Range::Closed(-1, 1)),
+      Flag("once", &C::once),
+  };
+  return *fields;
 }
 
-bool ReadDoubleList(const JsonValue& v, std::vector<double>* out) {
-  if (!v.is_array()) return false;
-  out->clear();
-  for (const JsonValue& item : v.items()) {
-    if (!item.is_number()) return false;
-    out->push_back(item.AsDouble());
-  }
-  return true;
-}
-
-// --- Section parsers (strict: unknown keys are errors) ---
-
-Status ParseTopologySection(const JsonValue& v, const std::string& path,
-                            topology::ThreeTierConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "racks") {
-      if (!ReadInt(val, &out->racks)) return Err(path + ".racks", "expected integer");
-    } else if (key == "machines_per_rack") {
-      if (!ReadInt(val, &out->machines_per_rack)) return Err(path + ".machines_per_rack", "expected integer");
-    } else if (key == "slots_per_machine") {
-      if (!ReadInt(val, &out->slots_per_machine)) return Err(path + ".slots_per_machine", "expected integer");
-    } else if (key == "racks_per_agg") {
-      if (!ReadInt(val, &out->racks_per_agg)) return Err(path + ".racks_per_agg", "expected integer");
-    } else if (key == "machine_link_mbps") {
-      if (!ReadDouble(val, &out->machine_link_mbps)) return Err(path + ".machine_link_mbps", "expected number");
-    } else if (key == "oversubscription") {
-      if (!ReadDouble(val, &out->oversubscription)) return Err(path + ".oversubscription", "expected number");
-    } else if (key == "tor_trunk") {
-      if (!ReadInt(val, &out->tor_trunk)) return Err(path + ".tor_trunk", "expected integer");
-    } else if (key == "agg_trunk") {
-      if (!ReadInt(val, &out->agg_trunk)) return Err(path + ".agg_trunk", "expected integer");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseWorkloadSection(const JsonValue& v, const std::string& path,
-                            workload::WorkloadConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "num_jobs") {
-      if (!ReadInt(val, &out->num_jobs)) return Err(path + ".num_jobs", "expected integer");
-    } else if (key == "mean_job_size") {
-      if (!ReadDouble(val, &out->mean_job_size)) return Err(path + ".mean_job_size", "expected number");
-    } else if (key == "min_job_size") {
-      if (!ReadInt(val, &out->min_job_size)) return Err(path + ".min_job_size", "expected integer");
-    } else if (key == "max_job_size") {
-      if (!ReadInt(val, &out->max_job_size)) return Err(path + ".max_job_size", "expected integer");
-    } else if (key == "compute_time_lo") {
-      if (!ReadDouble(val, &out->compute_time_lo)) return Err(path + ".compute_time_lo", "expected number");
-    } else if (key == "compute_time_hi") {
-      if (!ReadDouble(val, &out->compute_time_hi)) return Err(path + ".compute_time_hi", "expected number");
-    } else if (key == "rate_means") {
-      if (!ReadDoubleList(val, &out->rate_means)) return Err(path + ".rate_means", "expected array of numbers");
-    } else if (key == "deviation_lo") {
-      if (!ReadDouble(val, &out->deviation_lo)) return Err(path + ".deviation_lo", "expected number");
-    } else if (key == "deviation_hi") {
-      if (!ReadDouble(val, &out->deviation_hi)) return Err(path + ".deviation_hi", "expected number");
-    } else if (key == "fixed_deviation") {
-      if (!ReadDouble(val, &out->fixed_deviation)) return Err(path + ".fixed_deviation", "expected number");
-    } else if (key == "flow_time_lo") {
-      if (!ReadDouble(val, &out->flow_time_lo)) return Err(path + ".flow_time_lo", "expected number");
-    } else if (key == "flow_time_hi") {
-      if (!ReadDouble(val, &out->flow_time_hi)) return Err(path + ".flow_time_hi", "expected number");
-    } else if (key == "heterogeneous") {
-      if (!ReadBool(val, &out->heterogeneous)) return Err(path + ".heterogeneous", "expected bool");
-    } else if (key == "rate_distribution") {
-      std::string token;
-      if (!ReadString(val, &token) ||
-          !ParseDistributionToken(token, &out->rate_distribution)) {
-        return Err(path + ".rate_distribution", "expected \"normal\" or \"lognormal\"");
-      }
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseArrivalsSection(const JsonValue& v, const std::string& path,
-                            ArrivalConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "mode") {
-      if (!ReadString(val, &out->mode)) return Err(path + ".mode", "expected string");
-    } else if (key == "load") {
-      if (!ReadDouble(val, &out->load)) return Err(path + ".load", "expected number");
-    } else if (key == "burst_factor") {
-      if (!ReadDouble(val, &out->burst_factor)) return Err(path + ".burst_factor", "expected number");
-    } else if (key == "burst_start") {
-      if (!ReadDouble(val, &out->burst_start)) return Err(path + ".burst_start", "expected number");
-    } else if (key == "burst_length") {
-      if (!ReadDouble(val, &out->burst_length)) return Err(path + ".burst_length", "expected number");
-    } else if (key == "period_seconds") {
-      if (!ReadDouble(val, &out->period_seconds)) return Err(path + ".period_seconds", "expected number");
-    } else if (key == "amplitude") {
-      if (!ReadDouble(val, &out->amplitude)) return Err(path + ".amplitude", "expected number");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseFixedJobsSection(const JsonValue& v, const std::string& path,
-                             FixedJobConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "count") {
-      if (!ReadInt(val, &out->count)) return Err(path + ".count", "expected integer");
-    } else if (key == "size") {
-      if (!ReadInt(val, &out->size)) return Err(path + ".size", "expected integer");
-    } else if (key == "compute_time") {
-      if (!ReadDouble(val, &out->compute_time)) return Err(path + ".compute_time", "expected number");
-    } else if (key == "rate_mean") {
-      if (!ReadDouble(val, &out->rate_mean)) return Err(path + ".rate_mean", "expected number");
-    } else if (key == "rho") {
-      if (!ReadDouble(val, &out->rho)) return Err(path + ".rho", "expected number");
-    } else if (key == "flow_seconds") {
-      if (!ReadDouble(val, &out->flow_seconds)) return Err(path + ".flow_seconds", "expected number");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseAdmissionSection(const JsonValue& v, const std::string& path,
-                             AdmissionConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "abstraction") {
-      if (!ReadString(val, &out->abstraction)) return Err(path + ".abstraction", "expected string");
-    } else if (key == "allocator") {
-      if (!ReadString(val, &out->allocator)) return Err(path + ".allocator", "expected string");
-    } else if (key == "epsilon") {
-      if (!ReadDouble(val, &out->epsilon)) return Err(path + ".epsilon", "expected number");
-    } else if (key == "vc_quantile") {
-      if (!ReadDouble(val, &out->vc_quantile)) return Err(path + ".vc_quantile", "expected number");
-    } else if (key == "survivability") {
-      if (!ReadBool(val, &out->survivability)) return Err(path + ".survivability", "expected bool");
-    } else if (key == "workers") {
-      if (!ReadInt(val, &out->workers)) return Err(path + ".workers", "expected integer");
-    } else if (key == "shards") {
-      if (!ReadInt(val, &out->shards)) return Err(path + ".shards", "expected integer");
-    } else if (key == "window") {
-      if (!ReadInt(val, &out->window)) return Err(path + ".window", "expected integer");
-    } else if (key == "lookahead") {
-      if (!ReadInt(val, &out->lookahead)) return Err(path + ".lookahead", "expected integer");
-    } else if (key == "placement") {
-      if (!ReadString(val, &out->placement)) return Err(path + ".placement", "expected string");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseEnforcementSection(const JsonValue& v, const std::string& path,
-                               EnforcementConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "mode") {
-      if (!ReadString(val, &out->mode)) return Err(path + ".mode", "expected string");
-    } else if (key == "burst_seconds") {
-      if (!ReadDouble(val, &out->burst_seconds)) return Err(path + ".burst_seconds", "expected number");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseScriptedEvent(const JsonValue& v, const std::string& path,
-                          ScriptedEventConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "time") {
-      if (!ReadDouble(val, &out->time)) return Err(path + ".time", "expected number");
-    } else if (key == "vertex") {
-      if (!ReadInt64(val, &out->vertex)) return Err(path + ".vertex", "expected integer");
-    } else if (key == "kind") {
-      if (!ReadString(val, &out->kind)) return Err(path + ".kind", "expected string");
-    } else if (key == "fail") {
-      if (!ReadBool(val, &out->fail)) return Err(path + ".fail", "expected bool");
-    } else if (key == "drain") {
-      if (!ReadBool(val, &out->drain)) return Err(path + ".drain", "expected bool");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseCorrelatedEvent(const JsonValue& v, const std::string& path,
-                            CorrelatedEventConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "kind") {
-      if (!ReadString(val, &out->kind)) return Err(path + ".kind", "expected string");
-    } else if (key == "index") {
-      if (!ReadInt(val, &out->index)) return Err(path + ".index", "expected integer");
-    } else if (key == "time_frac") {
-      if (!ReadDouble(val, &out->time_frac)) return Err(path + ".time_frac", "expected number");
-    } else if (key == "outage_seconds") {
-      if (!ReadDouble(val, &out->outage_seconds)) return Err(path + ".outage_seconds", "expected number");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseFaultsSection(const JsonValue& v, const std::string& path,
-                          ScenarioFaultConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "machine_mtbf_seconds") {
-      if (!ReadDouble(val, &out->machine_mtbf_seconds)) return Err(path + ".machine_mtbf_seconds", "expected number");
-    } else if (key == "link_mtbf_seconds") {
-      if (!ReadDouble(val, &out->link_mtbf_seconds)) return Err(path + ".link_mtbf_seconds", "expected number");
-    } else if (key == "link_mtbf_factor") {
-      if (!ReadDouble(val, &out->link_mtbf_factor)) return Err(path + ".link_mtbf_factor", "expected number");
-    } else if (key == "mttr_seconds") {
-      if (!ReadDouble(val, &out->mttr_seconds)) return Err(path + ".mttr_seconds", "expected number");
-    } else if (key == "horizon_seconds") {
-      if (!ReadDouble(val, &out->horizon_seconds)) return Err(path + ".horizon_seconds", "expected number");
-    } else if (key == "seed") {
-      if (!ReadUint64(val, &out->seed)) return Err(path + ".seed", "expected non-negative integer");
-    } else if (key == "policy") {
-      if (!ReadString(val, &out->policy)) return Err(path + ".policy", "expected string");
-    } else if (key == "scripted") {
-      if (!val.is_array()) return Err(path + ".scripted", "expected array");
-      out->scripted.clear();
-      for (size_t i = 0; i < val.items().size(); ++i) {
-        ScriptedEventConfig event;
-        Status status = ParseScriptedEvent(
-            val.items()[i], path + ".scripted[" + std::to_string(i) + "]",
-            &event);
-        if (!status.ok()) return status;
-        out->scripted.push_back(event);
-      }
-    } else if (key == "correlated") {
-      if (!val.is_array()) return Err(path + ".correlated", "expected array");
-      out->correlated.clear();
-      for (size_t i = 0; i < val.items().size(); ++i) {
-        CorrelatedEventConfig event;
-        Status status = ParseCorrelatedEvent(
-            val.items()[i], path + ".correlated[" + std::to_string(i) + "]",
-            &event);
-        if (!status.ok()) return status;
-        out->correlated.push_back(event);
-      }
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseSweepSection(const JsonValue& v, const std::string& path,
-                         SweepConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "parameter") {
-      if (!ReadString(val, &out->parameter)) return Err(path + ".parameter", "expected string");
-    } else if (key == "values") {
-      if (!ReadDoubleList(val, &out->values)) return Err(path + ".values", "expected array of numbers");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ParseVariant(const JsonValue& v, const std::string& path,
-                    VariantConfig* out) {
-  if (!v.is_object()) return Err(path, "expected object");
-  for (const auto& [key, val] : v.members()) {
-    if (key == "label") {
-      if (!ReadString(val, &out->label)) return Err(path + ".label", "expected string");
-    } else if (key == "abstraction") {
-      if (!ReadString(val, &out->abstraction)) return Err(path + ".abstraction", "expected string");
-    } else if (key == "allocator") {
-      if (!ReadString(val, &out->allocator)) return Err(path + ".allocator", "expected string");
-    } else if (key == "epsilon") {
-      if (!ReadDouble(val, &out->epsilon)) return Err(path + ".epsilon", "expected number");
-    } else if (key == "vc_quantile") {
-      if (!ReadDouble(val, &out->vc_quantile)) return Err(path + ".vc_quantile", "expected number");
-    } else if (key == "enforcement") {
-      if (!ReadString(val, &out->enforcement)) return Err(path + ".enforcement", "expected string");
-    } else if (key == "rate_distribution") {
-      if (!ReadString(val, &out->rate_distribution)) return Err(path + ".rate_distribution", "expected string");
-    } else if (key == "policy") {
-      if (!ReadString(val, &out->policy)) return Err(path + ".policy", "expected string");
-    } else if (key == "survivable") {
-      if (!ReadInt(val, &out->survivable)) return Err(path + ".survivable", "expected integer (-1 / 0 / 1)");
-    } else if (key == "once") {
-      if (!ReadBool(val, &out->once)) return Err(path + ".once", "expected bool");
-    } else {
-      return Err(path, "unknown key '" + key + "'");
-    }
-  }
-  return Status::Ok();
+const Fields<Scenario>& ScenarioFields() {
+  using C = Scenario;
+  static const auto* fields = new Fields<C>{
+      Name("name", &C::name),
+      Text("description", &C::description),
+      Number("seed", &C::seed),
+      Number("max_seconds", &C::max_seconds, Range::Above(0)),
+      Object("topology", &C::topology, TopologyFields()),
+      Object("workload", &C::workload, WorkloadFields()),
+      Object("arrivals", &C::arrivals, ArrivalFields()),
+      Object("fixed_jobs", &C::fixed_jobs, FixedJobFields()),
+      Object("admission", &C::admission, AdmissionFields()),
+      Object("enforcement", &C::enforcement, EnforcementFields()),
+      Object("faults", &C::faults, FaultFields()),
+      Object("sweep", &C::sweep, SweepFields()),
+      Objects("variants", &C::variants, VariantFields()),
+  };
+  return *fields;
 }
 
 }  // namespace
 
 util::Result<Scenario> ParseScenario(const std::string& text) {
-  util::Result<JsonValue> doc = util::ParseJson(text);
-  if (!doc) return doc.status();
-  const JsonValue& root = *doc;
-  if (!root.is_object()) {
-    return Err("scenario", "expected a JSON object at the top level");
-  }
   Scenario s;
-  for (const auto& [key, val] : root.members()) {
-    Status status = Status::Ok();
-    if (key == "name") {
-      if (!ReadString(val, &s.name)) status = Err("scenario.name", "expected string");
-    } else if (key == "description") {
-      if (!ReadString(val, &s.description)) status = Err("scenario.description", "expected string");
-    } else if (key == "seed") {
-      if (!ReadUint64(val, &s.seed)) status = Err("scenario.seed", "expected non-negative integer");
-    } else if (key == "max_seconds") {
-      if (!ReadDouble(val, &s.max_seconds)) status = Err("scenario.max_seconds", "expected number");
-    } else if (key == "topology") {
-      status = ParseTopologySection(val, "scenario.topology", &s.topology);
-    } else if (key == "workload") {
-      status = ParseWorkloadSection(val, "scenario.workload", &s.workload);
-    } else if (key == "arrivals") {
-      status = ParseArrivalsSection(val, "scenario.arrivals", &s.arrivals);
-    } else if (key == "fixed_jobs") {
-      status = ParseFixedJobsSection(val, "scenario.fixed_jobs", &s.fixed_jobs);
-    } else if (key == "admission") {
-      status = ParseAdmissionSection(val, "scenario.admission", &s.admission);
-    } else if (key == "enforcement") {
-      status = ParseEnforcementSection(val, "scenario.enforcement", &s.enforcement);
-    } else if (key == "faults") {
-      status = ParseFaultsSection(val, "scenario.faults", &s.faults);
-    } else if (key == "sweep") {
-      status = ParseSweepSection(val, "scenario.sweep", &s.sweep);
-    } else if (key == "variants") {
-      if (!val.is_array()) {
-        status = Err("scenario.variants", "expected array");
-      } else {
-        for (size_t i = 0; i < val.items().size(); ++i) {
-          VariantConfig variant;
-          status = ParseVariant(
-              val.items()[i], "scenario.variants[" + std::to_string(i) + "]",
-              &variant);
-          if (!status.ok()) break;
-          s.variants.push_back(std::move(variant));
-        }
-      }
-    } else {
-      status = Err("scenario", "unknown key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-  }
-  Status status = ValidateScenario(s);
+  Status status = util::ParseFields(ScenarioFields(), text, "scenario", &s);
+  if (status.ok()) status = ValidateScenario(s);
   if (!status.ok()) return status;
   return s;
 }
 
 std::string SerializeScenario(const Scenario& s) {
   JsonWriter w;
-  w.BeginObject();
-  w.Member("name", s.name);
-  w.Member("description", s.description);
-  w.Member("seed", s.seed);
-  w.Member("max_seconds", s.max_seconds);
-
-  w.Key("topology");
-  w.BeginObject();
-  w.Member("racks", s.topology.racks);
-  w.Member("machines_per_rack", s.topology.machines_per_rack);
-  w.Member("slots_per_machine", s.topology.slots_per_machine);
-  w.Member("racks_per_agg", s.topology.racks_per_agg);
-  w.Member("machine_link_mbps", s.topology.machine_link_mbps);
-  w.Member("oversubscription", s.topology.oversubscription);
-  w.Member("tor_trunk", s.topology.tor_trunk);
-  w.Member("agg_trunk", s.topology.agg_trunk);
-  w.EndObject();
-
-  w.Key("workload");
-  w.BeginObject();
-  w.Member("num_jobs", s.workload.num_jobs);
-  w.Member("mean_job_size", s.workload.mean_job_size);
-  w.Member("min_job_size", s.workload.min_job_size);
-  w.Member("max_job_size", s.workload.max_job_size);
-  w.Member("compute_time_lo", s.workload.compute_time_lo);
-  w.Member("compute_time_hi", s.workload.compute_time_hi);
-  w.Key("rate_means");
-  w.BeginArray();
-  for (double rate : s.workload.rate_means) w.Value(rate);
-  w.EndArray();
-  w.Member("deviation_lo", s.workload.deviation_lo);
-  w.Member("deviation_hi", s.workload.deviation_hi);
-  w.Member("fixed_deviation", s.workload.fixed_deviation);
-  w.Member("flow_time_lo", s.workload.flow_time_lo);
-  w.Member("flow_time_hi", s.workload.flow_time_hi);
-  w.Member("heterogeneous", s.workload.heterogeneous);
-  w.Member("rate_distribution",
-           DistributionToken(s.workload.rate_distribution));
-  w.EndObject();
-
-  w.Key("arrivals");
-  w.BeginObject();
-  w.Member("mode", s.arrivals.mode);
-  w.Member("load", s.arrivals.load);
-  w.Member("burst_factor", s.arrivals.burst_factor);
-  w.Member("burst_start", s.arrivals.burst_start);
-  w.Member("burst_length", s.arrivals.burst_length);
-  w.Member("period_seconds", s.arrivals.period_seconds);
-  w.Member("amplitude", s.arrivals.amplitude);
-  w.EndObject();
-
-  w.Key("fixed_jobs");
-  w.BeginObject();
-  w.Member("count", s.fixed_jobs.count);
-  w.Member("size", s.fixed_jobs.size);
-  w.Member("compute_time", s.fixed_jobs.compute_time);
-  w.Member("rate_mean", s.fixed_jobs.rate_mean);
-  w.Member("rho", s.fixed_jobs.rho);
-  w.Member("flow_seconds", s.fixed_jobs.flow_seconds);
-  w.EndObject();
-
-  w.Key("admission");
-  w.BeginObject();
-  w.Member("abstraction", s.admission.abstraction);
-  w.Member("allocator", s.admission.allocator);
-  w.Member("epsilon", s.admission.epsilon);
-  w.Member("vc_quantile", s.admission.vc_quantile);
-  w.Member("survivability", s.admission.survivability);
-  w.Member("workers", s.admission.workers);
-  w.Member("shards", s.admission.shards);
-  w.Member("window", s.admission.window);
-  w.Member("lookahead", s.admission.lookahead);
-  w.Member("placement", s.admission.placement);
-  w.EndObject();
-
-  w.Key("enforcement");
-  w.BeginObject();
-  w.Member("mode", s.enforcement.mode);
-  w.Member("burst_seconds", s.enforcement.burst_seconds);
-  w.EndObject();
-
-  w.Key("faults");
-  w.BeginObject();
-  w.Member("machine_mtbf_seconds", s.faults.machine_mtbf_seconds);
-  w.Member("link_mtbf_seconds", s.faults.link_mtbf_seconds);
-  w.Member("link_mtbf_factor", s.faults.link_mtbf_factor);
-  w.Member("mttr_seconds", s.faults.mttr_seconds);
-  w.Member("horizon_seconds", s.faults.horizon_seconds);
-  w.Member("seed", s.faults.seed);
-  w.Member("policy", s.faults.policy);
-  w.Key("scripted");
-  w.BeginArray();
-  for (const ScriptedEventConfig& event : s.faults.scripted) {
-    w.BeginObject();
-    w.Member("time", event.time);
-    w.Member("vertex", event.vertex);
-    w.Member("kind", event.kind);
-    w.Member("fail", event.fail);
-    w.Member("drain", event.drain);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("correlated");
-  w.BeginArray();
-  for (const CorrelatedEventConfig& event : s.faults.correlated) {
-    w.BeginObject();
-    w.Member("kind", event.kind);
-    w.Member("index", event.index);
-    w.Member("time_frac", event.time_frac);
-    w.Member("outage_seconds", event.outage_seconds);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  w.Key("sweep");
-  w.BeginObject();
-  w.Member("parameter", s.sweep.parameter);
-  w.Key("values");
-  w.BeginArray();
-  for (double value : s.sweep.values) w.Value(value);
-  w.EndArray();
-  w.EndObject();
-
-  w.Key("variants");
-  w.BeginArray();
-  for (const VariantConfig& variant : s.variants) {
-    w.BeginObject();
-    w.Member("label", variant.label);
-    w.Member("abstraction", variant.abstraction);
-    w.Member("allocator", variant.allocator);
-    w.Member("epsilon", variant.epsilon);
-    w.Member("vc_quantile", variant.vc_quantile);
-    w.Member("enforcement", variant.enforcement);
-    w.Member("rate_distribution", variant.rate_distribution);
-    w.Member("policy", variant.policy);
-    w.Member("survivable", variant.survivable);
-    w.Member("once", variant.once);
-    w.EndObject();
-  }
-  w.EndArray();
-
-  w.EndObject();
+  util::WriteFields(ScenarioFields(), s, w);
   return w.str() + "\n";
 }
 
@@ -673,32 +291,25 @@ std::string DefaultAllocatorName(workload::Abstraction abstraction) {
   return abstraction == workload::Abstraction::kSvc ? "svc-dp" : "oktopus";
 }
 
-Status ResolveVariant(const Scenario& s, const VariantConfig& v,
-                      ResolvedVariant* out) {
-  const std::string abstraction_token =
-      v.abstraction.empty() ? s.admission.abstraction : v.abstraction;
-  if (!ParseAbstractionToken(abstraction_token, &out->abstraction)) {
-    return Err("variant '" + v.label + "'",
-               "unknown abstraction '" + abstraction_token + "'");
-  }
-  out->allocator = !v.allocator.empty() ? v.allocator
-                   : !s.admission.allocator.empty()
-                       ? s.admission.allocator
-                       : DefaultAllocatorName(out->abstraction);
-  const std::string enforcement_token =
-      v.enforcement.empty() ? s.enforcement.mode : v.enforcement;
-  if (!ParseEnforcementToken(enforcement_token, &out->enforcement)) {
-    return Err("variant '" + v.label + "'",
-               "unknown enforcement '" + enforcement_token + "'");
-  }
-  const std::string policy_token = v.policy.empty() ? s.faults.policy : v.policy;
-  if (!core::ParseRecoveryPolicy(policy_token, &out->policy)) {
-    return Err("variant '" + v.label + "'",
-               "unknown recovery policy '" + policy_token + "'");
-  }
-  out->survivable =
+// A token outside the field tables' spellings, which validation rejects,
+// leaves the default.
+ResolvedVariant ResolveVariant(const Scenario& s, const VariantConfig& v) {
+  ResolvedVariant out;
+  ParseAbstractionToken(
+      v.abstraction.empty() ? s.admission.abstraction : v.abstraction,
+      &out.abstraction);
+  out.allocator = !v.allocator.empty() ? v.allocator
+                  : !s.admission.allocator.empty()
+                      ? s.admission.allocator
+                      : DefaultAllocatorName(out.abstraction);
+  ParseEnforcementToken(
+      v.enforcement.empty() ? s.enforcement.mode : v.enforcement,
+      &out.enforcement);
+  core::ParseRecoveryPolicy(v.policy.empty() ? s.faults.policy : v.policy,
+                            &out.policy);
+  out.survivable =
       v.survivable >= 0 ? v.survivable != 0 : s.admission.survivability;
-  return Status::Ok();
+  return out;
 }
 
 // The variant list the grid actually runs: the scenario's, or one default
@@ -791,37 +402,21 @@ std::vector<workload::JobSpec> BuildFixedJobs(const FixedJobConfig& config) {
   return jobs;
 }
 
-// The fully resolved fault plane of one cell.
-FaultConfig BuildCellFaults(const Scenario& s, const CellSpec& spec,
-                            const ResolvedVariant& resolved,
-                            const topology::Topology& topo,
-                            double vc_quantile, double epsilon,
-                            const std::vector<workload::JobSpec>& jobs,
-                            const core::Allocator& allocator) {
-  const ScenarioFaultConfig& sf = s.faults;
+// The fault plane `sf` resolves to on `topo` at machine MTBF
+// `machine_mtbf`: the link MTBF derived, the correlated groups expanded,
+// and auto-target (-1) scripted events aimed at `target` (dropped when it
+// is kNoVertex).  The recovery policy is left to the caller.
+FaultConfig ResolveFaults(const ScenarioFaultConfig& sf, double machine_mtbf,
+                          const topology::Topology& topo,
+                          topology::VertexId target) {
   FaultConfig f;
-  f.machine_mtbf_seconds = sf.machine_mtbf_seconds;
-  if (s.sweep.parameter == "mtbf" && spec.axis_index >= 0) {
-    f.machine_mtbf_seconds = spec.axis_value;
-  }
+  f.machine_mtbf_seconds = machine_mtbf;
   f.link_mtbf_seconds = sf.link_mtbf_factor > 0
-                            ? sf.link_mtbf_factor * f.machine_mtbf_seconds
+                            ? sf.link_mtbf_factor * machine_mtbf
                             : sf.link_mtbf_seconds;
   f.mttr_seconds = sf.mttr_seconds;
   f.horizon_seconds = sf.horizon_seconds;
   f.seed = sf.seed;
-  f.policy = resolved.policy;
-  // Scripted one-shots; vertex -1 resolves to the probe target (if no job
-  // is admissible on an empty fabric — which validation rejects for the
-  // base config — the unresolvable event is dropped).
-  const bool needs_target = std::any_of(
-      sf.scripted.begin(), sf.scripted.end(),
-      [](const ScriptedEventConfig& e) { return e.vertex < 0; });
-  topology::VertexId target = topology::kNoVertex;
-  if (needs_target) {
-    target = AutoTarget(topo, jobs, resolved.abstraction, vc_quantile,
-                        epsilon, resolved.survivable, allocator);
-  }
   for (const ScriptedEventConfig& e : sf.scripted) {
     topology::VertexId vertex =
         e.vertex < 0 ? target : static_cast<topology::VertexId>(e.vertex);
@@ -859,6 +454,32 @@ FaultConfig BuildCellFaults(const Scenario& s, const CellSpec& spec,
   return f;
 }
 
+// The fully resolved fault plane of one cell.  Scripted vertex -1 aims at
+// the probe target; if no job is admissible on the empty fabric, the
+// unresolvable event is dropped.
+FaultConfig BuildCellFaults(const Scenario& s, const CellSpec& spec,
+                            const ResolvedVariant& resolved,
+                            const topology::Topology& topo,
+                            double vc_quantile, double epsilon,
+                            const std::vector<workload::JobSpec>& jobs,
+                            const core::Allocator& allocator) {
+  const bool on_mtbf_axis =
+      s.sweep.parameter == "mtbf" && spec.axis_index >= 0;
+  const double machine_mtbf =
+      on_mtbf_axis ? spec.axis_value : s.faults.machine_mtbf_seconds;
+  const bool needs_target = std::any_of(
+      s.faults.scripted.begin(), s.faults.scripted.end(),
+      [](const ScriptedEventConfig& e) { return e.vertex < 0; });
+  topology::VertexId target = topology::kNoVertex;
+  if (needs_target) {
+    target = AutoTarget(topo, jobs, resolved.abstraction, vc_quantile,
+                        epsilon, resolved.survivable, allocator);
+  }
+  FaultConfig f = ResolveFaults(s.faults, machine_mtbf, topo, target);
+  f.policy = resolved.policy;
+  return f;
+}
+
 // Runs one grid cell: rebuilds topology, workload, and engine from the
 // scenario's fixed seeds (bit-identical to the bespoke benches).
 ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
@@ -879,9 +500,10 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
 
   workload::WorkloadConfig wconfig = s.workload;
   if (on_axis && axis == "rho") wconfig.fixed_deviation = spec.axis_value;
-  if (!spec.variant.rate_distribution.empty()) {
-    ParseDistributionToken(spec.variant.rate_distribution,
-                           &wconfig.rate_distribution);
+  for (const auto& [token, distribution] : DistributionTokens()) {
+    if (token == spec.variant.rate_distribution) {
+      wconfig.rate_distribution = distribution;
+    }
   }
 
   double load = s.arrivals.load;
@@ -996,183 +618,88 @@ void ShapeArrivals(const ArrivalConfig& arrivals,
   // batch / poisson / static: arrivals are used as generated.
 }
 
+namespace {
+
+// hi_key's value must not be below lo_key's.
+Status Ordered(double lo, double hi, const std::string& section,
+               const std::string& lo_key, const std::string& hi_key) {
+  if (hi >= lo) return Status::Ok();
+  return FieldError(section + "." + hi_key, "must be >= " + lo_key);
+}
+
+// The values each sweep axis admits.
+Range SweepRange(const std::string& parameter) {
+  if (parameter == "epsilon" || parameter == "quantile") {
+    return Range::Open(0, 1);
+  }
+  if (parameter == "load" || parameter == "mtbf") return Range::Above(0);
+  if (parameter == "oversub") return Range::AtLeast(1);
+  if (parameter == "rho") return Range::AtLeast(0);
+  if (parameter == "trunk") return Range::Closed(1, INT32_MAX);
+  return {};
+}
+
+}  // namespace
+
 util::Status ValidateScenario(const Scenario& s) {
-  if (s.name.empty()) return Err("scenario.name", "must be non-empty");
-  if (s.max_seconds <= 0) return Err("scenario.max_seconds", "must be > 0");
+  Status status = util::CheckFields(ScenarioFields(), s, "scenario");
+  if (!status.ok()) return status;
 
   const topology::ThreeTierConfig& t = s.topology;
-  if (t.racks <= 0) return Err("scenario.topology.racks", "must be > 0");
-  if (t.machines_per_rack <= 0) return Err("scenario.topology.machines_per_rack", "must be > 0");
-  if (t.slots_per_machine <= 0) return Err("scenario.topology.slots_per_machine", "must be > 0");
-  if (t.racks_per_agg <= 0) return Err("scenario.topology.racks_per_agg", "must be > 0");
   if (t.racks % t.racks_per_agg != 0) {
-    return Err("scenario.topology.racks_per_agg",
-               "must divide racks (" + std::to_string(t.racks) + ")");
-  }
-  if (t.machine_link_mbps <= 0) return Err("scenario.topology.machine_link_mbps", "must be > 0");
-  if (t.oversubscription <= 0) return Err("scenario.topology.oversubscription", "must be > 0");
-  if (t.tor_trunk < 1 || t.agg_trunk < 1) {
-    return Err("scenario.topology", "trunk widths must be >= 1");
+    return FieldError("scenario.topology.racks_per_agg",
+                      "must divide racks (" + std::to_string(t.racks) + ")");
   }
 
   const workload::WorkloadConfig& wl = s.workload;
-  if (wl.num_jobs < 0) return Err("scenario.workload.num_jobs", "must be >= 0");
-  if (wl.mean_job_size <= 0) return Err("scenario.workload.mean_job_size", "must be > 0");
-  if (wl.min_job_size < 1) return Err("scenario.workload.min_job_size", "must be >= 1");
-  if (wl.max_job_size < wl.min_job_size) {
-    return Err("scenario.workload.max_job_size", "must be >= min_job_size");
+  if (s.fixed_jobs.count == 0 && wl.num_jobs == 0) {
+    return FieldError("scenario.workload.num_jobs",
+                      "must be >= 1 unless fixed_jobs.count > 0");
   }
-  if (wl.rate_means.empty()) return Err("scenario.workload.rate_means", "must be non-empty");
-  for (double rate : wl.rate_means) {
-    if (rate <= 0) return Err("scenario.workload.rate_means", "entries must be > 0");
-  }
-  if (wl.compute_time_lo <= 0 || wl.compute_time_hi < wl.compute_time_lo) {
-    return Err("scenario.workload", "compute_time_lo/hi must satisfy 0 < lo <= hi");
-  }
-  if (wl.flow_time_lo <= 0 || wl.flow_time_hi < wl.flow_time_lo) {
-    return Err("scenario.workload", "flow_time_lo/hi must satisfy 0 < lo <= hi");
-  }
-
-  if (!ValidArrivalMode(s.arrivals.mode)) {
-    return Err("scenario.arrivals.mode",
-               "must be batch | poisson | static | flash_crowd | diurnal");
-  }
-  if (s.arrivals.mode != "batch" && s.arrivals.load <= 0) {
-    return Err("scenario.arrivals.load", "must be > 0 for online modes");
-  }
-  if (s.arrivals.mode == "flash_crowd") {
-    if (s.arrivals.burst_factor < 1) {
-      return Err("scenario.arrivals.burst_factor", "must be >= 1");
-    }
-    if (s.arrivals.burst_start < 0 || s.arrivals.burst_length < 0 ||
-        s.arrivals.burst_start + s.arrivals.burst_length > 1) {
-      return Err("scenario.arrivals",
-                 "burst window must fit in [0, 1] fractions of the span");
-    }
-  }
-  if (s.arrivals.mode == "diurnal") {
-    if (s.arrivals.amplitude < 0 || s.arrivals.amplitude >= 1) {
-      return Err("scenario.arrivals.amplitude", "must be in [0, 1)");
-    }
-    if (s.arrivals.period_seconds <= 0) {
-      return Err("scenario.arrivals.period_seconds", "must be > 0");
-    }
-  }
-  if (s.arrivals.mode == "static" && s.fixed_jobs.count <= 0) {
-    return Err("scenario.arrivals.mode",
-               "static arrivals require fixed_jobs.count > 0");
+  const std::string section = "scenario.workload";
+  for (Status ordered :
+       {Ordered(wl.min_job_size, wl.max_job_size, section, "min_job_size",
+                "max_job_size"),
+        Ordered(wl.compute_time_lo, wl.compute_time_hi, section,
+                "compute_time_lo", "compute_time_hi"),
+        Ordered(wl.deviation_lo, wl.deviation_hi, section, "deviation_lo",
+                "deviation_hi"),
+        Ordered(wl.flow_time_lo, wl.flow_time_hi, section, "flow_time_lo",
+                "flow_time_hi")}) {
+    if (!ordered.ok()) return ordered;
   }
 
-  const FixedJobConfig& fj = s.fixed_jobs;
-  if (fj.count < 0) return Err("scenario.fixed_jobs.count", "must be >= 0");
-  if (fj.count > 0) {
-    if (fj.size < 2) return Err("scenario.fixed_jobs.size", "must be >= 2");
-    if (fj.compute_time <= 0) return Err("scenario.fixed_jobs.compute_time", "must be > 0");
-    if (fj.rate_mean <= 0) return Err("scenario.fixed_jobs.rate_mean", "must be > 0");
-    if (fj.rho < 0) return Err("scenario.fixed_jobs.rho", "must be >= 0");
-    if (fj.flow_seconds <= 0) return Err("scenario.fixed_jobs.flow_seconds", "must be > 0");
+  if (s.arrivals.burst_start + s.arrivals.burst_length > 1) {
+    return FieldError("scenario.arrivals.burst_length",
+                      "burst_start + burst_length must be <= 1");
+  }
+  if (s.arrivals.mode == "static" && s.fixed_jobs.count == 0) {
+    return FieldError("scenario.arrivals.mode",
+                      "static arrivals require fixed_jobs.count > 0");
   }
 
-  const AdmissionConfig& adm = s.admission;
-  workload::Abstraction abstraction;
-  if (!ParseAbstractionToken(adm.abstraction, &abstraction)) {
-    return Err("scenario.admission.abstraction",
-               "must be svc | mean_vc | percentile_vc");
-  }
-  if (!adm.allocator.empty() &&
-      core::MakeAllocatorByName(adm.allocator) == nullptr) {
-    return Err("scenario.admission.allocator",
-               "unknown allocator '" + adm.allocator + "' (known: " +
-                   core::KnownAllocatorNamesText() + ")");
-  }
-  if (adm.epsilon <= 0 || adm.epsilon >= 1) {
-    return Err("scenario.admission.epsilon", "must be in (0, 1)");
-  }
-  if (adm.vc_quantile <= 0 || adm.vc_quantile >= 1) {
-    return Err("scenario.admission.vc_quantile", "must be in (0, 1)");
-  }
-  if (adm.workers < 0) return Err("scenario.admission.workers", "must be >= 0");
-  if (adm.shards < 0) return Err("scenario.admission.shards", "must be >= 0");
-  if (adm.window < 1) return Err("scenario.admission.window", "must be >= 1");
-  if (adm.lookahead < 1) return Err("scenario.admission.lookahead", "must be >= 1");
-  util::PlacementPolicy placement;
-  if (!util::ParsePlacementPolicy(adm.placement, &placement)) {
-    return Err("scenario.admission.placement",
-               "must be none | compact | scatter | shard_node");
+  if (!s.admission.allocator.empty() &&
+      core::MakeAllocatorByName(s.admission.allocator) == nullptr) {
+    return FieldError("scenario.admission.allocator",
+                      "unknown allocator '" + s.admission.allocator +
+                          "' (known: " + core::KnownAllocatorNamesText() + ")");
   }
 
-  Enforcement enforcement;
-  if (!ParseEnforcementToken(s.enforcement.mode, &enforcement)) {
-    return Err("scenario.enforcement.mode", "must be hard_cap | token_bucket");
+  const std::string& axis = s.sweep.parameter;
+  if (!axis.empty() && s.sweep.values.empty()) {
+    return FieldError("scenario.sweep.values",
+                      "must be non-empty when a parameter is set");
   }
-  if (s.enforcement.burst_seconds <= 0) {
-    return Err("scenario.enforcement.burst_seconds", "must be > 0");
-  }
-
-  const ScenarioFaultConfig& f = s.faults;
-  if (f.machine_mtbf_seconds < 0 || f.link_mtbf_seconds < 0 ||
-      f.link_mtbf_factor < 0 || f.mttr_seconds < 0 || f.horizon_seconds < 0) {
-    return Err("scenario.faults", "rates and horizons must be >= 0");
-  }
-  core::RecoveryPolicy policy;
-  if (!core::ParseRecoveryPolicy(f.policy, &policy)) {
-    return Err("scenario.faults.policy",
-               "must be reallocate | patch | evict | switchover");
-  }
-  for (size_t i = 0; i < f.scripted.size(); ++i) {
-    if (!ValidScriptedKind(f.scripted[i].kind)) {
-      return Err("scenario.faults.scripted[" + std::to_string(i) + "].kind",
-                 "must be machine | link");
+  const Range axis_range = SweepRange(axis);
+  for (size_t i = 0; i < s.sweep.values.size(); ++i) {
+    const double value = s.sweep.values[i];
+    const std::string path =
+        "scenario.sweep.values[" + std::to_string(i) + "]";
+    if (!axis_range.Contains(value)) {
+      return FieldError(path, axis + " values must be " + axis_range.Text());
     }
-    if (f.scripted[i].time < 0) {
-      return Err("scenario.faults.scripted[" + std::to_string(i) + "].time",
-                 "must be >= 0");
-    }
-  }
-  for (size_t i = 0; i < f.correlated.size(); ++i) {
-    const CorrelatedEventConfig& c = f.correlated[i];
-    if (!ValidCorrelatedKind(c.kind)) {
-      return Err("scenario.faults.correlated[" + std::to_string(i) + "].kind",
-                 "must be rack_power | tor_loss | planned_drain");
-    }
-    if (c.index < 0) {
-      return Err("scenario.faults.correlated[" + std::to_string(i) + "].index",
-                 "must be >= 0");
-    }
-    if (c.time_frac < 0 || c.time_frac > 1) {
-      return Err("scenario.faults.correlated[" + std::to_string(i) +
-                     "].time_frac",
-                 "must be in [0, 1]");
-    }
-  }
-
-  if (!ValidSweepParameter(s.sweep.parameter)) {
-    return Err("scenario.sweep.parameter",
-               "must be one of: load oversub rho epsilon trunk quantile mtbf "
-               "(or empty)");
-  }
-  if (!s.sweep.parameter.empty() && s.sweep.values.empty()) {
-    return Err("scenario.sweep.values",
-               "must be non-empty when a parameter is set");
-  }
-  for (double value : s.sweep.values) {
-    if (s.sweep.parameter == "trunk" &&
-        (value < 1 || value != std::floor(value))) {
-      return Err("scenario.sweep.values", "trunk widths must be integers >= 1");
-    }
-    if ((s.sweep.parameter == "epsilon" || s.sweep.parameter == "quantile") &&
-        (value <= 0 || value >= 1)) {
-      return Err("scenario.sweep.values",
-                 s.sweep.parameter + " values must be in (0, 1)");
-    }
-    if ((s.sweep.parameter == "load" || s.sweep.parameter == "oversub" ||
-         s.sweep.parameter == "mtbf") &&
-        value <= 0) {
-      return Err("scenario.sweep.values",
-                 s.sweep.parameter + " values must be > 0");
-    }
-    if (s.sweep.parameter == "rho" && value < 0) {
-      return Err("scenario.sweep.values", "rho values must be >= 0");
+    if (axis == "trunk" && value != std::floor(value)) {
+      return FieldError(path, "trunk widths must be integers");
     }
   }
 
@@ -1180,92 +707,40 @@ util::Status ValidateScenario(const Scenario& s) {
   for (size_t i = 0; i < s.variants.size(); ++i) {
     const VariantConfig& v = s.variants[i];
     const std::string path = "scenario.variants[" + std::to_string(i) + "]";
-    if (v.label.empty()) return Err(path + ".label", "must be non-empty");
     if (!labels.insert(v.label).second) {
-      return Err(path + ".label", "duplicate label '" + v.label + "'");
+      return FieldError(path + ".label", "duplicate label '" + v.label + "'");
     }
-    ResolvedVariant resolved;
-    Status status = ResolveVariant(s, v, &resolved);
-    if (!status.ok()) return status;
-    if (core::MakeAllocatorByName(resolved.allocator) == nullptr) {
-      return Err(path + ".allocator",
-                 "unknown allocator '" + resolved.allocator + "' (known: " +
-                     core::KnownAllocatorNamesText() + ")");
-    }
-    if (v.epsilon >= 0 && (v.epsilon <= 0 || v.epsilon >= 1)) {
-      return Err(path + ".epsilon", "must be in (0, 1) or -1 to inherit");
-    }
-    if (v.vc_quantile >= 0 && (v.vc_quantile <= 0 || v.vc_quantile >= 1)) {
-      return Err(path + ".vc_quantile", "must be in (0, 1) or -1 to inherit");
-    }
-    if (v.survivable < -1 || v.survivable > 1) {
-      return Err(path + ".survivable", "must be -1 (inherit), 0, or 1");
-    }
-    if (!v.rate_distribution.empty()) {
-      workload::RateDistribution distribution;
-      if (!ParseDistributionToken(v.rate_distribution, &distribution)) {
-        return Err(path + ".rate_distribution",
-                   "must be normal | lognormal (or empty)");
-      }
+    const std::string allocator = ResolveVariant(s, v).allocator;
+    if (core::MakeAllocatorByName(allocator) == nullptr) {
+      return FieldError(path + ".allocator",
+                        "unknown allocator '" + allocator + "' (known: " +
+                            core::KnownAllocatorNamesText() + ")");
     }
   }
 
-  // The fault plane validated against the scenario's own fabric, with
-  // auto-target (-1) events standing in for the first machine — the probe
-  // replaces them with a real VM host per cell.
-  if (f.machine_mtbf_seconds > 0 || f.link_mtbf_seconds > 0 ||
-      f.link_mtbf_factor > 0 || !f.scripted.empty() || !f.correlated.empty()) {
-    const topology::Topology topo = topology::BuildThreeTier(s.topology);
-    FaultConfig resolved;
-    resolved.machine_mtbf_seconds = f.machine_mtbf_seconds;
-    resolved.link_mtbf_seconds =
-        f.link_mtbf_factor > 0 ? f.link_mtbf_factor * f.machine_mtbf_seconds
-                               : f.link_mtbf_seconds;
-    resolved.mttr_seconds = f.mttr_seconds;
-    resolved.horizon_seconds = f.horizon_seconds;
-    resolved.seed = f.seed;
-    resolved.policy = policy;
-    for (const ScriptedEventConfig& e : f.scripted) {
-      FaultEvent event;
-      event.time = e.time;
-      event.vertex = e.vertex < 0 ? MachineAt(topo, 0)
-                                  : static_cast<topology::VertexId>(e.vertex);
-      event.kind = e.kind == "link" ? core::FaultKind::kLink
-                                    : core::FaultKind::kMachine;
-      event.fail = e.fail;
-      event.drain = e.drain;
-      resolved.scripted.push_back(event);
-    }
-    for (const CorrelatedEventConfig& c : f.correlated) {
-      const double time = c.time_frac * f.horizon_seconds;
-      const double outage =
-          c.outage_seconds < 0 ? f.mttr_seconds : c.outage_seconds;
-      if (c.kind == "rack_power") {
-        AppendRackPowerEvent(topo, TorAt(topo, c.index), time, outage,
-                             &resolved.scripted);
-      } else if (c.kind == "tor_loss") {
-        AppendTorLossEvent(TorAt(topo, c.index), time, outage,
-                           &resolved.scripted);
-      } else {
-        AppendPlannedDrain(MachineAt(topo, c.index), time, outage,
-                           &resolved.scripted);
-      }
-    }
-    Status status = ValidateFaultConfig(topo, resolved);
-    if (!status.ok()) {
-      return Err("scenario.faults", status.message());
-    }
+  // The fault plane against the scenario's own fabric, at every machine
+  // MTBF the grid runs, with auto-target (-1) events standing in for the
+  // first machine: each cell's probe aims them at a real VM host.
+  const ScenarioFaultConfig& f = s.faults;
+  if (f.machine_mtbf_seconds == 0 && f.link_mtbf_seconds == 0 &&
+      axis != "mtbf" && f.scripted.empty() && f.correlated.empty()) {
+    return Status::Ok();
+  }
+  std::vector<double> mtbfs = {f.machine_mtbf_seconds};
+  if (axis == "mtbf") {
+    mtbfs.insert(mtbfs.end(), s.sweep.values.begin(), s.sweep.values.end());
+  }
+  const topology::Topology topo = topology::BuildThreeTier(s.topology);
+  for (const double mtbf : mtbfs) {
+    status = ValidateFaultConfig(
+        topo, ResolveFaults(f, mtbf, topo, MachineAt(topo, 0)));
+    if (!status.ok()) return FieldError("scenario.faults", status.message());
   }
   return Status::Ok();
 }
 
 std::string ScenarioAllocatorName(const Scenario& scenario) {
-  if (!scenario.admission.allocator.empty()) {
-    return scenario.admission.allocator;
-  }
-  workload::Abstraction abstraction = workload::Abstraction::kSvc;
-  ParseAbstractionToken(scenario.admission.abstraction, &abstraction);
-  return DefaultAllocatorName(abstraction);
+  return ResolveVariant(scenario, VariantConfig{}).allocator;
 }
 
 const ScenarioCell* FindCell(const ScenarioRunResult& result,
@@ -1283,20 +758,15 @@ util::Result<ScenarioRunResult> RunScenario(const Scenario& scenario,
 
   const std::vector<CellSpec> specs = EnumerateCells(scenario);
 
-  // Allocators resolved once up front (const, thread-safe to share), plus
-  // the per-cell inheritance so a bad variant fails before any cell runs.
+  // Allocators resolved once up front (const, thread-safe to share);
+  // ValidateScenario vouched for every name.
   std::map<std::string, std::unique_ptr<core::Allocator>> allocators;
   std::vector<ResolvedVariant> resolved(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    status = ResolveVariant(scenario, specs[i].variant, &resolved[i]);
-    if (!status.ok()) return status;
+    resolved[i] = ResolveVariant(scenario, specs[i].variant);
     auto& slot = allocators[resolved[i].allocator];
     if (slot == nullptr) {
       slot = core::MakeAllocatorByName(resolved[i].allocator);
-      if (slot == nullptr) {
-        return Err("scenario", "unknown allocator '" + resolved[i].allocator +
-                                   "'");
-      }
     }
   }
 

@@ -15,8 +15,10 @@
 // in a fixed order, so parse(serialize(s)) == s and serialize(parse(text))
 // is byte-stable — which makes ScenarioConfigHash a meaningful identity
 // for "same experiment" comparisons across BENCH_*.json snapshots.
-// ParseScenario is strict: unknown keys, duplicate keys, and type
-// mismatches are errors naming the offending JSON path.
+// ParseScenario is strict: unknown keys, duplicate keys, type mismatches,
+// and integers their field cannot hold exactly are errors naming the
+// offending JSON path.  One field table in scenario.cc drives the parser,
+// the canonical writer, and ValidateScenario's per-field range checks.
 #pragma once
 
 #include <cstdint>

@@ -40,6 +40,14 @@ JsonValue JsonValue::MakeObject() {
   return value;
 }
 
+std::optional<int64_t> JsonValue::AsInteger() const {
+  if (kind_ != Kind::kNumber || number_ != std::trunc(number_) ||
+      std::abs(number_) > static_cast<double>(kMaxSafeInteger)) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(number_);
+}
+
 const JsonValue* JsonValue::Find(const std::string& key) const {
   for (const auto& [name, value] : members_) {
     if (name == key) return &value;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +26,10 @@
 #include "util/result.h"
 
 namespace svc::util {
+
+// 2^53 - 1: every integer up to this magnitude survives the trip through a
+// double (and so through any JSON reader) unchanged.
+inline constexpr int64_t kMaxSafeInteger = (int64_t{1} << 53) - 1;
 
 class JsonValue {
  public:
@@ -48,12 +53,17 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   // Typed accessors; the caller must have checked the kind (asserted in
-  // debug builds, undefined garbage otherwise — use the scenario layer's
-  // checked readers for config parsing).
+  // debug builds, undefined garbage otherwise — util/json_fields.h reads
+  // whole structs with every check done).
   bool AsBool() const { return bool_; }
   double AsDouble() const { return number_; }
-  int64_t AsInt() const { return static_cast<int64_t>(number_); }
   const std::string& AsString() const { return string_; }
+
+  // The number as an integer, when it is one exactly: a number with no
+  // fractional part within ±kMaxSafeInteger.  nullopt for anything else
+  // (non-numbers included), so no caller rounds, truncates, or overflows
+  // a float-to-int cast.
+  std::optional<int64_t> AsInteger() const;
 
   // Array elements (empty unless is_array()).
   const std::vector<JsonValue>& items() const { return items_; }

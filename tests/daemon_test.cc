@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace svc::cli {
 namespace {
@@ -130,43 +131,134 @@ TEST(Daemon, ServesCommandsAndReportsFailures) {
   EXPECT_GE(harness.daemon().requests_served(), 5);
 }
 
-TEST(Daemon, MalformedRequestKeepsTheConnectionServing) {
-  const std::string socket_path = TempPath("svcd_malformed.sock");
-  DaemonHarness harness(BaseConfig(socket_path));
-  ASSERT_TRUE(harness.WaitReady(socket_path));
-
+// Connects a raw NDJSON client to `socket_path`; -1 on failure.
+int Connect(const std::string& socket_path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
   const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Sends one request line and returns the response line.
+std::string RoundTrip(int fd, const std::string& request) {
+  const std::string line = request + "\n";
+  if (write(fd, line.data(), line.size()) !=
+      static_cast<ssize_t>(line.size())) {
+    return "";
+  }
+  std::string reply;
+  char c;
+  while (read(fd, &c, 1) == 1 && c != '\n') reply.push_back(c);
+  return reply;
+}
+
+TEST(Daemon, MalformedRequestKeepsTheConnectionServing) {
+  const std::string socket_path = TempPath("svcd_malformed.sock");
+  DaemonHarness harness(BaseConfig(socket_path));
+  ASSERT_TRUE(harness.WaitReady(socket_path));
+  const int fd = Connect(socket_path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-            0);
 
-  auto ReadLine = [&]() {
-    std::string line;
-    char c;
-    while (read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
-    return line;
-  };
-  const std::string garbage = "this is not json\n";
-  ASSERT_EQ(write(fd, garbage.data(), garbage.size()),
-            static_cast<ssize_t>(garbage.size()));
-  EXPECT_NE(ReadLine().find("\"ok\":false"), std::string::npos);
-
-  const std::string missing_cmd = "{\"id\":7}\n";
-  ASSERT_EQ(write(fd, missing_cmd.data(), missing_cmd.size()),
-            static_cast<ssize_t>(missing_cmd.size()));
-  EXPECT_NE(ReadLine().find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(RoundTrip(fd, "this is not json").find("\"ok\":false"),
+            std::string::npos);
+  EXPECT_NE(RoundTrip(fd, "{\"id\":7}").find("\"ok\":false"),
+            std::string::npos);
+  // An id is echoed only when it is an integer the reply can carry
+  // exactly; any other id is an error response.
+  for (const char* id : {"1e300", "2.5", "9007199254740993", "\"seven\"",
+                         "null"}) {
+    SCOPED_TRACE(id);
+    const std::string reply = RoundTrip(
+        fd, std::string("{\"cmd\":\"health\",\"id\":") + id + "}");
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("must be an integer"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find("\"id\":"), std::string::npos) << reply;
+  }
 
   // The connection is still good: a valid request succeeds and echoes id.
-  const std::string valid = "{\"cmd\":\"health\",\"id\":9}\n";
-  ASSERT_EQ(write(fd, valid.data(), valid.size()),
-            static_cast<ssize_t>(valid.size()));
-  const std::string reply = ReadLine();
-  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
-  EXPECT_NE(reply.find("\"id\":9"), std::string::npos) << reply;
+  for (const char* id : {"9", "-9007199254740991", "9007199254740991"}) {
+    SCOPED_TRACE(id);
+    const std::string reply = RoundTrip(
+        fd, std::string("{\"cmd\":\"health\",\"id\":") + id + "}");
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    EXPECT_NE(reply.find(std::string("\"id\":") + id + ","),
+              std::string::npos)
+        << reply;
+  }
   close(fd);
+}
+
+// Checkpoint restore is strict: a mistyped, out-of-range, or unknown
+// member, or a checkpoint whose snapshot was not saved, stops svcd from
+// starting instead of being skipped or truncated.
+TEST(Daemon, MalformedCheckpointIsRefused) {
+  const std::string socket_path = TempPath("svcd_strict.sock");
+  const std::string checkpoint = TempPath("svcd_strict.ckpt");
+  std::remove(checkpoint.c_str());
+  std::string ignored;
+  {
+    DaemonHarness harness(BaseConfig(socket_path, checkpoint));
+    ASSERT_TRUE(harness.WaitReady(socket_path));
+    ASSERT_EQ(Drive(socket_path,
+                    "admit 1 homogeneous 6 100 50\n"
+                    "fail machine 4\n"
+                    "shutdown\n",
+                    &ignored),
+              0);
+    EXPECT_TRUE(harness.Join().ok());
+  }
+  std::ifstream in(checkpoint);
+  const std::string good((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_NE(good.find("\"failed\":[{\"vertex\":4,\"kind\":\"machine\"}]"),
+            std::string::npos)
+      << good;
+
+  struct Case {
+    std::string from, to, path;
+  };
+  const std::vector<Case> cases = {
+      {"\"vertex\":4,", "\"vertex\":4294967300,",
+       "checkpoint.failed[0].vertex"},
+      {"\"vertex\":4,", "\"vertex\":4.5,", "checkpoint.failed[0].vertex"},
+      {"\"kind\":\"machine\"", "\"kind\":\"rack\"",
+       "checkpoint.failed[0].kind"},
+      {"\"policy\":\"reallocate\"", "\"policy\":7", "checkpoint.policy"},
+      {"\"survivable\":false", "\"survivable\":false,\"extra\":1",
+       "checkpoint: unknown key 'extra'"},
+      {"\"snapshot_ok\":true", "\"snapshot_ok\":false",
+       "checkpoint.snapshot_ok"},
+      {"\"cordoned\":[]", "\"cordoned\":[-3]", "checkpoint.cordoned[0]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.to);
+    std::string text = good;
+    const size_t pos = text.find(c.from);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, c.from.size(), c.to);
+    std::ofstream(checkpoint, std::ios::trunc) << text;
+    DaemonHarness harness(BaseConfig(socket_path, checkpoint));
+    harness.daemon().Stop();  // a daemon that does start returns at once
+    const util::Status status = harness.Join();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(c.path), std::string::npos)
+        << status.message();
+  }
+
+  // The untouched checkpoint still restores.
+  std::ofstream(checkpoint, std::ios::trunc) << good;
+  DaemonHarness harness(BaseConfig(socket_path, checkpoint));
+  ASSERT_TRUE(harness.WaitReady(socket_path));
+  EXPECT_EQ(Drive(socket_path, "assert live 1\nshutdown\n", &ignored), 0);
+  EXPECT_TRUE(harness.Join().ok());
+  std::remove(checkpoint.c_str());
 }
 
 // The acceptance drill: admit 1..2, stop, resume from the checkpoint,

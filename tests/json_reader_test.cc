@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/json.h"
 
@@ -43,13 +45,40 @@ TEST(JsonReader, ParsesNestedStructures) {
   ASSERT_NE(a, nullptr);
   ASSERT_TRUE(a->is_array());
   ASSERT_EQ(a->items().size(), 3u);
-  EXPECT_EQ(a->items()[2].AsInt(), 3);
+  EXPECT_EQ(a->items()[2].AsInteger().value_or(-1), 3);
   const JsonValue* b = doc->Find("b");
   ASSERT_NE(b, nullptr);
   const JsonValue* c = b->Find("c");
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->AsBool());
   EXPECT_EQ(doc->Find("missing"), nullptr);
+}
+
+// AsInteger is the one integer accessor: it answers only for numbers that
+// are integers exactly, so no caller can round, truncate, or overflow.
+TEST(JsonReader, AsIntegerAcceptsOnlyExactIntegers) {
+  for (const char* text : {"1e300", "-1e300", "2.5", "9007199254740993",
+                           "9007199254740992", "18446744073709551615",
+                           "\"7\"", "true", "null", "[1]"}) {
+    SCOPED_TRACE(text);
+    Result<JsonValue> doc = ParseJson(text);
+    ASSERT_TRUE(doc) << doc.status().ToText();
+    EXPECT_FALSE(doc->AsInteger().has_value());
+  }
+  const std::vector<std::pair<const char*, int64_t>> exact = {
+      {"0", 0},
+      {"-0", 0},
+      {"1e2", 100},
+      {"-7", -7},
+      {"9007199254740991", kMaxSafeInteger},
+      {"-9007199254740991", -kMaxSafeInteger},
+  };
+  for (const auto& [text, value] : exact) {
+    SCOPED_TRACE(text);
+    Result<JsonValue> doc = ParseJson(text);
+    ASSERT_TRUE(doc) << doc.status().ToText();
+    EXPECT_EQ(doc->AsInteger().value_or(-1), value);
+  }
 }
 
 TEST(JsonReader, MembersKeepInsertionOrder) {
@@ -108,7 +137,7 @@ TEST(JsonReader, RoundTripsWriterOutput) {
   Result<JsonValue> doc = ParseJson(w.str());
   ASSERT_TRUE(doc) << doc.status().ToText();
   EXPECT_EQ(doc->Find("name")->AsString(), "fig7 \"quoted\"\nline");
-  EXPECT_EQ(doc->Find("count")->AsInt(), 42);
+  EXPECT_EQ(doc->Find("count")->AsInteger().value_or(-1), 42);
   EXPECT_DOUBLE_EQ(doc->Find("ratio")->AsDouble(), 0.25);
   EXPECT_TRUE(doc->Find("on")->AsBool());
   EXPECT_EQ(doc->Find("values")->items().size(), 2u);

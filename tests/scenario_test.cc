@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/decision_log.h"
+#include "util/json_reader.h"
 
 namespace svc::sim {
 namespace {
@@ -122,6 +126,244 @@ TEST(ScenarioSerialization, UnknownNestedKeyIsRejected) {
 TEST(ScenarioSerialization, TypeMismatchIsRejected) {
   util::Result<Scenario> parsed = ParseScenario("{\"seed\":\"not-a-number\"}");
   EXPECT_FALSE(parsed);
+  // An int field takes neither a fraction nor a value past int32.
+  EXPECT_FALSE(
+      ParseScenario("{\"name\":\"x\",\"workload\":{\"num_jobs\":2.5}}"));
+  EXPECT_FALSE(
+      ParseScenario("{\"name\":\"x\",\"topology\":{\"racks\":2147483648}}"));
+}
+
+// The identity BENCH files carry.  RoundTripIsIdenticalForEveryBuiltin
+// compares the code with itself, so a consistent reorder or a number-format
+// change would pass it; these literals would not.
+TEST(ScenarioIdentity, BuiltinConfigHashesArePinned) {
+  const std::vector<std::pair<std::string, std::string>> pinned = {
+      {"fig5", "fc7831798205018e"},
+      {"fig6", "9e226c83b828a111"},
+      {"fig7", "2769e1f50afbb925"},
+      {"fig8", "312dc0a60faf3d75"},
+      {"fig9", "6dd97b0218eb6e09"},
+      {"fig10", "bafa4affe30ba618"},
+      {"guarantee_validation", "4b58dbfe86a19a29"},
+      {"hetero_comparison", "75facc228909bff4"},
+      {"ablation_locality", "a2f8a3a5646ab5c4"},
+      {"ablation_enforcement", "624f542dcfeedb97"},
+      {"ablation_distribution", "732fdddc360ec5f6"},
+      {"ablation_ecmp", "84a3f13bcbf10daa"},
+      {"ablation_percentile", "3c4cfd335c7587ef"},
+      {"fault_recovery", "e89e1542d6f36102"},
+      {"fault_correlated", "b3aefda40a7fb208"},
+      {"fault_drill", "188883fbb32520ec"},
+      {"work_conserving", "19b695048641071b"},
+      {"flash_crowd", "c378bf3a4de5c3e2"},
+      {"diurnal", "6a213c3a3431c7c7"},
+      {"daemon_default", "fdb19e628f6ebdb0"},
+  };
+  ASSERT_EQ(pinned.size(), RegisteredScenarioNames().size());
+  for (const auto& [name, hash] : pinned) {
+    SCOPED_TRACE(name);
+    const Scenario* scenario = FindScenario(name);
+    ASSERT_NE(scenario, nullptr);
+    EXPECT_EQ(ScenarioConfigHash(*scenario), hash);
+  }
+}
+
+TEST(ScenarioIdentity, CanonicalTextIsPinned) {
+  Scenario scenario;
+  scenario.variants.emplace_back();
+  scenario.faults.scripted.emplace_back();
+  scenario.faults.correlated.emplace_back();
+  const std::string expected =
+      R"({"name":"","description":"","seed":42,"max_seconds":2000000,)"
+      R"("topology":{"racks":50,"machines_per_rack":20,"slots_per_machine":4,)"
+      R"("racks_per_agg":10,"machine_link_mbps":1000,"oversubscription":2,)"
+      R"("tor_trunk":1,"agg_trunk":1},)"
+      R"("workload":{"num_jobs":500,"mean_job_size":49,"min_job_size":2,)"
+      R"("max_job_size":400,"compute_time_lo":200,"compute_time_hi":500,)"
+      R"("rate_means":[100,200,300,400,500],"deviation_lo":0,)"
+      R"("deviation_hi":1,"fixed_deviation":-1,"flow_time_lo":200,)"
+      R"("flow_time_hi":500,"heterogeneous":false,)"
+      R"("rate_distribution":"normal"},)"
+      R"("arrivals":{"mode":"batch","load":0.69999999999999996,)"
+      R"("burst_factor":4,"burst_start":0.40000000000000002,)"
+      R"("burst_length":0.20000000000000001,"period_seconds":20000,)"
+      R"("amplitude":0.80000000000000004},)"
+      R"("fixed_jobs":{"count":0,"size":4,"compute_time":3000,)"
+      R"("rate_mean":100,"rho":0,"flow_seconds":2000},)"
+      R"("admission":{"abstraction":"svc","allocator":"",)"
+      R"("epsilon":0.050000000000000003,"vc_quantile":0.94999999999999996,)"
+      R"("survivability":false,"workers":0,"shards":0,"window":128,)"
+      R"("lookahead":1,"placement":"none"},)"
+      R"("enforcement":{"mode":"hard_cap","burst_seconds":5},)"
+      R"("faults":{"machine_mtbf_seconds":0,"link_mtbf_seconds":0,)"
+      R"("link_mtbf_factor":0,"mttr_seconds":0,"horizon_seconds":0,"seed":1,)"
+      R"("policy":"reallocate",)"
+      R"("scripted":[{"time":0,"vertex":-1,"kind":"machine","fail":true,)"
+      R"("drain":false}],)"
+      R"("correlated":[{"kind":"rack_power","index":0,"time_frac":0.5,)"
+      R"("outage_seconds":-1}]},)"
+      R"("sweep":{"parameter":"","values":[]},)"
+      R"("variants":[{"label":"","abstraction":"","allocator":"",)"
+      R"("epsilon":-1,"vc_quantile":-1,"enforcement":"",)"
+      R"("rate_distribution":"","policy":"","survivable":-1,"once":false}]})"
+      "\n";
+  EXPECT_EQ(SerializeScenario(scenario), expected);
+  EXPECT_EQ(ScenarioConfigHash(scenario), "37af554732478f0f");
+}
+
+// Canonical text of registry entry `name` with the one occurrence of
+// `from` replaced by `to`.
+std::string EditBuiltin(const std::string& name, const std::string& from,
+                        const std::string& to) {
+  std::string text = SerializeScenario(*FindScenario(name));
+  const size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  EXPECT_EQ(text.find(from, pos + 1), std::string::npos) << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
+// Parsing `text` fails with kInvalidArgument naming `path`.
+void ExpectRejectedAt(const std::string& text, const std::string& path) {
+  util::Result<Scenario> parsed = ParseScenario(text);
+  ASSERT_FALSE(parsed) << "accepted: " << path;
+  EXPECT_EQ(parsed.status().code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(parsed.status().message().rfind(path + ": ", 0), 0u)
+      << parsed.status().message();
+}
+
+// Inputs that would trip an assert in the fabric builder, the workload
+// generator, or the RNG must fail validation instead.
+TEST(ScenarioValidation, OversubscriptionBelowOneIsRejected) {
+  // fault_recovery's fault plane is validated against a built fabric, so
+  // the range check has to come before the build.
+  ExpectRejectedAt(EditBuiltin("fault_recovery", "\"oversubscription\":2,",
+                               "\"oversubscription\":0.5,"),
+                   "scenario.topology.oversubscription");
+}
+
+TEST(ScenarioValidation, OversubSweepValueBelowOneIsRejected) {
+  Scenario fig5 = *FindScenario("fig5");
+  ASSERT_EQ(fig5.sweep.parameter, "oversub");
+  fig5.sweep.values = {1, 0.5};
+  ExpectRejectedAt(SerializeScenario(fig5), "scenario.sweep.values[1]");
+}
+
+TEST(ScenarioValidation, ZeroJobsWithoutFixedJobsIsRejected) {
+  ExpectRejectedAt(
+      EditBuiltin("fig7", "\"num_jobs\":300,", "\"num_jobs\":0,"),
+      "scenario.workload.num_jobs");
+  // With fixed jobs the generator never runs, so zero is fine.
+  Scenario drill = *FindScenario("fault_drill");
+  drill.workload.num_jobs = 0;
+  EXPECT_TRUE(ValidateScenario(drill).ok());
+}
+
+TEST(ScenarioValidation, DeviationBoundsOutOfOrderAreRejected) {
+  Scenario fig7 = *FindScenario("fig7");
+  fig7.workload.deviation_lo = 0.9;
+  fig7.workload.deviation_hi = 0.2;
+  ExpectRejectedAt(SerializeScenario(fig7), "scenario.workload.deviation_hi");
+}
+
+TEST(ScenarioValidation, NegativeDeviationIsRejected) {
+  Scenario fig7 = *FindScenario("fig7");
+  fig7.workload.deviation_lo = -0.5;
+  ExpectRejectedAt(SerializeScenario(fig7), "scenario.workload.deviation_lo");
+  fig7.workload.deviation_lo = -2;
+  fig7.workload.deviation_hi = -1;
+  ExpectRejectedAt(SerializeScenario(fig7), "scenario.workload.deviation_lo");
+}
+
+TEST(ScenarioValidation, HugeTrunkSweepValueIsRejected) {
+  Scenario ecmp = *FindScenario("ablation_ecmp");
+  ASSERT_EQ(ecmp.sweep.parameter, "trunk");
+  ecmp.sweep.values = {1, 1e10};
+  ExpectRejectedAt(SerializeScenario(ecmp), "scenario.sweep.values[1]");
+  ecmp.sweep.values = {1.5};
+  ExpectRejectedAt(SerializeScenario(ecmp), "scenario.sweep.values[0]");
+}
+
+// Integer fields take only integral values that fit their type and stay
+// within ±(2^53 - 1); nothing is rounded, truncated, or wrapped.
+TEST(ScenarioIntegers, SeedPastTwoToTheFiftyThreeIsRejected) {
+  ExpectRejectedAt(EditBuiltin("fig7", "\"seed\":42,",
+                               "\"seed\":9007199254740993,"),
+                   "scenario.seed");
+  ExpectRejectedAt(EditBuiltin("fault_recovery", "\"seed\":44,",
+                               "\"seed\":9007199254740993,"),
+                   "scenario.faults.seed");
+}
+
+TEST(ScenarioIntegers, SeedOutsideUint64IsRejected) {
+  ExpectRejectedAt(EditBuiltin("fig7", "\"seed\":42,", "\"seed\":1e20,"),
+                   "scenario.seed");
+  ExpectRejectedAt(EditBuiltin("fig7", "\"seed\":42,",
+                               "\"seed\":18446744073709551615,"),
+                   "scenario.seed");
+  ExpectRejectedAt(EditBuiltin("fig7", "\"seed\":42,", "\"seed\":-1,"),
+                   "scenario.seed");
+}
+
+TEST(ScenarioIntegers, LargestExactSeedRoundTrips) {
+  util::Result<Scenario> parsed = ParseScenario(EditBuiltin(
+      "fig7", "\"seed\":42,", "\"seed\":9007199254740991,"));
+  ASSERT_TRUE(parsed) << parsed.status().ToText();
+  EXPECT_EQ(parsed->seed, 9007199254740991u);
+  EXPECT_EQ(ParseScenario(SerializeScenario(*parsed))->seed,
+            9007199254740991u);
+  // A seed the parser could not read back is invalid in memory too.
+  parsed->seed = 9007199254740992u;
+  EXPECT_FALSE(ValidateScenario(*parsed).ok());
+}
+
+// Cast to a vertex id, 4294968296 would name machine 1000; any negative
+// vertex would auto-target.
+TEST(ScenarioIntegers, VertexOutsideAutoTargetAndInt32IsRejected) {
+  for (const std::string vertex : {"4294968296", "-7"}) {
+    SCOPED_TRACE(vertex);
+    std::string text = SerializeScenario(*FindScenario("fault_drill"));
+    const std::string from = "\"vertex\":-1,";
+    text.replace(text.find(from), from.size(), "\"vertex\":" + vertex + ",");
+    ExpectRejectedAt(text, "scenario.faults.scripted[0].vertex");
+  }
+}
+
+// Every key of the canonical serialization, as a dotted path; the keys
+// of an array's objects follow "list[]".
+void CollectKeys(const util::JsonValue& v, const std::string& prefix,
+                 std::vector<std::string>* keys) {
+  for (const auto& [key, value] : v.members()) {
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    keys->push_back(path);
+    if (value.is_object()) CollectKeys(value, path, keys);
+    if (value.is_array() && !value.items().empty()) {
+      CollectKeys(value.items()[0], path + "[]", keys);
+    }
+  }
+}
+
+// docs/SCENARIOS.md gives each key its own schema row, "| `path` | ...".
+TEST(ScenarioDocs, EveryCanonicalKeyHasASchemaRow) {
+  Scenario scenario;
+  scenario.variants.emplace_back();
+  scenario.faults.scripted.emplace_back();
+  scenario.faults.correlated.emplace_back();
+  util::Result<util::JsonValue> canonical =
+      util::ParseJson(SerializeScenario(scenario));
+  ASSERT_TRUE(canonical);
+  std::vector<std::string> keys;
+  CollectKeys(*canonical, "", &keys);
+  EXPECT_EQ(keys.size(), 90u);  // 79 settable fields in 11 objects
+
+  std::ifstream in(SVC_SCENARIOS_DOC);
+  ASSERT_TRUE(in) << SVC_SCENARIOS_DOC;
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  for (const std::string& key : keys) {
+    EXPECT_NE(doc.find("| `" + key + "` |"), std::string::npos)
+        << "docs/SCENARIOS.md has no schema row for " << key;
+  }
 }
 
 TEST(ScenarioValidation, CatchesBadSweepParameter) {
