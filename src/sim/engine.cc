@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -39,8 +40,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
   // Full-duplex links, one capacity slot per cable and direction; on
   // untrunked fabrics each link simply has one cable per direction.
   topo.FillCableCapacities(capacity_);
-  offered_load_.resize(topo.directed_cable_slots(), 0.0);
-  link_touched_.resize(topo.directed_cable_slots(), 0);
 }
 
 core::Request Engine::MakeRequest(const workload::JobSpec& spec) const {
@@ -171,16 +170,18 @@ bool Engine::FinishStart(const workload::JobSpec& spec, double now,
 }
 
 void Engine::CheckIncrementalRates() {
-  // From-scratch solve on a cold scratch over a copy of the flows; the
-  // incremental path must agree bit for bit.
+  // Progressive filling over every loaded link, on a copy of the flows: the
+  // rates this tick uses (solved over the contended links, or kept from the
+  // last solve on a steady tick) must agree bit for bit.
   check_flows_ = flows_;
-  MaxMinScratch fresh(static_cast<int>(capacity_.size()));
-  fresh.Allocate(check_flows_, capacity_);
+  MaxMinScratch unfiltered(static_cast<int>(capacity_.size()));
+  unfiltered.AllocateUnfiltered(check_flows_, capacity_);
   for (size_t f = 0; f < flows_.size(); ++f) {
     if (flows_[f].rate != check_flows_[f].rate) {
-      SVC_LOG(Error) << "incremental max-min mismatch on flow " << f << ": "
-                     << flows_[f].rate << " vs " << check_flows_[f].rate;
-      assert(false && "incremental max-min diverged from full recompute");
+      SVC_LOG(Error) << "max-min mismatch on flow " << f << ": "
+                     << flows_[f].rate << " vs unfiltered "
+                     << check_flows_[f].rate;
+      assert(false && "max-min rates diverged from the unfiltered solve");
     }
   }
 }
@@ -236,51 +237,41 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
   // Steady state: same flows, same desires — the offered loads, the outage
   // verdicts, and the max-min rates of the previous tick all still hold.
   const bool steady = !flows_dirty_ && !desires_changed;
+  if (steady) {
+    SVC_METRIC_INC("engine/steady_ticks");
+  } else {
+    SVC_METRIC_INC("engine/solve_ticks");
+    scratch_.Allocate(flows_, capacity_);
+    // Census of the loaded links from the solver's offered-load sums.  A
+    // bandwidth outage (paper constraint (1)) is a loaded link whose
+    // offered demand exceeds its capacity this second.
+    const bool metrics = obs::MetricsEnabled();
+    const bool want_util = metrics || config_.series != nullptr;
+    const std::span<const int32_t> links = scratch_.loaded_links();
+    const std::span<const double> load = scratch_.offered_load();
+    cached_busy_links_ = static_cast<int64_t>(links.size());
+    cached_outage_links_ = 0;
+    cached_util_sum_ = 0;
+    cached_util_max_ = 0;
+    for (size_t i = 0; i < links.size(); ++i) {
+      const double capacity = capacity_[links[i]];
+      if (load[i] > capacity * (1 + 1e-9)) ++cached_outage_links_;
+      // Offered utilization of the loaded link this second (may exceed 1
+      // when the link is in outage; max-min then throttles the flows).
+      if (want_util && capacity > 0) {
+        const double util = load[i] / capacity;
+        cached_util_sum_ += util;
+        cached_util_max_ = std::max(cached_util_max_, util);
+        if (metrics) {
+          SVC_METRIC_HIST("engine/link_utilization", util);
+        }
+      }
+    }
+  }
 
   if (config_.measure_outage) {
-    if (steady) {
-      busy_link_seconds_ += cached_busy_links_;
-      outage_link_seconds_ += cached_outage_links_;
-    } else {
-      // A bandwidth outage (paper constraint (1)) is a loaded link whose
-      // offered demand exceeds its capacity this second.
-      const bool metrics = obs::MetricsEnabled();
-      const bool want_util = metrics || config_.series != nullptr;
-      for (const SimFlow& flow : flows_) {
-        for (topology::VertexId link : flow.links) {
-          if (!link_touched_[link]) {
-            link_touched_[link] = 1;
-            loaded_links_.push_back(link);
-          }
-          offered_load_[link] += flow.desired;
-        }
-      }
-      cached_busy_links_ = 0;
-      cached_outage_links_ = 0;
-      cached_util_sum_ = 0;
-      cached_util_max_ = 0;
-      for (topology::VertexId link : loaded_links_) {
-        ++cached_busy_links_;
-        if (offered_load_[link] > capacity_[link] * (1 + 1e-9)) {
-          ++cached_outage_links_;
-        }
-        // Offered utilization of the loaded link this second (may exceed 1
-        // when the link is in outage; max-min then throttles the flows).
-        if (want_util && capacity_[link] > 0) {
-          const double util = offered_load_[link] / capacity_[link];
-          cached_util_sum_ += util;
-          cached_util_max_ = std::max(cached_util_max_, util);
-          if (metrics) {
-            SVC_METRIC_HIST("engine/link_utilization", util);
-          }
-        }
-        offered_load_[link] = 0.0;
-        link_touched_[link] = 0;
-      }
-      loaded_links_.clear();
-      busy_link_seconds_ += cached_busy_links_;
-      outage_link_seconds_ += cached_outage_links_;
-    }
+    busy_link_seconds_ += cached_busy_links_;
+    outage_link_seconds_ += cached_outage_links_;
     // Epoch split: ticks with any element down are charged to the failure
     // bucket too, so steady-epoch outage (where epsilon must still hold)
     // can be reported separately from outage caused by the faults
@@ -291,12 +282,6 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     }
   }
 
-  if (steady) {
-    SVC_METRIC_INC("engine/steady_ticks");
-  } else {
-    SVC_METRIC_INC("engine/solve_ticks");
-    scratch_.Allocate(flows_, capacity_, flows_dirty_);
-  }
   SVC_METRIC_GAUGE_SET("engine/flows", static_cast<double>(flows_.size()));
   if (config_.series != nullptr && now >= next_sample_time_) {
     next_sample_time_ = now + config_.series_period;

@@ -113,14 +113,18 @@ struct SimConfig {
   // Optional JSONL time-series sink (borrowed; must outlive the run).  Every
   // `series_period` simulated seconds the engine appends one sample line
   // with the active-job/flow counts, busy/outage link counts, the mean and
-  // max offered link utilization of that tick (requires measure_outage),
-  // and the ledger's max occupancy.  The sink may be shared by concurrent
-  // sweep replicas; lines carry the engine's seed to tell streams apart.
+  // max offered link utilization, and the ledger's max occupancy.  The link
+  // figures come from the max-min solver's offered-load sums on the last
+  // solved tick (a steady tick repeats them) and do not depend on
+  // measure_outage.  The sink may be shared by concurrent sweep replicas;
+  // lines carry the engine's seed to tell streams apart.
   obs::TimeSeriesSink* series = nullptr;
   double series_period = 100.0;  // simulated seconds between samples
-  // Cross-check the incremental Step() fast path (cached max-min rates and
-  // outage counts) against a from-scratch recompute every tick.  Costs a
-  // full re-solve per step, so it defaults to off except in Debug builds
+  // Cross-check every tick's max-min rates, bit for bit, against
+  // progressive filling over every loaded link with no contended-link
+  // filter (MaxMinScratch::AllocateUnfiltered).  This checks both the
+  // filter and the steady-tick reuse of the previous rates.  Costs a full
+  // unfiltered solve per step, so it defaults to off except in Debug builds
   // (see the SVC_SIM_CHECK_INCREMENTAL define in the top-level CMakeLists).
 #ifdef SVC_SIM_CHECK_INCREMENTAL
   bool check_incremental = true;
@@ -190,7 +194,7 @@ class Engine {
   // Advances one time step; returns ids of jobs that completed at `now+dt`.
   void Step(double now, std::vector<int64_t>& completed);
 
-  // Asserts that the current flow rates equal a from-scratch max-min solve
+  // Asserts that the current flow rates equal an unfiltered max-min solve
   // (SimConfig.check_incremental).
   void CheckIncrementalRates();
 
@@ -226,20 +230,17 @@ class Engine {
 
   std::vector<int> placement_levels_;  // locality of accepted placements
 
-  // Outage accounting scratch + totals (see SimConfig.measure_outage).
-  std::vector<double> offered_load_;
-  std::vector<char> link_touched_;
-  std::vector<topology::VertexId> loaded_links_;
+  // Outage totals (see SimConfig.measure_outage).
   int64_t outage_link_seconds_ = 0;
   int64_t busy_link_seconds_ = 0;
 
   // Incremental-step state: when the flow set and every desired rate are
   // unchanged since the previous tick, the max-min rates and the per-tick
-  // outage counts are unchanged too, so Step() reuses them instead of
+  // link census are unchanged too, so Step() reuses them instead of
   // re-solving (the steady-state fast path).
   bool flows_dirty_ = true;          // flows added/removed since last solve
-  int64_t cached_busy_links_ = 0;    // loaded links in the last outage pass
-  int64_t cached_outage_links_ = 0;  // over-capacity links in that pass
+  int64_t cached_busy_links_ = 0;    // loaded links at the last solve
+  int64_t cached_outage_links_ = 0;  // over-capacity links at that solve
   std::vector<SimFlow> check_flows_;  // scratch for CheckIncrementalRates
 
   // Fault-plane state (RunOnline): the pre-built schedule, a cursor into
@@ -267,7 +268,7 @@ class Engine {
   void RepathJob(int64_t job_id);
 
   // Time-series sampler state (SimConfig.series): utilization aggregates of
-  // the last non-steady outage pass, replayed on steady ticks.
+  // the last solved tick, replayed on steady ticks.
   double next_sample_time_ = 0;
   double cached_util_sum_ = 0;
   double cached_util_max_ = 0;

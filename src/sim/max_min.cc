@@ -9,83 +9,243 @@
 #include "obs/trace.h"
 
 namespace svc::sim {
+namespace {
 
-MaxMinScratch::MaxMinScratch(int num_vertices) {
-  dense_of_.assign(num_vertices, -1);
+// Grows `v` to at least `size` elements and never shrinks it, so a warm
+// scratch keeps every array at its high-water mark.
+template <typename T>
+void Grow(std::vector<T>& v, size_t size) {
+  if (v.size() < size) v.resize(size);
 }
 
-void MaxMinScratch::RebuildTopologyCaches(const std::vector<SimFlow>& flows) {
-  for (int32_t slot : links_) dense_of_[slot] = -1;
-  const size_t slots = dense_of_.size();
-  links_.resize(slots + 1);
-  crossing_start_.assign(slots + 1, 0);
-  const int n = static_cast<int>(flows.size());
-  size_t incidences = 0;
-  for (const SimFlow& flow : flows) incidences += flow.links.size();
-  path_.resize(incidences);
-  path_start_.resize(n + 1);
+}  // namespace
 
-  // Number the links in first-appearance order without a branch per
-  // incidence: a slot seen for the first time takes the next dense index,
-  // and links_ is written unconditionally one past the last link.
-  int32_t* links = links_.data();
-  int32_t* path = path_.data();
-  int32_t* counts = crossing_start_.data();
-  int32_t num_links = 0;
-  int32_t next = 0;
-  for (int f = 0; f < n; ++f) {
-    path_start_[f] = next;
-    for (int32_t slot : flows[f].links) {
-      const int32_t seen = dense_of_[slot];
+MaxMinScratch::MaxMinScratch(int num_slots) {
+  link_of_.assign(num_slots, -1);
+}
+
+void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
+                             const std::vector<double>& capacity) {
+  SVC_TRACE_SPAN("maxmin/solve");
+  SumOfferedLoad(flows, capacity.size());
+  if (flows.size() > static_cast<size_t>(kMaxFilteredFlows) ||
+      !Fill(flows, capacity, /*filter=*/true)) {
+    SVC_METRIC_INC("maxmin/unfiltered_solves");
+    Fill(flows, capacity, /*filter=*/false);
+  }
+}
+
+void MaxMinScratch::AllocateUnfiltered(std::vector<SimFlow>& flows,
+                                       const std::vector<double>& capacity) {
+  SumOfferedLoad(flows, capacity.size());
+  Fill(flows, capacity, /*filter=*/false);
+}
+
+void MaxMinScratch::SumOfferedLoad(const std::vector<SimFlow>& flows,
+                                   size_t slots) {
+  for (size_t i = 0; i < num_loaded_; ++i) link_of_[loaded_[i]] = -1;
+  std::fill_n(load_.begin(), num_loaded_, 0.0);
+  if (link_of_.size() < slots) link_of_.resize(slots, -1);
+  const size_t links = link_of_.size();
+  Grow(loaded_, links + 1);
+  Grow(load_, links);
+  Grow(sub_links_, links);
+  Grow(crossing_start_, links + 1);
+  Grow(remaining_, links);
+  Grow(count_, links);
+  Grow(scan_, links);
+
+  // Number the loaded links in first-appearance order without a branch per
+  // incidence: a slot seen for the first time takes the next number, and
+  // loaded_ is written unconditionally one past the last link.
+  int32_t num_loaded = 0;
+  size_t incidences = 0;
+  for (const SimFlow& flow : flows) {
+    const double desired = std::max(0.0, flow.desired);
+    incidences += flow.links.size();
+    for (int32_t slot : flow.links) {
+      const int32_t seen = link_of_[slot];
       const bool fresh = seen < 0;
-      const int32_t dense = fresh ? num_links : seen;
-      dense_of_[slot] = dense;
-      links[num_links] = slot;
-      num_links += fresh;
-      path[next++] = dense;
-      ++counts[dense];
+      const int32_t link = fresh ? num_loaded : seen;
+      link_of_[slot] = link;
+      loaded_[num_loaded] = slot;
+      load_[link] += desired;
+      num_loaded += fresh;
     }
   }
-  path_start_[n] = next;
-  links_.resize(num_links);
-  crossing_start_.resize(num_links + 1);
+  num_loaded_ = static_cast<size_t>(num_loaded);
+  const size_t n = flows.size();
+  Grow(sub_flows_, n);
+  Grow(path_start_, n + 1);
+  Grow(frozen_, n);
+  Grow(path_, incidences);
+  Grow(crossing_, incidences);
+}
+
+bool MaxMinScratch::Fill(std::vector<SimFlow>& flows,
+                         const std::vector<double>& capacity, bool filter) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const int n = static_cast<int>(flows.size());
+
+  // Number the sub-problem's links, keeping first-appearance order.
+  int32_t num_links = 0;
+  for (size_t i = 0; i < num_loaded_; ++i) {
+    const int32_t slot = loaded_[i];
+    const bool contended =
+        !filter || load_[i] > capacity[slot] * (1 - kDelta);
+    link_of_[slot] = contended ? num_links : -1;
+    sub_links_[num_links] = slot;
+    num_links += contended;
+  }
+
+  // Every flow gets its desire; the flows that cross a sub-problem link
+  // with something to send make up the sub-problem's flows, and their
+  // paths keep only the sub-problem links (written unconditionally, kept
+  // by advancing the cursor).  Most ticks have no sub-problem link at all.
+  int32_t num_flows = 0;
+  int32_t next = 0;
+  for (int f = 0; f < n; ++f) {
+    SimFlow& flow = flows[f];
+    flow.rate = std::max(0.0, flow.desired);
+    if (flow.desired <= 0 || num_links == 0) continue;
+    const int32_t start = next;
+    for (int32_t slot : flow.links) {
+      const int32_t link = link_of_[slot];
+      path_[next] = link;
+      next += link >= 0;
+    }
+    if (next == start) continue;
+    path_start_[num_flows] = start;
+    sub_flows_[num_flows++] = f;
+  }
+  path_start_[num_flows] = next;
+  if (filter && obs::MetricsEnabled()) {
+    SVC_METRIC_HIST("maxmin/contended_links", num_links);
+    SVC_METRIC_HIST("maxmin/contended_flows", num_flows);
+  }
 
   // Counting sort of the (link, flow) incidences by link: crossing_start_
   // holds each link's count, then its range end, and filling every range
   // back to front while walking the flows backwards leaves it at the range
   // start with the flows ascending.
+  std::fill_n(crossing_start_.begin(), num_links + 1, 0);
+  for (int32_t i = 0; i < next; ++i) ++crossing_start_[path_[i]];
   int32_t end = 0;
-  for (int32_t& start : crossing_start_) {
-    end += start;
-    start = end;
+  for (int32_t link = 0; link <= num_links; ++link) {
+    end += crossing_start_[link];
+    crossing_start_[link] = end;
   }
-  crossing_.resize(incidences);
-  for (int f = n - 1; f >= 0; --f) {
-    for (int32_t i = path_start_[f]; i < path_start_[f + 1]; ++i) {
-      crossing_[--crossing_start_[path[i]]] = f;
+  for (int32_t h = num_flows - 1; h >= 0; --h) {
+    for (int32_t i = path_start_[h]; i < path_start_[h + 1]; ++i) {
+      crossing_[--crossing_start_[path_[i]]] = h;
     }
   }
-  remaining_.resize(num_links);
-  count_.resize(num_links);
-  scan_.reserve(num_links);
+
+  // Per-call link state.  Every sub-problem flow counts on its links until
+  // it freezes, and a link without one never enters the scan.
+  int32_t num_scan = 0;
+  for (int32_t link = 0; link < num_links; ++link) {
+    remaining_[link] = capacity[sub_links_[link]];
+    count_[link] = crossing_start_[link + 1] - crossing_start_[link];
+    scan_[num_scan] = link;
+    num_scan += count_[link] > 0;
+  }
+  std::fill_n(frozen_.begin(), num_flows, 0);
+  int unfrozen = num_flows;
+
+  // The front of this order is the candidate set for demand-limited
+  // freezing.
+  SortByDesire(flows, num_flows);
+  size_t next_demand = 0;
+
+  // Freezes sub flow h at `rate`.  With `watch` set, returns false when a
+  // link on its path that still carries unfrozen flows came out with a
+  // lower share than before (rounding; see the header).
+  auto freeze = [&](int32_t h, double rate, bool watch) {
+    flows[sub_flows_[h]].rate = rate;
+    frozen_[h] = 1;
+    --unfrozen;
+    bool shares_kept = true;
+    for (int32_t i = path_start_[h], stop = path_start_[h + 1]; i < stop;
+         ++i) {
+      const int32_t link = path_[i];
+      const double before = watch ? remaining_[link] / count_[link] : 0;
+      remaining_[link] -= rate;
+      if (remaining_[link] < 0) remaining_[link] = 0;  // fp guard
+      --count_[link];
+      if (watch && count_[link] > 0 &&
+          remaining_[link] / count_[link] < before) {
+        shares_kept = false;
+      }
+    }
+    return shares_kept;
+  };
+
+  while (unfrozen > 0) {
+    // Current bottleneck share over links that still carry unfrozen flows;
+    // links whose count reached zero leave the scan for good, and the
+    // survivors keep their order so share ties go to the same link.
+    double level = kInf;
+    int32_t bottleneck = -1;
+    int32_t kept = 0;
+    for (int32_t i = 0; i < num_scan; ++i) {
+      const int32_t link = scan_[i];
+      if (count_[link] == 0) continue;
+      scan_[kept++] = link;
+      const double share = remaining_[link] / count_[link];
+      if (share < level) {
+        level = share;
+        bottleneck = link;
+      }
+    }
+    num_scan = kept;
+    assert(bottleneck >= 0);
+
+    // Rule 1: batch-freeze demand-limited flows.  Freezing a flow with
+    // desired <= level only raises link shares in exact arithmetic, so one
+    // pass is safe; the filtered solve checks that rounding kept it so.
+    bool any_demand_frozen = false;
+    while (next_demand < order_.size()) {
+      const DesireKey key = order_[next_demand];
+      if (frozen_[key.flow]) {
+        ++next_demand;
+        continue;
+      }
+      const double desired = std::bit_cast<double>(key.bits);
+      if (desired > level) break;
+      if (!freeze(key.flow, desired, filter)) return false;
+      ++next_demand;
+      any_demand_frozen = true;
+    }
+    if (any_demand_frozen) continue;  // shares changed; recompute level
+
+    // Rule 2: saturate the bottleneck link.
+    for (int32_t i = crossing_start_[bottleneck];
+         i < crossing_start_[bottleneck + 1]; ++i) {
+      const int32_t h = crossing_[i];
+      if (!frozen_[h]) freeze(h, level, /*watch=*/false);
+    }
+  }
+  return true;
 }
 
-void MaxMinScratch::SortByDesire(const std::vector<SimFlow>& flows) {
-  // Unfrozen desires are positive, and positive doubles order like their
-  // bit patterns: the keys are sorted as unsigned integers, ties by flow.
-  // The buffers are sized for every flow, not just the unfrozen ones, so a
-  // draw with fewer zero desires than before does not reallocate them.
-  const int n = static_cast<int>(flows.size());
+void MaxMinScratch::SortByDesire(const std::vector<SimFlow>& flows,
+                                 int32_t num_flows) {
+  // Sub-problem desires are positive, and positive doubles order like
+  // their bit patterns: the keys are sorted as unsigned integers, ties by
+  // flow.  The buffers are sized for every flow, so a larger sub-problem
+  // than before does not reallocate them.
+  const size_t n = flows.size();
   order_.clear();
   order_.reserve(n);
   sort_buffer_.reserve(n);
-  bucket_start_.reserve(2 * static_cast<size_t>(n) + 1);
+  bucket_start_.reserve(2 * n + 1);
   uint64_t lo = std::numeric_limits<uint64_t>::max();
   uint64_t hi = 0;
-  for (int f = 0; f < n; ++f) {
-    if (frozen_[f]) continue;
-    const uint64_t bits = std::bit_cast<uint64_t>(flows[f].desired);
-    order_.push_back({bits, f});
+  for (int32_t h = 0; h < num_flows; ++h) {
+    const uint64_t bits =
+        std::bit_cast<uint64_t>(flows[sub_flows_[h]].desired);
+    order_.push_back({bits, h});
     lo = std::min(lo, bits);
     hi = std::max(hi, bits);
   }
@@ -141,153 +301,6 @@ void MaxMinScratch::SortByDesire(const std::vector<SimFlow>& flows) {
       keys[hole] = keys[hole - 1];
     }
     keys[hole] = key;
-  }
-}
-
-void MaxMinScratch::Allocate(std::vector<SimFlow>& flows,
-                             const std::vector<double>& capacity,
-                             bool flows_changed) {
-  SVC_TRACE_SPAN("maxmin/solve");
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const int n = static_cast<int>(flows.size());
-  if (dense_of_.size() < capacity.size()) {
-    dense_of_.resize(capacity.size(), -1);
-  }
-
-  if (flows_changed || !have_topology_cache_) {
-    SVC_METRIC_INC("maxmin/cold_solves");
-    RebuildTopologyCaches(flows);
-    have_topology_cache_ = true;
-    have_order_cache_ = false;
-    if (obs::MetricsEnabled()) {
-      // Mean flows crossing an active link — a congestion/sharing signal
-      // the registry exposes alongside the solve counters.
-      SVC_METRIC_GAUGE_SET(
-          "maxmin/flows_per_link",
-          links_.empty()
-              ? 0.0
-              : static_cast<double>(path_.size()) / links_.size());
-    }
-  } else {
-    SVC_METRIC_INC("maxmin/incremental_solves");
-  }
-
-  // The sorted order depends only on the desires (and the flow set, which
-  // the topology cache already pins): re-sort only when a desire changed.
-  bool desires_same =
-      have_order_cache_ && static_cast<int>(last_desired_.size()) == n;
-  if (desires_same) {
-    for (int f = 0; f < n; ++f) {
-      if (flows[f].desired != last_desired_[f]) {
-        desires_same = false;
-        break;
-      }
-    }
-  }
-  if (!desires_same) {
-    last_desired_.resize(n);
-    for (int f = 0; f < n; ++f) last_desired_[f] = flows[f].desired;
-  }
-
-  // Per-call link state.  Every networked flow counts on its links until
-  // it freezes; the ones frozen right away leave their links' counts here,
-  // and a link left without flows never enters the scan.
-  const int32_t* path_start = path_start_.data();
-  const int32_t* path = path_.data();
-  const int num_links = static_cast<int>(links_.size());
-  double* remaining = remaining_.data();
-  int32_t* count = count_.data();
-  for (int link = 0; link < num_links; ++link) {
-    remaining[link] = capacity[links_[link]];
-    count[link] = crossing_start_[link + 1] - crossing_start_[link];
-  }
-  frozen_.assign(n, 0);
-  int unfrozen = 0;
-  for (int f = 0; f < n; ++f) {
-    SimFlow& flow = flows[f];
-    flow.rate = 0;
-    const bool networked = path_start[f] < path_start[f + 1];
-    if (!networked || flow.desired <= 0) {
-      // No network on the path (or nothing to send): the flow gets its
-      // desire outright.
-      flow.rate = std::max(0.0, flow.desired);
-      frozen_[f] = 1;
-      for (int32_t i = path_start[f]; i < path_start[f + 1]; ++i) {
-        --count[path[i]];
-      }
-    } else {
-      ++unfrozen;
-    }
-  }
-  scan_.clear();
-  for (int link = 0; link < num_links; ++link) {
-    if (count[link] > 0) scan_.push_back(link);
-  }
-
-  if (!desires_same) {
-    // The front of this order is the candidate set for demand-limited
-    // freezing.
-    SortByDesire(flows);
-    have_order_cache_ = true;
-  }
-  size_t next_demand = 0;
-
-  auto freeze = [&](int32_t f, double rate) {
-    flows[f].rate = rate;
-    frozen_[f] = 1;
-    --unfrozen;
-    for (int32_t i = path_start[f], end = path_start[f + 1]; i < end; ++i) {
-      const int32_t link = path[i];
-      remaining[link] -= rate;
-      if (remaining[link] < 0) remaining[link] = 0;  // fp guard
-      --count[link];
-    }
-  };
-
-  while (unfrozen > 0) {
-    // Current bottleneck share over links that still carry unfrozen flows;
-    // links whose count reached zero leave the scan for good, and the
-    // survivors keep their order so share ties go to the same link.
-    double level = kInf;
-    int32_t bottleneck = -1;
-    int32_t* scan = scan_.data();
-    size_t kept = 0;
-    for (size_t i = 0, size = scan_.size(); i < size; ++i) {
-      const int32_t link = scan[i];
-      if (count[link] == 0) continue;
-      scan[kept++] = link;
-      const double share = remaining[link] / count[link];
-      if (share < level) {
-        level = share;
-        bottleneck = link;
-      }
-    }
-    scan_.resize(kept);
-    assert(bottleneck >= 0);
-
-    // Rule 1: batch-freeze demand-limited flows.  Freezing a flow with
-    // desired <= level only raises link shares, so one pass is safe.
-    bool any_demand_frozen = false;
-    while (next_demand < order_.size()) {
-      const DesireKey key = order_[next_demand];
-      if (frozen_[key.flow]) {
-        ++next_demand;
-        continue;
-      }
-      const double desired = std::bit_cast<double>(key.bits);
-      if (desired > level) break;
-      freeze(key.flow, desired);
-      ++next_demand;
-      any_demand_frozen = true;
-    }
-    if (any_demand_frozen) continue;  // shares changed; recompute level
-
-    // Rule 2: saturate the bottleneck link.
-    for (int32_t i = crossing_start_[bottleneck];
-         i < crossing_start_[bottleneck + 1]; ++i) {
-      const int32_t f = crossing_[i];
-      if (!frozen_[f]) freeze(f, level);
-    }
   }
 }
 

@@ -1,8 +1,8 @@
-// The max-min scratch's incremental caches (per-link flow lists reused
-// when the flow set is unchanged, desire sort reused when desires repeat)
-// are pure memoization: every allocation must be bit-identical to a
-// from-scratch solve.  These tests drive a persistent scratch through
-// randomized churn and the degenerate shapes the caches must survive.
+// A max-min scratch keeps its arrays between calls and solves only over
+// the contended links: every allocation must be bit-identical to an
+// unfiltered solve on a fresh scratch.  These tests drive a persistent
+// scratch through randomized churn and the degenerate shapes its reused
+// arrays must survive, and check the engine's per-tick cross-check.
 #include "sim/max_min.h"
 
 #include <gtest/gtest.h>
@@ -17,17 +17,15 @@
 namespace svc::sim {
 namespace {
 
-// Solves `flows` with a cold scratch and asserts the persistent scratch,
-// called with the given flows_changed hint, produced exactly the same
-// rates.
+// Solves `flows` unfiltered with a fresh scratch and asserts the
+// persistent scratch produced exactly the same rates.
 void ExpectMatchesFullSolve(MaxMinScratch& incremental,
                             std::vector<SimFlow>& flows,
-                            const std::vector<double>& capacity,
-                            bool flows_changed) {
+                            const std::vector<double>& capacity) {
   std::vector<SimFlow> reference = flows;
-  incremental.Allocate(flows, capacity, flows_changed);
+  incremental.Allocate(flows, capacity);
   MaxMinScratch fresh(static_cast<int>(capacity.size()));
-  fresh.Allocate(reference, capacity);
+  fresh.AllocateUnfiltered(reference, capacity);
   ASSERT_EQ(flows.size(), reference.size());
   for (size_t f = 0; f < flows.size(); ++f) {
     // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the claim is bitwise identity.
@@ -42,10 +40,10 @@ TEST(MaxMinIncremental, RepeatedDesiresReuseCachedRates) {
   flows.push_back({{2, 3}, 400, 0});
   flows.push_back({{1}, 250, 0});
   MaxMinScratch scratch(4);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
-  // Same set, same desires, three more ticks: the order cache is live.
+  ExpectMatchesFullSolve(scratch, flows, capacity);
+  // Same set, same desires, three more ticks on the warm scratch.
   for (int tick = 0; tick < 3; ++tick) {
-    ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+    ExpectMatchesFullSolve(scratch, flows, capacity);
   }
 }
 
@@ -55,12 +53,12 @@ TEST(MaxMinIncremental, DesireChangeWithStableSetResorts) {
   flows.push_back({{1}, 100, 0});
   flows.push_back({{1, 2}, 500, 0});
   MaxMinScratch scratch(3);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
-  // Swap which flow is demand-limited: the cached sort order is stale and
-  // must be rebuilt, but the topology cache is still valid.
+  ExpectMatchesFullSolve(scratch, flows, capacity);
+  // Swap which flow is demand-limited: the warm scratch's sort order from
+  // the last call must not leak into this one.
   flows[0].desired = 900;
   flows[1].desired = 50;
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
 }
 
 TEST(MaxMinIncremental, RandomizedChurnMatchesFullSolve) {
@@ -74,9 +72,7 @@ TEST(MaxMinIncremental, RandomizedChurnMatchesFullSolve) {
   MaxMinScratch scratch(kLinks + 1);
   for (int step = 0; step < 200; ++step) {
     // A third of the steps churn the flow set (add/remove); the rest only
-    // redraw desires — sometimes for every flow, sometimes for none, so
-    // both the order cache and the full-reuse path get exercised.
-    bool flows_changed = false;
+    // redraw desires — sometimes for every flow, sometimes for none.
     const int action = static_cast<int>(rng.UniformInt(0, 5));
     if (action == 0 || flows.empty()) {
       SimFlow flow;
@@ -87,21 +83,19 @@ TEST(MaxMinIncremental, RandomizedChurnMatchesFullSolve) {
       }
       flow.desired = rng.Uniform(0, 1200);
       flows.push_back(flow);
-      flows_changed = true;
     } else if (action == 1 && flows.size() > 1) {
       const size_t victim =
           static_cast<size_t>(rng.UniformInt(0, flows.size() - 1));
       flows[victim] = flows.back();
       flows.pop_back();
-      flows_changed = true;
     } else if (action == 2) {
       for (SimFlow& flow : flows) flow.desired = rng.Uniform(0, 1200);
     } else if (action == 3 && !flows.empty()) {
       flows[rng.UniformInt(0, flows.size() - 1)].desired =
           rng.Uniform(0, 1200);
     }
-    // action 4: nothing changed at all — pure cache-reuse tick.
-    ExpectMatchesFullSolve(scratch, flows, capacity, flows_changed);
+    // action 4: nothing changed at all.
+    ExpectMatchesFullSolve(scratch, flows, capacity);
   }
 }
 
@@ -112,12 +106,12 @@ TEST(MaxMinIncremental, ZeroCapacityLink) {
   flows.push_back({{2}, 300, 0});     // unaffected
   flows.push_back({{1, 2}, 300, 0});  // crosses both
   MaxMinScratch scratch(3);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   EXPECT_EQ(flows[0].rate, 0);
   EXPECT_EQ(flows[1].rate, 300);
   EXPECT_EQ(flows[2].rate, 0);
   flows[1].desired = 800;
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
 }
 
 TEST(MaxMinIncremental, AllEqualDesires) {
@@ -125,11 +119,11 @@ TEST(MaxMinIncremental, AllEqualDesires) {
   std::vector<SimFlow> flows;
   for (int i = 0; i < 6; ++i) flows.push_back({{1}, 250, 0});
   MaxMinScratch scratch(3);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   for (const SimFlow& flow : flows) EXPECT_EQ(flow.rate, 150);
   // Equal desires make the sort order non-unique; repeat ticks must still
   // reproduce the same (tie-stable) rates.
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
 }
 
 TEST(MaxMinIncremental, EmptyPathFlowsBypassCaches) {
@@ -139,12 +133,12 @@ TEST(MaxMinIncremental, EmptyPathFlowsBypassCaches) {
   flows.push_back({{1}, 7000, 0});
   flows.push_back({{}, 0, 0});  // intra-machine, zero desire
   MaxMinScratch scratch(2);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   EXPECT_EQ(flows[0].rate, 7000);
   EXPECT_EQ(flows[1].rate, 100);
   EXPECT_EQ(flows[2].rate, 0);
   flows[0].desired = 9000;
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   EXPECT_EQ(flows[0].rate, 9000);
 }
 
@@ -154,10 +148,10 @@ TEST(MaxMinIncremental, ZeroDesires) {
   flows.push_back({{1}, 0, 0});
   flows.push_back({{1, 2}, 0, 0});
   MaxMinScratch scratch(3);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   for (const SimFlow& flow : flows) EXPECT_EQ(flow.rate, 0);
   flows[1].desired = 350;
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
   EXPECT_EQ(flows[1].rate, 350);
 }
 
@@ -165,14 +159,14 @@ TEST(MaxMinIncremental, EmptyFlowVector) {
   std::vector<double> capacity{0, 400};
   std::vector<SimFlow> flows;
   MaxMinScratch scratch(2);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/true);
-  ExpectMatchesFullSolve(scratch, flows, capacity, /*flows_changed=*/false);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
+  ExpectMatchesFullSolve(scratch, flows, capacity);
 }
 
-// End-to-end: an engine run with the per-tick incremental cross-check
-// enabled (CheckIncrementalRates asserts on any divergence) produces the
-// same results as one with it disabled — the check itself must not perturb
-// the simulation.
+// End-to-end: an engine run with the per-tick cross-check against the
+// unfiltered solve enabled (CheckIncrementalRates asserts on any
+// divergence) produces the same results as one with it disabled — the
+// check itself must not perturb the simulation.
 TEST(MaxMinIncremental, EngineCrossCheckMatchesUncheckedRun) {
   const topology::Topology topo = topology::BuildStar(8, 2, 1500);
   core::HomogeneousDpAllocator alloc;

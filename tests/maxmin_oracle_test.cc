@@ -1,21 +1,24 @@
-// Oracle test for the flat-array max-min solver: ReferenceMaxMin below is
-// the progressive-filling solver MaxMinScratch used before its flat-array
+// Oracle test for the max-min solver: ReferenceMaxMin below is the
+// progressive-filling solver MaxMinScratch used before its flat-array
 // layout — per-link flow lists, a std::sort of flow indices by desire, and
 // a bottleneck scan over every active link — with the same statements,
 // minus its metrics and trace calls and most comments.  Every rate
-// MaxMinScratch produces must equal the reference's bit for bit
-// (EXPECT_EQ, not EXPECT_DOUBLE_EQ), on seeded random flow sets over
-// three-tier fabrics and on the shapes where the new layout could
-// plausibly diverge: per-cable paths on trunked fabrics, equal desires
-// (the sort order among them is not unique), desires clustered so the
-// sort's buckets crowd, equal link shares (the bottleneck tie-break),
-// zero-capacity links, zero desires, empty paths, and engine-style
-// swap-erase churn with the flows_changed hint alternating between true
-// and false.
+// MaxMinScratch produces, solving over the contended links only
+// (Allocate) or over every loaded link (AllocateUnfiltered), must equal
+// the reference's bit for bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ), on seeded
+// random flow sets over three-tier fabrics and on the shapes where the
+// solver could plausibly diverge: per-cable paths on trunked fabrics,
+// equal desires (the sort order among them is not unique), desires
+// clustered so the sort's buckets crowd, equal link shares (the bottleneck
+// tie-break), zero-capacity links, zero desires, empty paths, capacities
+// on either side of a link's offered load and of the contended-link
+// margin, and engine-style swap-erase churn that alternates set changes
+// with desire-only redraws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -187,6 +190,9 @@ struct Shape {
   double zero_capacity_share = 0;  // fraction of links with capacity 0
   double zero_desire_share = 0;    // fraction of flows with desire 0
   double same_machine_share = 0;   // fraction of flows with an empty path
+  // Before each solve, every loaded link's capacity is placed around its
+  // offered load (see FlowFactory::FitCapacities).
+  bool fit_capacities = false;
 };
 
 // One fabric plus per-cable directed capacities, and a flow generator
@@ -201,9 +207,55 @@ class FlowFactory {
       if (shape_.uniform_saturated) cap = 1000;
       if (rng_.UniformDouble() < shape_.zero_capacity_share) cap = 0;
     }
+    fabric_ = capacity_;
   }
 
   const std::vector<double>& capacity() const { return capacity_; }
+
+  // With Shape::fit_capacities, sets each loaded link's capacity from its
+  // offered load, summed the way the solver sums it.  One draw in four
+  // makes every link cold (three times its load); one in four gives every
+  // link the same share kShare, below every positive discrete desire, so
+  // contended links tie everywhere; otherwise each link draws one of: its
+  // load, one ulp below or above it, the filter margin (the capacity whose
+  // (1 - kDelta) share rounds to the load) or one ulp either side of that,
+  // zero, half or three times its load, the share kShare, or its fabric
+  // capacity.
+  void FitCapacities(const std::vector<SimFlow>& flows) {
+    if (!shape_.fit_capacities) return;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kKeep = 1 - MaxMinScratch::kDelta;
+    constexpr double kShare = 100.0 / 3;
+    std::vector<double> load(capacity_.size(), 0.0);
+    std::vector<int> senders(capacity_.size(), 0);
+    for (const SimFlow& flow : flows) {
+      for (int32_t slot : flow.links) {
+        load[slot] += std::max(0.0, flow.desired);
+        senders[slot] += flow.desired > 0;
+      }
+    }
+    const int mode = static_cast<int>(rng_.UniformInt(0, 3));
+    for (size_t slot = 0; slot < capacity_.size(); ++slot) {
+      const double at = load[slot];
+      const double margin = at / kKeep;
+      const int pick = mode == 0   ? 8
+                       : mode == 1 ? 9
+                                   : static_cast<int>(rng_.UniformInt(0, 10));
+      switch (pick) {
+        case 0: capacity_[slot] = at; break;
+        case 1: capacity_[slot] = std::nextafter(at, 0.0); break;
+        case 2: capacity_[slot] = std::nextafter(at, kInf); break;
+        case 3: capacity_[slot] = margin; break;
+        case 4: capacity_[slot] = std::nextafter(margin, 0.0); break;
+        case 5: capacity_[slot] = std::nextafter(margin, kInf); break;
+        case 6: capacity_[slot] = 0; break;
+        case 7: capacity_[slot] = at / 2; break;
+        case 8: capacity_[slot] = at * 3; break;
+        case 9: capacity_[slot] = senders[slot] * kShare; break;
+        default: capacity_[slot] = fabric_[slot]; break;
+      }
+    }
+  }
 
   SimFlow NewFlow() {
     const auto& machines = topo_.machines();
@@ -250,6 +302,7 @@ class FlowFactory {
   topology::Topology topo_;
   stats::Rng rng_;
   std::vector<double> capacity_;
+  std::vector<double> fabric_;  // capacities before any FitCapacities
 };
 
 void ExpectSameRates(const std::vector<SimFlow>& got,
@@ -258,6 +311,22 @@ void ExpectSameRates(const std::vector<SimFlow>& got,
   for (size_t f = 0; f < got.size(); ++f) {
     EXPECT_EQ(got[f].rate, want[f].rate) << "flow " << f;
   }
+}
+
+// Solves copies of `flows` with the scratch, unfiltered and filtered, and
+// with the reference, and expects the same rates from all three.
+void ExpectSolvesMatch(MaxMinScratch& scratch, ReferenceMaxMin& reference,
+                       const std::vector<SimFlow>& flows,
+                       const std::vector<double>& capacity,
+                       bool flows_changed = true) {
+  std::vector<SimFlow> want = flows;
+  reference.Allocate(want, capacity, flows_changed);
+  std::vector<SimFlow> unfiltered = flows;
+  scratch.AllocateUnfiltered(unfiltered, capacity);
+  ExpectSameRates(unfiltered, want);
+  std::vector<SimFlow> filtered = flows;
+  scratch.Allocate(filtered, capacity);
+  ExpectSameRates(filtered, want);
 }
 
 // Cold solves of fresh random flow sets, one scratch per side.
@@ -269,12 +338,10 @@ void ExpectColdSolvesMatch(const Shape& shape) {
     std::vector<SimFlow> flows;
     const int count = static_cast<int>(factory.rng().UniformInt(1, 300));
     for (int f = 0; f < count; ++f) flows.push_back(factory.NewFlow());
-    std::vector<SimFlow> want = flows;
+    factory.FitCapacities(flows);
     MaxMinScratch scratch(static_cast<int>(capacity.size()));
     ReferenceMaxMin reference(static_cast<int>(capacity.size()));
-    scratch.Allocate(flows, capacity);
-    reference.Allocate(want, capacity);
-    ExpectSameRates(flows, want);
+    ExpectSolvesMatch(scratch, reference, flows, capacity);
   }
 }
 
@@ -313,10 +380,54 @@ TEST(MaxMinOracle, ZeroCapacityLinksZeroDesiresEmptyPaths) {
   ExpectColdSolvesMatch(shape);
 }
 
+// Capacities around each link's offered load and the contended-link
+// margin.  Zero desires make many links' first crossing flow one the solve
+// never counts, so a filter that numbered links by the positive-desire
+// flows alone would break share ties differently; equal desires give
+// equal shares on contended links that no flow connects.
+Shape FittedCapacities(bool discrete_desires) {
+  Shape shape;
+  shape.fit_capacities = true;
+  shape.discrete_desires = discrete_desires;
+  shape.zero_desire_share = 0.2;
+  shape.same_machine_share = 0.1;
+  return shape;
+}
+
+TEST(MaxMinOracle, CapacitiesAtLoadAndMargin) {
+  ExpectColdSolvesMatch(FittedCapacities(false));
+  ExpectColdSolvesMatch(FittedCapacities(true));
+}
+
+// A rule-1 freeze can lower a link's share by rounding.  Flows 0 and 1
+// load link 0 below its margin (share d), and link 1's seven flows
+// overload it (share fl(C / 7), one ulp above d).  Over every link, the
+// first batch stops at d; freezing flow 2 at d leaves link 1 a share one
+// ulp below flow 3's desire, so flow 3 freezes by rule 2 below its desire.
+// Without link 0 the batch would also take flow 3 at its desire; the
+// filtered solve sees the share drop and solves again unfiltered.
+TEST(MaxMinOracle, RoundingThatLowersAShare) {
+  const double link_capacity = 329.56212316547953;
+  const double desire = link_capacity / 7;
+  const double below = std::nextafter(desire, 0.0);
+  std::vector<double> capacity{2 * below, link_capacity};
+  std::vector<SimFlow> flows{{{0}, below / 2, 0},
+                             {{0}, below / 2, 0},
+                             {{1}, below, 0},
+                             {{1}, desire, 0}};
+  for (int f = 0; f < 5; ++f) flows.push_back({{1}, 1e6, 0});
+  MaxMinScratch scratch(2);
+  ReferenceMaxMin reference(2);
+  ExpectSolvesMatch(scratch, reference, flows, capacity);
+  std::vector<SimFlow> want = flows;
+  reference.Allocate(want, capacity);
+  EXPECT_LT(want[3].rate, want[3].desired);
+}
+
 // Engine-style churn through one persistent scratch per side: even steps
-// swap-erase finished flows and admit new ones (flows_changed = true), odd
-// steps only redraw desires — all, some, or none — under flows_changed =
-// false, so the topology and order caches of both solvers are exercised.
+// swap-erase finished flows and admit new ones, odd steps only redraw
+// desires — all, some, or none.  The reference gets its flows_changed hint
+// (true on even steps), so its topology and order caches are exercised.
 void ExpectChurnMatches(const Shape& shape, uint64_t seed) {
   SCOPED_TRACE(seed);
   FlowFactory factory(shape, seed);
@@ -346,10 +457,8 @@ void ExpectChurnMatches(const Shape& shape, uint64_t seed) {
         }
       }
     }
-    std::vector<SimFlow> want = flows;
-    scratch.Allocate(flows, capacity, flows_changed);
-    reference.Allocate(want, capacity, flows_changed);
-    ExpectSameRates(flows, want);
+    factory.FitCapacities(flows);
+    ExpectSolvesMatch(scratch, reference, flows, capacity, flows_changed);
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -372,6 +481,8 @@ TEST(MaxMinOracle, SwapEraseChurnAlternatingHint) {
     ExpectChurnMatches(ties, seed);
     ExpectChurnMatches(saturated, seed);
     ExpectChurnMatches(clustered, seed);
+    ExpectChurnMatches(FittedCapacities(false), seed);
+    ExpectChurnMatches(FittedCapacities(true), seed);
   }
 }
 

@@ -204,10 +204,10 @@ TEST(ObsAllocOverhead, ParallelAllocateStaysBoundedWithObsEnabled) {
             static_cast<int64_t>(iters) * levels_bound * pool.num_threads() * 2);
 }
 
-// The engine rebuilds the solver's topology arrays on most ticks (a
-// finishing flow renumbers the flows) and redraws every desire: with the
-// metrics registry and tracing armed, those solves must reuse the arrays'
-// high-water mark rather than reallocate them.
+// The engine re-solves after every redraw of the desires, and the set of
+// contended links and the flows crossing them changes from tick to tick:
+// with the metrics registry and tracing armed, those solves must reuse the
+// arrays' high-water mark rather than reallocate them.
 TEST(ObsAllocOverhead, MaxMinSolveStaysZeroAllocWithMetricsEnabled) {
   obs::SetMetricsEnabled(true);
   obs::SetTraceEnabled(true);
@@ -235,11 +235,11 @@ TEST(ObsAllocOverhead, MaxMinSolveStaysZeroAllocWithMetricsEnabled) {
   };
   sim::MaxMinScratch scratch(static_cast<int>(capacity.size()));
   redraw();
-  scratch.Allocate(flows, capacity, /*flows_changed=*/true);  // warm-up
+  scratch.Allocate(flows, capacity);  // warm-up
   const int64_t before = bench::AllocationCount();
   for (int tick = 0; tick < 200; ++tick) {
     redraw();
-    scratch.Allocate(flows, capacity, /*flows_changed=*/true);
+    scratch.Allocate(flows, capacity);
   }
   const int64_t allocations = bench::AllocationCount() - before;
   obs::SetMetricsEnabled(false);
