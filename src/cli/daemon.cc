@@ -21,6 +21,7 @@
 #include "util/json.h"
 #include "util/json_fields.h"
 #include "util/json_reader.h"
+#include "util/logging.h"
 
 namespace svc::cli {
 namespace {
@@ -114,8 +115,7 @@ struct Checkpoint {
   bool survivable = false;
   std::vector<FailedElement> failed;
   std::vector<topology::VertexId> cordoned;  // drained, not failed
-  bool snapshot_ok = false;
-  std::string snapshot;  // svc/snapshot.h text
+  std::vector<core::TenantRecord> tenants;   // svc/snapshot.h records
 };
 
 const util::Fields<FailedElement>& FailedElementFields() {
@@ -136,15 +136,18 @@ const util::Fields<Checkpoint>& CheckpointFields() {
       util::Flag("survivable", &C::survivable),
       util::Objects("failed", &C::failed, FailedElementFields()),
       util::List("cordoned", &C::cordoned, util::Range::AtLeast(1)),
-      util::Flag("snapshot_ok", &C::snapshot_ok),
-      util::Text("snapshot", &C::snapshot),
+      util::Objects("tenants", &C::tenants, core::TenantFields()),
   };
   return *fields;
 }
 
-std::string SerializeCheckpoint(const Session& session) {
+util::Result<std::string> SerializeCheckpoint(const Session& session) {
   const core::NetworkManager& manager = session.interpreter->manager();
+  util::Result<std::vector<core::TenantRecord>> tenants =
+      core::CaptureTenants(manager, "checkpoint.tenants");
+  if (!tenants) return tenants.status();
   Checkpoint checkpoint;
+  checkpoint.tenants = std::move(*tenants);
   checkpoint.scenario_hash = session.scenario_hash;
   checkpoint.allocator = session.interpreter->allocator_name();
   checkpoint.policy = core::ToString(session.interpreter->recovery_policy());
@@ -158,24 +161,37 @@ std::string SerializeCheckpoint(const Session& session) {
       checkpoint.cordoned.push_back(m);
     }
   }
-  std::ostringstream snapshot;
-  checkpoint.snapshot_ok = core::SaveSnapshot(manager, snapshot).ok();
-  checkpoint.snapshot = snapshot.str();
   util::JsonWriter w;
   util::WriteFields(CheckpointFields(), checkpoint, w);
   return w.str() + "\n";
 }
 
-Status WriteCheckpoint(const Session& session, const std::string& path) {
+Status WriteCheckpointFile(const Session& session, const std::string& path) {
+  util::Result<std::string> text = SerializeCheckpoint(session);
+  if (!text) return text.status();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return {ErrorCode::kFailedPrecondition, "cannot open " + tmp};
-    out << SerializeCheckpoint(session);
-    if (!out.flush()) return {ErrorCode::kFailedPrecondition, "cannot write " + tmp};
+    if (!out) return Errno("cannot open " + tmp);
+    out << *text;
+    if (!out.flush()) return Errno("cannot write " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("rename " + tmp + " -> " + path);
+  }
+  return Status::Ok();
+}
+
+// Writes the checkpoint atomically (tmp + rename).  A failure leaves the
+// previous checkpoint in place; it is logged and counted, never silent.
+Status WriteCheckpoint(const Session& session, const std::string& path) {
+  Status status = WriteCheckpointFile(session, path);
+  if (!status.ok()) {
+    status = {ErrorCode::kFailedPrecondition,
+              "checkpoint " + path + " not written: " + status.message()};
+    SVC_LOG(Error) << status.message();
+    SVC_METRIC_INC("daemon/checkpoint_errors");
+    return status;
   }
   SVC_METRIC_INC("daemon/checkpoints");
   return Status::Ok();
@@ -191,10 +207,6 @@ Status RestoreCheckpoint(const Session& session, const std::string& path) {
                                     "checkpoint", &checkpoint);
   if (status.ok()) {
     status = util::CheckFields(CheckpointFields(), checkpoint, "checkpoint");
-  }
-  if (status.ok() && !checkpoint.snapshot_ok) {
-    status = {ErrorCode::kInvalidArgument,
-              "checkpoint.snapshot_ok: the tenant snapshot was not saved"};
   }
   if (!status.ok()) {
     return {ErrorCode::kInvalidArgument,
@@ -216,16 +228,18 @@ Status RestoreCheckpoint(const Session& session, const std::string& path) {
   interp.Execute(
       std::string("survivable ") + (checkpoint.survivable ? "on" : "off"),
       sink);
-  std::istringstream text(checkpoint.snapshot);
-  const Status restored = core::RestoreSnapshot(text, interp.manager());
+  const Status restored = core::RestoreTenants(
+      checkpoint.tenants, "checkpoint.tenants", interp.manager());
   if (!restored.ok()) {
     return {ErrorCode::kInvalidArgument,
-            "checkpoint snapshot replay failed: " + restored.message()};
+            "checkpoint " + path + " does not restore: " + restored.message()};
   }
   // Re-apply the fault plane AFTER the tenant replay: at checkpoint time
-  // no live placement touched a failed element, so each HandleFault here
-  // affects zero tenants and only takes the capacity down, exactly as it
-  // was.  Cordons likewise re-drain empty machines.
+  // no live tenant had a VM or a primary demand on a failed element, so
+  // each HandleFault here affects zero tenants and only takes the capacity
+  // down, exactly as it was.  A backup group or backup row may sit on a
+  // failed element, as it did live: faults leave those in place.  Cordons
+  // likewise re-drain empty machines.
   for (const FailedElement& element : checkpoint.failed) {
     auto outcome = interp.manager().HandleFault(
         element.kind == "machine" ? core::FaultKind::kMachine
@@ -394,7 +408,7 @@ util::Status Daemon::Serve() {
       if (ok && !config_.checkpoint_path.empty() &&
           IsMutating(cmd->AsString())) {
         if (++mutations_since_checkpoint >= config_.checkpoint_every) {
-          WriteCheckpoint(session, config_.checkpoint_path);
+          (void)WriteCheckpoint(session, config_.checkpoint_path);
           mutations_since_checkpoint = 0;
         }
       }
@@ -403,13 +417,14 @@ util::Status Daemon::Serve() {
     close(conn);
   }
 
+  Status final_checkpoint = Status::Ok();
   if (!config_.checkpoint_path.empty()) {
-    WriteCheckpoint(session, config_.checkpoint_path);
+    final_checkpoint = WriteCheckpoint(session, config_.checkpoint_path);
   }
   const int closing = listen_fd_.exchange(-1);
   if (closing >= 0) close(closing);
   unlink(config_.socket_path.c_str());
-  return Status::Ok();
+  return final_checkpoint;
 }
 
 int RunClient(const std::string& socket_path, std::istream& in,

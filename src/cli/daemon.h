@@ -20,21 +20,30 @@
 //
 // Checkpointing: after every `checkpoint_every` successful state-mutating
 // commands (and at shutdown), the daemon writes its full state to
-// `checkpoint_path` — the scenario config hash, the selected allocator /
-// recovery policy / survivability toggle, the failed and cordoned
-// elements, and the tenant snapshot (svc/snapshot.h) — atomically
-// (tmp + rename).  The daemon is single-threaded, so every checkpoint
-// happens at a quiesced point by construction.  On startup, an existing
-// checkpoint whose config hash matches the loaded scenario is restored:
-// tenants are replayed through AdmitPlacement and the fault/cordon set is
-// re-applied, so a killed daemon resumes with bit-identical admission
-// state — the acceptance drill in tests/daemon_test.cc kills a daemon
-// mid-soak and diffs the decisions of the resumed run against an
-// uninterrupted one.  A hash mismatch is an error: serving a different
-// scenario against restored state would corrupt silently.  So is a
-// malformed checkpoint: restore reads it through a strict field table
-// (util/json_fields.h), and an unknown key, a mistyped or out-of-range
-// member, or "snapshot_ok": false stops the daemon from starting.
+// `checkpoint_path` as one JSON document — the scenario config hash, the
+// selected allocator / recovery policy / survivability toggle, the failed
+// and cordoned elements, and the live tenants as svc/snapshot.h records
+// (moments, placement, backup group) — atomically (tmp + rename).  The
+// daemon is single-threaded, so every checkpoint happens at a quiesced
+// point by construction.  A checkpoint that cannot be written (a full
+// disk, an unwritable path) leaves the previous file in place, is logged
+// and counted under daemon/checkpoint_errors, and a failed shutdown
+// checkpoint is Serve()'s result.
+//
+// On startup, an existing checkpoint whose config hash matches the loaded
+// scenario is restored: tenants, placements and backup groups are replayed
+// through AdmitPlacement, then the fault/cordon set is re-applied.  The
+// per-link sums are added up again in id order, so after any release
+// their low-order bits can differ from the live daemon's, and later
+// decisions can diverge from an uninterrupted run's.  tests/daemon_test.cc
+// resumes a daemon that admitted and never released, with and without
+// survivability, and diffs its decisions against an uninterrupted one.  A
+// hash mismatch is an error: serving a different scenario against
+// restored state would corrupt silently.  So is a malformed checkpoint:
+// restore reads and checks the whole document through a strict field
+// table (util/json_fields.h) before it admits anything, and an unknown
+// key, a mistyped or out-of-range member, or a tenant that does not fit
+// stops the daemon from starting.
 #pragma once
 
 #include <atomic>
@@ -66,8 +75,9 @@ class Daemon {
   // the socket, and serves connections until Stop() is called or a client
   // sends "shutdown".  Writes a final checkpoint (when configured) and
   // unlinks the socket on the way out.  Returns the first fatal error
-  // (bad scenario, unusable socket path, corrupt checkpoint); per-request
-  // errors are reported to the client and never end the loop.
+  // (bad scenario, unusable socket path, corrupt checkpoint, a final
+  // checkpoint that could not be written); per-request errors are
+  // reported to the client and never end the loop.
   util::Status Serve();
 
   // Ends the serve loop from another thread (or a signal handler's

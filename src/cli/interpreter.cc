@@ -11,6 +11,7 @@
 #include "svc/admission_pipeline.h"
 #include "svc/allocator_registry.h"
 #include "svc/snapshot.h"
+#include "util/json_reader.h"
 #include "util/strings.h"
 
 namespace svc::cli {
@@ -47,6 +48,18 @@ bool ParseInt(const std::string& text, int64_t& value) {
   }
 }
 
+// Tenant ids stay within ±(2^53 - 1), like svcd's NDJSON "id": state
+// documents (svc/snapshot.h) carry them as JSON numbers.
+bool SafeId(int64_t id) {
+  return id >= -util::kMaxSafeInteger && id <= util::kMaxSafeInteger;
+}
+
+std::string IdRangeError() {
+  return "error: tenant ids must be integers in [-" +
+         std::to_string(util::kMaxSafeInteger) + ", " +
+         std::to_string(util::kMaxSafeInteger) + "]\n";
+}
+
 }  // namespace
 
 Interpreter::Interpreter(const topology::Topology& topo, double epsilon)
@@ -80,6 +93,10 @@ bool Interpreter::CmdAdmit(const std::vector<std::string>& args,
   int64_t id = 0;
   if (!ParseInt(args[1], id)) {
     out << "error: bad tenant id '" << args[1] << "'\n";
+    return false;
+  }
+  if (!SafeId(id)) {
+    out << IdRangeError();
     return false;
   }
   const std::string& kind = args[2];
@@ -148,6 +165,10 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
   if (!ParseInt(args[1], workers) || !ParseInt(args[2], count) ||
       !ParseInt(args[3], first_id) || workers < 1 || count < 1) {
     out << kUsage;
+    return false;
+  }
+  if (!SafeId(first_id) || count - 1 > util::kMaxSafeInteger - first_id) {
+    out << IdRangeError();
     return false;
   }
   const std::string& kind = args[4];

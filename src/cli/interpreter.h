@@ -39,9 +39,13 @@
 //   explain 2                           # newest decision record for the
 //                                       #   tenant: outcome, commit path,
 //                                       #   binding links with (4)-slack
-//   snapshot save state.txt             # persist live tenants
-//   snapshot load state.txt             # replay into an empty manager
+//   snapshot save state.json            # live tenants, placements and
+//                                       #   backup groups as JSON
+//                                       #   (svc/snapshot.h)
+//   snapshot load state.json            # replay into an empty manager
 //
+// Tenant ids are integers within ±(2^53 - 1), so a snapshot's JSON
+// numbers carry them exactly; `admit` and `batch` refuse any other id.
 // Each command writes a one-line result to the output stream; errors are
 // reported per line (the interpreter keeps going) and counted.  Exit
 // status of `svcctl` is nonzero if any command failed.

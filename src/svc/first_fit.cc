@@ -115,14 +115,7 @@ util::Result<Placement> FirstFitAllocator::Allocate(
     max_occupancy = std::max(max_occupancy, occupancy);
   }
 
-  // Locality witness: lowest common ancestor of the used machines.
-  topology::VertexId root_of_all = placement.vm_machine[0];
-  for (topology::VertexId machine : placement.vm_machine) {
-    while (!topo.IsInSubtree(machine, root_of_all)) {
-      root_of_all = topo.parent(root_of_all);
-    }
-  }
-  placement.subtree_root = root_of_all;
+  placement.subtree_root = topo.LowestCommonAncestor(placement.vm_machine);
   placement.max_occupancy = max_occupancy;
   return placement;
 }

@@ -651,12 +651,7 @@ util::Result<Placement> NetworkManager::TryPatch(const Request& request,
     --local_free[best];
   }
 
-  // Recompute the locality witness: lowest common ancestor of all hosts.
-  topology::VertexId lca = placement.vm_machine[0];
-  for (topology::VertexId machine : placement.vm_machine) {
-    while (!topo_->IsInSubtree(machine, lca)) lca = topo_->parent(lca);
-  }
-  placement.subtree_root = lca;
+  placement.subtree_root = topo_->LowestCommonAncestor(placement.vm_machine);
   placement.max_occupancy = std::numeric_limits<double>::quiet_NaN();
   return placement;
 }
@@ -699,11 +694,7 @@ util::Result<Placement> NetworkManager::TrySwitchover(
   for (int vm : lost) switched.vm_machine[vm] = backup;
   switched.backup_machine = topology::kNoVertex;
   switched.backup_slots = 0;
-  topology::VertexId lca = switched.vm_machine[0];
-  for (topology::VertexId machine : switched.vm_machine) {
-    while (!topo_->IsInSubtree(machine, lca)) lca = topo_->parent(lca);
-  }
-  switched.subtree_root = lca;
+  switched.subtree_root = topo_->LowestCommonAncestor(switched.vm_machine);
   switched.max_occupancy = std::numeric_limits<double>::quiet_NaN();
   // Re-protect the switched placement when a fresh backup fits; activate
   // unprotected otherwise (activation must not fail just because the

@@ -39,6 +39,11 @@ Request Request::Heterogeneous(RequestId id,
   return Request(id, n, std::move(demands));
 }
 
+Request Request::FromMoments(RequestId id, int n,
+                             std::vector<stats::Normal> demands) {
+  return Request(id, n, std::move(demands));
+}
+
 util::Status Request::Validate() const {
   if (n_ < 1) {
     return {util::ErrorCode::kInvalidArgument, "request needs at least 1 VM"};

@@ -33,6 +33,11 @@ class Request {
   static Request Heterogeneous(RequestId id,
                                std::vector<stats::Normal> demands);
 
+  // N = n VMs with the moments exactly as given: one entry in `demands`
+  // for a homogeneous request, n otherwise (snapshot restore).
+  static Request FromMoments(RequestId id, int n,
+                             std::vector<stats::Normal> demands);
+
   RequestId id() const { return id_; }
   int n() const { return n_; }
 

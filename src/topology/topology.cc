@@ -192,6 +192,16 @@ bool Topology::IsInSubtree(VertexId descendant, VertexId ancestor) const {
   return false;
 }
 
+VertexId Topology::LowestCommonAncestor(
+    const std::vector<VertexId>& vertices) const {
+  assert(!vertices.empty());
+  VertexId lca = vertices[0];
+  for (VertexId v : vertices) {
+    while (!IsInSubtree(v, lca)) lca = parent_[lca];
+  }
+  return lca;
+}
+
 std::string Topology::Describe() const {
   std::ostringstream out;
   out << machines_.size() << " machines (" << total_slots_ << " VM slots), "

@@ -132,6 +132,10 @@ class Topology {
   // True if `descendant` lies in the subtree rooted at `ancestor`.
   bool IsInSubtree(VertexId descendant, VertexId ancestor) const;
 
+  // Root of the lowest subtree holding every vertex of `vertices`
+  // (non-empty): a placement's locality witness when they are its machines.
+  VertexId LowestCommonAncestor(const std::vector<VertexId>& vertices) const;
+
   // Human-readable summary ("1000 machines, 1056 vertices, height 3, ...").
   std::string Describe() const;
 

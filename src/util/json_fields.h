@@ -78,10 +78,12 @@ struct Range {
     return range;
   }
 
-  // ">= 1", "> 0", "in (0, 1)", "in [0, 1) or < 0 to inherit", ...
+  // ">= 1", "> 0", ">= 0 and finite", "in (0, 1)",
+  // "in [0, 1) or < 0 to inherit", ...
   std::string Text() const {
     std::string text =
-        hi == kInf    ? (lo_open ? "> " : ">= ") + Format(lo)
+        hi == kInf    ? (lo_open ? "> " : ">= ") + Format(lo) +
+                         (hi_open ? " and finite" : "")
         : lo == -kInf ? (hi_open ? "< " : "<= ") + Format(hi)
                       : std::string("in ") + (lo_open ? "(" : "[") +
                             Format(lo) + ", " + Format(hi) +

@@ -19,7 +19,6 @@
 #include "svc/hetero_exact.h"
 #include "svc/hetero_heuristic.h"
 #include "svc/homogeneous_search.h"
-#include "svc/oktopus_greedy.h"
 #include "topology/builders.h"
 #include "util/bounded_queue.h"
 
@@ -356,7 +355,6 @@ TEST(PipelineMonotone, CompleteSearchesDeclareMonotoneGreedyHeuristicsDoNot) {
   EXPECT_TRUE(OktopusAllocator().monotone_rejections());
   EXPECT_TRUE(HeteroExactAllocator().monotone_rejections());
   EXPECT_FALSE(FirstFitAllocator().monotone_rejections());
-  EXPECT_FALSE(OktopusGreedyAllocator().monotone_rejections());
   EXPECT_FALSE(HeteroHeuristicAllocator().monotone_rejections());
 }
 

@@ -173,6 +173,26 @@ TEST_F(InterpreterTest, SnapshotBadUsage) {
   EXPECT_FALSE(ok);
 }
 
+// Snapshots carry tenant ids as JSON numbers, so admit and batch take
+// only ids a double holds exactly.
+TEST_F(InterpreterTest, TenantIdsBeyondSafeIntegersAreRefused) {
+  bool ok = true;
+  for (const char* line : {"admit 9007199254740992 homogeneous 2 100 40",
+                           "admit -9007199254740992 deterministic 2 100",
+                           "batch 1 3 9007199254740990 homogeneous 2 100 40"}) {
+    SCOPED_TRACE(line);
+    EXPECT_NE(Exec(line, &ok).find("tenant ids must be integers in"),
+              std::string::npos);
+    EXPECT_FALSE(ok);
+  }
+  EXPECT_EQ(interpreter_.manager().live_count(), 0u);
+  Exec("admit 9007199254740991 homogeneous 2 100 40", &ok);
+  EXPECT_TRUE(ok);
+  Exec("batch 1 2 -9007199254740991 homogeneous 2 100 40", &ok);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(interpreter_.manager().live_count(), 3u);
+}
+
 TEST_F(InterpreterTest, ReleaseUnknownIsNoopSuccess) {
   bool ok = false;
   EXPECT_NE(Exec("release 77", &ok).find("no-op"), std::string::npos);

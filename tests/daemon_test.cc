@@ -1,7 +1,12 @@
 // svcd daemon (cli/daemon.h): socket serving, the NDJSON protocol's error
-// handling, the RunClient exit-code contract, and the checkpoint/resume
-// drill — a daemon restarted from its checkpoint must make bit-identical
-// admission decisions to one that never stopped.
+// handling, the RunClient exit-code contract, checkpoint write failures,
+// and the checkpoint/resume drills.  A daemon restarted from its
+// checkpoint after admissions without releases, with or without
+// survivability, must report the same placements and backup groups and
+// make the same next decisions as one that never stopped.  After a
+// release, restore re-adds the per-link sums in id order, so their
+// low-order bits (and later decisions) may differ; no test here claims
+// otherwise.
 #include "cli/daemon.h"
 
 #include <sys/socket.h>
@@ -14,10 +19,13 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace svc::cli {
 namespace {
@@ -195,8 +203,8 @@ TEST(Daemon, MalformedRequestKeepsTheConnectionServing) {
 }
 
 // Checkpoint restore is strict: a mistyped, out-of-range, or unknown
-// member, or a checkpoint whose snapshot was not saved, stops svcd from
-// starting instead of being skipped or truncated.
+// member, in the daemon's own fields or in a tenant record, stops svcd
+// from starting instead of being skipped or truncated.
 TEST(Daemon, MalformedCheckpointIsRefused) {
   const std::string socket_path = TempPath("svcd_strict.sock");
   const std::string checkpoint = TempPath("svcd_strict.ckpt");
@@ -232,8 +240,7 @@ TEST(Daemon, MalformedCheckpointIsRefused) {
       {"\"policy\":\"reallocate\"", "\"policy\":7", "checkpoint.policy"},
       {"\"survivable\":false", "\"survivable\":false,\"extra\":1",
        "checkpoint: unknown key 'extra'"},
-      {"\"snapshot_ok\":true", "\"snapshot_ok\":false",
-       "checkpoint.snapshot_ok"},
+      {"\"place\":[", "\"place\":[0,", "checkpoint.tenants[0].place[0]"},
       {"\"cordoned\":[]", "\"cordoned\":[-3]", "checkpoint.cordoned[0]"},
   };
   for (const Case& c : cases) {
@@ -311,6 +318,121 @@ TEST(Daemon, ResumesFromCheckpointWithIdenticalDecisions) {
   EXPECT_EQ(resumed_third, straight_third);
   std::remove(resumed_ckpt.c_str());
   std::remove(straight_ckpt.c_str());
+}
+
+// The first primary machine of a `show placement` line.  The braces list
+// the backup machine too ("placement 1: 6 VMs under vertex 2 {m3:4, m5:1,
+// m6:1, m7:4} backup m3:4"), so it is skipped.
+std::string PrimaryHost(const std::string& output, const std::string& id) {
+  const std::regex line_re("placement " + id +
+                           ": [^{]*\\{([^}]*)\\}(?: backup m([0-9]+))?");
+  std::smatch line;
+  if (!std::regex_search(output, line, line_re)) return "";
+  const std::string hosts = line[1];
+  const std::regex host_re("m([0-9]+):");
+  for (std::sregex_iterator it(hosts.begin(), hosts.end(), host_re), end;
+       it != end; ++it) {
+    if ((*it)[1].str() != line[2].str()) return (*it)[1];
+  }
+  return "";
+}
+
+// The survivable drill: with survivability on and the switchover policy,
+// admit three tenants, stop, resume from the checkpoint.  Every placement
+// (backup groups included) and a drain of tenant 1's first primary host
+// must read exactly as on a daemon that never stopped — the drain moves
+// the tenant through its backup group on both.
+TEST(Daemon, ResumesSurvivableTenantsWithTheirBackupGroups) {
+  const std::string socket_path = TempPath("svcd_survivable.sock");
+  const std::string resumed_ckpt = TempPath("svcd_survivable.ckpt");
+  const std::string straight_ckpt = TempPath("svcd_survivable_straight.ckpt");
+  std::remove(resumed_ckpt.c_str());
+  std::remove(straight_ckpt.c_str());
+
+  const std::string admits =
+      "survivable on\n"
+      "policy switchover\n"
+      "admit 1 homogeneous 6 100 50\n"
+      "admit 2 deterministic 4 90\n"
+      "allocator hetero-heuristic\n"
+      "admit 3 heterogeneous 300:150 20:5 80:40\n"
+      "allocator svc-dp\n";
+  const std::string show =
+      "show placement 1\nshow placement 2\nshow placement 3\n";
+
+  std::string ignored;
+  {
+    DaemonHarness harness(BaseConfig(socket_path, resumed_ckpt));
+    ASSERT_TRUE(harness.WaitReady(socket_path));
+    ASSERT_EQ(Drive(socket_path, admits + "shutdown\n", &ignored), 0);
+    EXPECT_TRUE(harness.Join().ok());
+  }
+
+  std::string straight_show, straight_drain;
+  {
+    DaemonHarness harness(BaseConfig(socket_path, straight_ckpt));
+    ASSERT_TRUE(harness.WaitReady(socket_path));
+    ASSERT_EQ(Drive(socket_path, admits + show, &straight_show), 0);
+    const std::string host = PrimaryHost(straight_show, "1");
+    ASSERT_FALSE(host.empty()) << straight_show;
+    ASSERT_EQ(Drive(socket_path, "drain " + host + "\n", &straight_drain), 0);
+    ASSERT_EQ(Drive(socket_path, "shutdown\n", &ignored), 0);
+    EXPECT_TRUE(harness.Join().ok());
+  }
+  EXPECT_NE(straight_show.find("backup m"), std::string::npos)
+      << straight_show;
+  EXPECT_NE(straight_drain.find("(1 via backup)"), std::string::npos)
+      << straight_drain;
+
+  std::string resumed_show, resumed_drain;
+  {
+    DaemonHarness harness(BaseConfig(socket_path, resumed_ckpt));
+    ASSERT_TRUE(harness.WaitReady(socket_path));
+    ASSERT_EQ(Drive(socket_path, show, &resumed_show), 0);
+    const std::string host = PrimaryHost(resumed_show, "1");
+    ASSERT_EQ(Drive(socket_path, "drain " + host + "\n", &resumed_drain), 0);
+    ASSERT_EQ(Drive(socket_path, "shutdown\n", &ignored), 0);
+    EXPECT_TRUE(harness.Join().ok());
+  }
+  // The straight run's output starts with the admissions.
+  EXPECT_EQ(resumed_show,
+            straight_show.substr(straight_show.find("placement 1:")));
+  EXPECT_EQ(resumed_drain, straight_drain);
+  std::remove(resumed_ckpt.c_str());
+  std::remove(straight_ckpt.c_str());
+}
+
+// A checkpoint that cannot be written is not silent: the forced command
+// reports it, the periodic one is counted, and Serve() returns the failed
+// shutdown checkpoint.
+TEST(Daemon, UnwritableCheckpointFailsLoudly) {
+  const std::string socket_path = TempPath("svcd_unwritable.sock");
+  const std::string checkpoint =
+      TempPath("svcd_no_such_dir") + "/svcd.ckpt";
+  obs::SetMetricsEnabled(true);
+  const auto errors = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
+    for (const auto& c : snapshot.counters) {
+      if (c.name == "daemon/checkpoint_errors") return c.value;
+    }
+    return static_cast<decltype(snapshot.counters[0].value)>(0);
+  };
+  const auto before = errors();
+  DaemonHarness harness(BaseConfig(socket_path, checkpoint));
+  ASSERT_TRUE(harness.WaitReady(socket_path));
+  std::string output;
+  // The admission itself succeeds; only its checkpoint fails.
+  EXPECT_EQ(Drive(socket_path, "admit 1 homogeneous 6 100 50\n", &output), 0);
+  EXPECT_EQ(Drive(socket_path, "checkpoint\n", &output), 1);
+  EXPECT_NE(output.find("not written"), std::string::npos) << output;
+  ASSERT_EQ(Drive(socket_path, "shutdown\n", &output), 0);
+  const util::Status status = harness.Join();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(checkpoint), std::string::npos)
+      << status.message();
+  // Periodic (after the admit), forced, and shutdown.
+  EXPECT_EQ(errors(), before + 3);
+  obs::SetMetricsEnabled(false);
 }
 
 TEST(Daemon, CheckpointForDifferentScenarioIsRejected) {

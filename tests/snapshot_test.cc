@@ -1,11 +1,14 @@
-// Snapshot save/restore: ground-truth replay, rollback on failure, and
+// Snapshot save/restore: ground-truth replay (backup groups included),
+// rollback on failure, strict reading of the JSON document, and
 // topology/epsilon mismatch handling.
 #include "svc/snapshot.h"
 
+#include <map>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "snapshot_fixture.h"
 #include "svc/admission_pipeline.h"
 #include "svc/hetero_heuristic.h"
 #include "svc/homogeneous_search.h"
@@ -88,65 +91,113 @@ TEST(Snapshot, RestoreIntoNonEmptyManagerFails) {
   NetworkManager manager(topo, 0.05);
   HomogeneousDpAllocator dp;
   ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 2, 10, 1), dp).ok());
-  std::stringstream buffer("svc-snapshot v1\nepsilon 0.05\ntenants 0\n");
+  std::stringstream buffer("{\"tenants\":[]}");
   const auto status = RestoreSnapshot(buffer, manager);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::ErrorCode::kFailedPrecondition);
   EXPECT_EQ(manager.live_count(), 1u);  // untouched
 }
 
-TEST(Snapshot, MalformedInputRejectedAndRolledBack) {
+// The snapshot document wrapping one tenant record (JSON object text).
+std::string OneTenant(const std::string& record) {
+  return "{\"tenants\":[" + record + "]}";
+}
+
+// Each case must be refused with kInvalidArgument and an error naming
+// `where`, leaving the target empty with every slot free.
+struct BadCase {
+  std::string text;
+  std::string where;
+};
+
+void ExpectRefused(const std::vector<BadCase>& cases) {
   const topology::Topology topo = TestTopo();
-  for (const char* text : {
-           "garbage\n",
-           "svc-snapshot v1\nepsilon x\n",
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\ntenant 1 bogus 2\n",
-           // Valid first tenant, then truncated second: all-or-nothing.
-           "svc-snapshot v1\nepsilon 0.05\ntenants 2\n"
-           "tenant 1 homogeneous 2 10 1\nplace 3 3\n"
-           "tenant 2 homogeneous 2 10 1\nplace 3\n",
-       }) {
+  for (const BadCase& c : cases) {
+    SCOPED_TRACE(c.text);
     NetworkManager manager(topo, 0.05);
-    std::stringstream buffer(text);
+    std::stringstream buffer(c.text);
     const auto status = RestoreSnapshot(buffer, manager);
-    EXPECT_FALSE(status.ok()) << text;
-    EXPECT_EQ(manager.live_count(), 0u) << "rollback failed for: " << text;
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(c.where), std::string::npos)
+        << status.message();
+    EXPECT_EQ(manager.live_count(), 0u) << "rollback failed";
     EXPECT_EQ(manager.slots().total_free(), topo.total_slots());
+    EXPECT_EQ(manager.ledger().TotalRecords(), 0u);
   }
 }
 
+TEST(Snapshot, MalformedInputRejectedAndRolledBack) {
+  ExpectRefused({
+      {"garbage\n", "json: "},
+      // A member restore would ignore is refused, not skipped.
+      {"{\"tenants\":[],\"epsilon\":0.05}", "unknown key 'epsilon'"},
+      {OneTenant("{\"id\":1,\"mean\":\"bogus\",\"variance\":[1],"
+                 "\"place\":[3,3]}"),
+       "snapshot.tenants[0].mean: expected array"},
+      // A valid first tenant, then a second that overfills machine 3 (four
+      // slots): all or nothing, so tenant 1 is rolled back.
+      {"{\"tenants\":["
+       "{\"id\":1,\"mean\":[10],\"variance\":[1],\"place\":[3,3]},"
+       "{\"id\":2,\"mean\":[10],\"variance\":[1],\"place\":[3,3,3]}]}",
+       "snapshot.tenants[1]: tenant 2 does not fit"},
+      // Truncated document.
+      {"{\"tenants\":[{\"id\":1,\"mean\":[10],\"variance\":[1],"
+       "\"place\":[3,3]}",
+       "json: "},
+  });
+}
+
 TEST(Snapshot, CorruptHeadersAndMomentsRejectedWithoutCrash) {
-  const topology::Topology topo = TestTopo();
-  for (const char* text : {
-           // Absurd VM count: must be bounded before any container resize.
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 homogeneous 999999999 10 1\nplace 3\n",
-           // Non-finite homogeneous moments (stod/>> accept nan and inf).
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 homogeneous 2 nan 1\nplace 3 3\n",
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 homogeneous 2 10 inf\nplace 3 3\n",
-           // Negative variance.
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 homogeneous 2 10 -5\nplace 3 3\n",
-           // Non-finite heterogeneous demand pair.
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 heterogeneous 2 nan:1 10:1\nplace 3 3\n",
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 heterogeneous 2 10:inf 10:1\nplace 3 3\n",
-           // Truncated mid-header.
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\ntenant 1",
-           "svc-snapshot v1\nepsilon 0.05\ntenants 1\n"
-           "tenant 1 homogeneous 2 10\n",
-       }) {
-    NetworkManager manager(topo, 0.05);
-    std::stringstream buffer(text);
-    const auto status = RestoreSnapshot(buffer, manager);
-    EXPECT_FALSE(status.ok()) << text;
-    EXPECT_EQ(status.code(), util::ErrorCode::kInvalidArgument) << text;
-    EXPECT_EQ(manager.live_count(), 0u) << "rollback failed for: " << text;
-    EXPECT_EQ(manager.slots().total_free(), topo.total_slots());
-  }
+  ExpectRefused({
+      // More VMs than the datacenter has slots (TestTopo: 24).
+      {OneTenant("{\"id\":1,\"mean\":[10],\"variance\":[1],\"place\":["
+                 "3,3,3,3,4,4,4,4,5,5,5,5,6,6,6,6,7,7,7,7,8,8,8,8,3]}"),
+       "snapshot.tenants[0].place: tenant 1 has 25 VMs but the datacenter "
+       "has 24 slots"},
+      // n is len(place); a moment list of neither 1 nor n entries.
+      {OneTenant("{\"id\":1,\"mean\":[10,10],\"variance\":[1,1],"
+                 "\"place\":[3,3,4]}"),
+       "snapshot.tenants[0].mean: has 2 entries; want 1 or len(place) = 3"},
+      {OneTenant("{\"id\":1,\"mean\":[10,10],\"variance\":[1],"
+                 "\"place\":[3,4]}"),
+       "snapshot.tenants[0].variance"},
+      // Non-finite moments have no JSON spelling.
+      {OneTenant("{\"id\":1,\"mean\":[NaN],\"variance\":[1],"
+                 "\"place\":[3,3]}"),
+       "json: "},
+      {OneTenant("{\"id\":1,\"mean\":[10],\"variance\":[1e999],"
+                 "\"place\":[3,3]}"),
+       "json: number out of range"},
+      // Negative variance.
+      {OneTenant("{\"id\":1,\"mean\":[10],\"variance\":[-5],"
+                 "\"place\":[3,3]}"),
+       "snapshot.tenants[0].variance[0]: must be >= 0 and finite"},
+      // Heterogeneous moments, one of them negative.
+      {OneTenant("{\"id\":1,\"mean\":[10,-1],\"variance\":[1,1],"
+                 "\"place\":[3,3]}"),
+       "snapshot.tenants[0].mean[1]"},
+      // Missing moments and placement.
+      {OneTenant("{\"id\":1,\"mean\":[10]}"),
+       "snapshot.tenants[0].variance: must be non-empty"},
+      // Ids not strictly increasing, and one a double cannot carry exactly.
+      {"{\"tenants\":["
+       "{\"id\":2,\"mean\":[10],\"variance\":[1],\"place\":[3]},"
+       "{\"id\":2,\"mean\":[10],\"variance\":[1],\"place\":[4]}]}",
+       "snapshot.tenants[1].id: must exceed the previous tenant's id 2"},
+      {OneTenant("{\"id\":9007199254740993,\"mean\":[10],"
+                 "\"variance\":[1],\"place\":[3]}"),
+       "snapshot.tenants[0].id: expected integer"},
+      // A backup machine without slots, and a backup on a switch.
+      {OneTenant("{\"id\":1,\"mean\":[10],\"variance\":[1],"
+                 "\"place\":[3],\"backup_machine\":4}"),
+       "snapshot.tenants[0].backup_slots: must be 0 exactly when"},
+      {OneTenant("{\"id\":1,\"mean\":[10],\"variance\":[1],"
+                 "\"place\":[3],\"backup_machine\":1,"
+                 "\"backup_slots\":1}"),
+       "snapshot.tenants[0].backup_machine: tenant 1 names vertex 1, not a "
+       "machine"},
+  });
 }
 
 TEST(Snapshot, RestoreRefusesPlacementOnFailedMachine) {
@@ -174,6 +225,102 @@ TEST(Snapshot, RestoreRefusesPlacementOnFailedMachine) {
   SaveSnapshot(manager, again);
   EXPECT_TRUE(RestoreSnapshot(again, target).ok());
   EXPECT_EQ(target.live_count(), 1u);
+}
+
+// Backup groups survive the round trip: every tenant keeps its
+// backup_machine/backup_slots, the shared-backup ledger rows come back on
+// every link, and a machine failure switches over the same tenants on the
+// restored manager as on the live one.
+TEST(Snapshot, RoundTripKeepsBackupGroupsAndSwitchover) {
+  const topology::Topology topo = ProtectedTenantsTopo();
+  NetworkManager manager(topo, 0.05);
+  ASSERT_TRUE(AdmitProtectedTenants(manager));
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveSnapshot(manager, buffer).ok());
+  NetworkManager restored(topo, 0.05);
+  ASSERT_TRUE(RestoreSnapshot(buffer, restored).ok());
+
+  int protected_tenants = 0;
+  std::map<topology::VertexId, int> protected_primaries;
+  for (int64_t id : {1, 2, 3, 4}) {
+    SCOPED_TRACE(id);
+    const Placement* live = manager.placement_of(id);
+    const Placement* back = restored.placement_of(id);
+    ASSERT_NE(live, nullptr);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->vm_machine, live->vm_machine);
+    EXPECT_EQ(back->backup_machine, live->backup_machine);
+    EXPECT_EQ(back->backup_slots, live->backup_slots);
+    EXPECT_EQ(back->survivable(), id != 4);
+    if (!live->survivable()) continue;
+    ++protected_tenants;
+    for (const auto& [machine, count] : live->MachineCounts()) {
+      if (machine != live->backup_machine) ++protected_primaries[machine];
+    }
+  }
+  EXPECT_EQ(protected_tenants, 3);
+  size_t backup_rows = 0;
+  for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
+    EXPECT_EQ(restored.ledger().link(v).backup.size(),
+              manager.ledger().link(v).backup.size())
+        << "link " << v;
+    backup_rows += manager.ledger().link(v).backup.size();
+  }
+  EXPECT_GT(backup_rows, 0u);
+  EXPECT_EQ(restored.ledger().TotalRecords(), manager.ledger().TotalRecords());
+  EXPECT_EQ(restored.slots().total_free(), manager.slots().total_free());
+  EXPECT_TRUE(restored.StateValid());
+
+  // The machine hosting primaries of the most protected tenants (lowest id
+  // on ties) fails on both managers.
+  topology::VertexId target = topology::kNoVertex;
+  for (const auto& [machine, count] : protected_primaries) {
+    if (target == topology::kNoVertex || count > protected_primaries[target]) {
+      target = machine;
+    }
+  }
+  ASSERT_NE(target, topology::kNoVertex);
+  const HomogeneousDpAllocator dp;
+  auto switched = [&](NetworkManager& m) {
+    const auto outcome = m.HandleFault(FaultKind::kMachine, target,
+                                       RecoveryPolicy::kSwitchover, dp);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToText();
+    std::vector<int64_t> ids;
+    if (outcome.ok()) {
+      for (const TenantOutcome& t : outcome->tenants) {
+        if (t.switched_over) ids.push_back(t.id);
+      }
+    }
+    return ids;
+  };
+  const std::vector<int64_t> live_switched = switched(manager);
+  EXPECT_EQ(static_cast<int>(live_switched.size()),
+            protected_primaries[target]);
+  EXPECT_EQ(switched(restored), live_switched);
+}
+
+TEST(Snapshot, RestoreRefusesBackupGroupOnFailedMachine) {
+  const topology::Topology topo = ProtectedTenantsTopo();
+  NetworkManager manager(topo, 0.05);
+  ASSERT_TRUE(AdmitProtectedTenants(manager));
+  const topology::VertexId backup = manager.placement_of(1)->backup_machine;
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveSnapshot(manager, buffer).ok());
+
+  NetworkManager target(topo, 0.05);
+  const HomogeneousDpAllocator dp;
+  ASSERT_TRUE(target
+                  .HandleFault(FaultKind::kMachine, backup,
+                               RecoveryPolicy::kEvict, dp)
+                  .ok());
+  const auto status = RestoreSnapshot(buffer, target);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("backup_machine: tenant"), std::string::npos)
+      << status.ToText();
+  EXPECT_NE(status.message().find("currently-failed"), std::string::npos)
+      << status.ToText();
+  EXPECT_EQ(target.live_count(), 0u);
 }
 
 TEST(Snapshot, TopologyMismatchRejected) {
@@ -274,7 +421,7 @@ TEST(Snapshot, FileRoundTrip) {
   NetworkManager manager(topo, 0.05);
   HomogeneousDpAllocator dp;
   ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 4, 80, 30), dp).ok());
-  const std::string path = ::testing::TempDir() + "/snapshot_roundtrip.txt";
+  const std::string path = ::testing::TempDir() + "/snapshot_roundtrip.json";
   ASSERT_TRUE(SaveSnapshotToFile(manager, path).ok());
   NetworkManager restored(topo, 0.05);
   ASSERT_TRUE(RestoreSnapshotFromFile(path, restored).ok());
