@@ -179,9 +179,10 @@ class LinkLedger {
   // Batch kernel over one link: evaluates the fused OccupancyWith for
   // `count` candidate demands given as parallel arrays, writing the
   // occupancy (or +inf on a condition-(4) violation) into out[i].  The
-  // link's running sums are loaded once and the loop body is branch-free
-  // arithmetic plus one sqrt per cell, so the compiler can vectorize the
-  // affine part and batch the sqrts.  Each out[i] is bit-identical to
+  // link's running sums are loaded once and the loop body is arithmetic
+  // plus one sqrt per cell, with no call across a translation unit.  The
+  // compiler keeps that loop scalar (one sqrtsd per cell; only the
+  // failed-link pass vectorizes).  Each out[i] is bit-identical to
   // OccupancyWith(v, mean_add[i], var_add[i], det_add[i]).
   void OccupancyWithBatch(topology::VertexId v, const double* mean_add,
                           const double* var_add, const double* det_add,

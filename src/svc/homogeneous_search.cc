@@ -32,32 +32,34 @@ constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 // opt_lo/opt_hi[v] bound the feasible (finite) window of the row, so the
 // child-fold skips infeasible prefixes and suffixes without probing them.
 //
-// The choice table is the paper's D_v[i, x] — how many of the x VMs
-// assigned to T_v^[i] (v plus its first i child subtrees) go to the i-th
-// child — flattened with rows keyed by the *child* vertex: every non-root
-// vertex is exactly one child edge of its parent, so the parent's stage-i
-// row can live at row children[i] without collisions.
-//
-// Choice rows are written only during reconstruction (the winning subtree
-// is refolded with the reference recurrence); the DP pass itself runs the
-// branchless fold kernel and records no per-cell winners.
+// There is no choice table (the paper's D_v[i, x]): reconstruction refolds
+// each internal vertex of the winning subtree once and derives every
+// child's count from the fold's stage rows (SplitCount).
 //
 // The arena is thread-local so one allocator instance can serve concurrent
 // sweep-runner replicas without sharing mutable state.  In level-parallel
 // mode the shared tables (opt / opt_len / opt_lo / opt_hi) live in the
 // calling thread's arena — workers write disjoint rows — while each
-// worker folds in its own thread-local scratch (current / next / row).
-// After the first call on a topology/request-size combination no Allocate()
-// call touches the heap (see bench/alloc_microbench's allocation-counter
-// benchmark).
+// worker folds in its own thread-local scratch (stage rows / row).
+// After warm-up on a topology and request size (the first call, and any
+// call that folds a wider vertex than before) no Allocate() call touches
+// the heap (see bench/alloc_microbench's allocation-counter benchmark).
 struct DpArena {
+  // One stage of a child fold, T_v^[j] after the j-th folded child: the
+  // row's feasible window, and the maximum of the single-cell children
+  // passed over before that child was folded.
+  struct Stage {
+    int lo;
+    int hi;
+    double hoisted;
+  };
+
   std::vector<double> opt;
   std::vector<int> opt_len;
   std::vector<int> opt_lo;
   std::vector<int> opt_hi;
-  std::vector<int> choice;
-  std::vector<double> current;
-  std::vector<double> next;
+  std::vector<double> stage_rows;  // fold stages, stride apart
+  std::vector<Stage> stages;
   std::vector<double> row;  // uplink occupancy row scratch
   std::vector<std::pair<topology::VertexId, int>> stack;
   HomogeneousProfile profile;  // table capacity reused across requests
@@ -67,7 +69,6 @@ struct DpArena {
     PrepareScratch(n);
     const size_t cells = static_cast<size_t>(num_vertices) * stride;
     if (opt.size() < cells) opt.resize(cells);
-    if (choice.size() < cells) choice.resize(cells);
     if (opt_len.size() < static_cast<size_t>(num_vertices)) {
       opt_len.resize(num_vertices);
       opt_lo.resize(num_vertices);
@@ -77,22 +78,27 @@ struct DpArena {
     stack.clear();
   }
 
-  // Sizes only the per-thread fold scratch; what level-parallel workers
-  // need (their shared rows live in the caller's arena).
+  // Sizes only the per-thread scratch; what level-parallel workers need
+  // (their shared rows live in the caller's arena).  Stage rows grow on
+  // demand in ReserveStages.
   void PrepareScratch(int n) {
     stride = n + 1;
-    if (current.size() < static_cast<size_t>(stride)) {
-      current.resize(stride);
-      next.resize(stride);
-      row.resize(stride);
-    }
+    if (row.size() < static_cast<size_t>(stride)) row.resize(stride);
+  }
+
+  // Room for a fold of count - 1 children: one stage per folded child, plus
+  // stage 0.
+  void ReserveStages(int count) {
+    const size_t cells = static_cast<size_t>(count) * stride;
+    if (stage_rows.size() < cells) stage_rows.resize(cells);
+    if (stages.size() < static_cast<size_t>(count)) stages.resize(count);
   }
 
   double* opt_row(topology::VertexId v) {
     return opt.data() + static_cast<size_t>(v) * stride;
   }
-  int* choice_row(topology::VertexId v) {
-    return choice.data() + static_cast<size_t>(v) * stride;
+  double* stage_row(int j) {
+    return stage_rows.data() + static_cast<size_t>(j) * stride;
   }
 };
 
@@ -121,7 +127,6 @@ struct DpShared {
   int* opt_len;
   int* opt_lo;
   int* opt_hi;
-  int* choice;
   int stride;
   int n;
   bool optimize;
@@ -130,8 +135,9 @@ struct DpShared {
   double* opt_row(topology::VertexId v) const {
     return opt + static_cast<size_t>(v) * stride;
   }
-  int* choice_row(topology::VertexId v) const {
-    return choice + static_cast<size_t>(v) * stride;
+  // v's only feasible cell is x = 0: a full machine, a saturated uplink.
+  bool single_cell(topology::VertexId v) const {
+    return opt_lo[v] == 0 && opt_hi[v] == 0;
   }
 };
 
@@ -184,129 +190,164 @@ void UplinkRow(const DpShared& s, topology::VertexId v, int x_lo, int x_hi,
   }
 }
 
-// Folds v's children into scratch.current one at a time (T_v^[i]) and
-// reports the resulting row's length and feasible window.
+// Folds one child's row into `current`, writing next[k] for every k the
+// two windows can reach (cur_lo + child_lo up to min(n, cur_hi + child_hi),
+// which the caller has filled with +inf).
 //
-// kRecordChoices selects between the two callers:
-//   * the DP pass (<false>) needs only the folded values, so the inner
-//     loop is the branchless min/max kernel — +inf cells are absorbed by
-//     the max and never improve the min, and ties keep the incumbent
-//     exactly as the reference's strict `<` does, so the produced row is
-//     bit-identical to the reference recurrence;
-//   * reconstruction (<true>) refolds just the winning subtree with the
-//     reference loop to recover the children's choice rows (first strict
-//     improvement in (h, e) order).  Same inputs, same order — the same
-//     choices the reference DP would have recorded, at a cost bounded by
-//     one subtree instead of every fold in the fabric.
-template <bool kRecordChoices>
-void FoldChildren(const DpShared& s, topology::VertexId v, DpArena& scratch,
-                  KernelStats& stats, int* out_len, int* out_lo,
-                  int* out_hi) {
-  const topology::Topology& topo = *s.topo;
+// In optimize mode the inner loop is the branchless min/max kernel: +inf
+// cells are absorbed by the max and never improve the min, and ties keep
+// the incumbent exactly as the reference's strict `<` does, so the row is
+// bit-identical to the reference recurrence's.
+void FoldChild(const DpShared& s, const double* current, int cur_lo,
+               int cur_hi, topology::VertexId child, double* next) {
   const int n = s.n;
-  double* current = scratch.current.data();
-  current[0] = 0.0;  // T_v^[0] = {v}: zero VMs, no links
-  int cur_len = 1;
-  int cur_lo = 0;  // feasible window of `current`
-  int cur_hi = 0;
-  for (topology::VertexId child : topo.children(v)) {
-    const double* child_opt = s.opt_row(child);
-    const int prev_max = cur_len - 1;
-    const int child_max = s.opt_len[child] - 1;
-    const int child_lo = s.opt_lo[child];
-    const int child_hi = s.opt_hi[child];
-    const int next_max = std::min(n, prev_max + child_max);
-    double* next = scratch.next.data();
-    std::fill(next, next + next_max + 1, kInfeasible);
-    int* choice = s.choice_row(child);
-    if (kRecordChoices) std::fill(choice, choice + next_max + 1, -1);
-    if (cur_lo <= cur_hi && child_lo <= child_hi) {
-      const int h_hi = std::min(cur_hi, prev_max);
-      const bool fused = !kRecordChoices && s.optimize;
-      // In the fused (min,max) fold the final next[k] is the min of
-      // max(current[h], child_opt[e]) over the same {h + e = k} pair set
-      // whichever loop runs inside, and min over a set of doubles is
-      // order-independent, so the kernel sweeps whichever window is
-      // longer: a rack folding 4-slot machine rows wants the vectorized
-      // inner loop over its ~n-wide accumulated row, not the 5-cell
-      // child row.
-      if (fused && h_hi - cur_lo > child_hi - child_lo) {
-        for (int h = cur_lo; h <= h_hi; ++h) {
-          if (current[h] == kInfeasible) continue;
-          const int e_limit = std::min(child_hi, n - h);
-          stats.pruned_cells +=
-              std::min(child_max, n - h) - e_limit + child_lo;
-        }
-        for (int e = child_lo; e <= child_hi; ++e) {
-          const double ce = child_opt[e];
-          if (ce == kInfeasible) continue;
-          const int h_limit = std::min(h_hi, n - e);
-          const double* __restrict cur = current;
-          double* __restrict out = next + e;
-          for (int h = cur_lo; h <= h_limit; ++h) {
-            out[h] = std::min(out[h], std::max(ce, cur[h]));
-          }
-        }
-      } else {
-        for (int h = cur_lo; h <= h_hi; ++h) {
-          if (current[h] == kInfeasible) continue;
-          // Skip the child's infeasible prefix/suffix outright; cells
-          // inside the window are still checked (windows are bounds, not
-          // dense guarantees).
-          const int e_limit = std::min(child_hi, n - h);
-          stats.pruned_cells +=
-              std::min(child_max, n - h) - e_limit + child_lo;
-          if (fused) {
-            // Branchless kernel: contiguous loads, one max + one min per
-            // cell, no data-dependent branches — auto-vectorizable.
-            // +inf child cells are absorbed by the max and never improve
-            // the min; ties keep the incumbent, as the reference's
-            // strict `<` does.
-            const double c = current[h];
-            const double* __restrict ch = child_opt;
-            double* __restrict out = next + h;
-            for (int e = child_lo; e <= e_limit; ++e) {
-              out[e] = std::min(out[e], std::max(c, ch[e]));
-            }
-            continue;
-          }
-          for (int e = child_lo; e <= e_limit; ++e) {
-            if (child_opt[e] == kInfeasible) continue;
-            const double value = std::max(current[h], child_opt[e]);
-            const int total = h + e;
-            const bool better = s.optimize ? value < next[total]
-                                           : next[total] == kInfeasible;
-            if (better) {
-              next[total] = value;
-              if (kRecordChoices) choice[total] = e;
-            }
-          }
+  const double* child_opt = s.opt_row(child);
+  const int child_lo = s.opt_lo[child];
+  const int child_hi = s.opt_hi[child];
+  if (!s.optimize) {
+    // Feasibility mode keeps the first finite pair in (h, e) order, as the
+    // reference does.
+    for (int h = cur_lo; h <= cur_hi; ++h) {
+      if (current[h] == kInfeasible) continue;
+      const int e_limit = std::min(child_hi, n - h);
+      for (int e = child_lo; e <= e_limit; ++e) {
+        if (child_opt[e] != kInfeasible && next[h + e] == kInfeasible) {
+          next[h + e] = std::max(current[h], child_opt[e]);
         }
       }
     }
-    std::swap(scratch.current, scratch.next);
-    current = scratch.current.data();
-    cur_len = next_max + 1;
-    // Rescan the window (cheap: one pass over the row the fold just
-    // wrote; dwarfed by the fold's O(window^2) work).
-    cur_lo = 0;
-    while (cur_lo < cur_len && current[cur_lo] == kInfeasible) ++cur_lo;
-    cur_hi = cur_len - 1;
-    while (cur_hi > cur_lo && current[cur_hi] == kInfeasible) --cur_hi;
-    if (cur_lo >= cur_len) {  // empty row: nothing feasible any more
-      cur_lo = 1;
-      cur_hi = 0;
+  } else if (cur_hi - cur_lo > child_hi - child_lo) {
+    // next[k] is the min of max(current[h], child_opt[e]) over the same
+    // {h + e = k} pair set whichever loop runs inside, and min over a set
+    // of doubles is order-independent, so the kernel sweeps whichever
+    // window is longer: a rack folding 4-slot machine rows wants the
+    // vectorized inner loop over its ~n-wide accumulated row, not the
+    // 5-cell child row.
+    for (int e = child_lo; e <= child_hi; ++e) {
+      const double ce = child_opt[e];
+      if (ce == kInfeasible) continue;
+      const int h_limit = std::min(cur_hi, n - e);
+      const double* __restrict cur = current;
+      double* __restrict out = next + e;
+      for (int h = cur_lo; h <= h_limit; ++h) {
+        out[h] = std::min(out[h], std::max(ce, cur[h]));
+      }
+    }
+  } else {
+    for (int h = cur_lo; h <= cur_hi; ++h) {
+      const double c = current[h];
+      if (c == kInfeasible) continue;
+      const int e_limit = std::min(child_hi, n - h);
+      const double* __restrict ch = child_opt;
+      double* __restrict out = next + h;
+      for (int e = child_lo; e <= e_limit; ++e) {
+        out[e] = std::min(out[e], std::max(c, ch[e]));
+      }
     }
   }
-  *out_len = cur_len;
-  *out_lo = cur_lo;
-  *out_hi = cur_hi;
+}
+
+// The last stage of a child fold: its row, length and feasible window, the
+// maximum still to be applied to the row's finite cells, and how many
+// children were folded into stage rows.
+struct Fold {
+  const double* row;
+  int len;
+  int lo;
+  int hi;
+  double hoisted;
+  int stages;
+};
+
+// Folds v's children one at a time (T_v^[i]) into scratch's stage rows.
+//
+// A child whose feasible window is exactly {0} (single_cell) is not folded:
+// its fold would only max its x = 0 cell into every finite cell and pad the
+// row with +inf.  Such cells go into one running maximum, `hoisted`, that
+// the caller applies to the last stage's finite cells.  That is exact: max
+// distributes over the fold's min, and in feasibility mode a finite
+// maximum leaves every cell's finiteness as it was.  The row length still
+// grows by the child's size, so lengths and feasible windows match a fold
+// of every child.
+//
+// Stage j is the row after the j-th folded child; stage 0 is T_v^[0] = {v}:
+// zero VMs, no links.  The DP pass reads only the last stage;
+// reconstruction reads them all (with each one's window and hoisted
+// maximum in scratch.stages).
+Fold FoldChildren(const DpShared& s, topology::VertexId v, DpArena& scratch) {
+  const auto& children = s.topo->children(v);
+  scratch.ReserveStages(static_cast<int>(children.size()) + 1);
+  double* current = scratch.stage_row(0);
+  current[0] = 0.0;
+  Fold fold{.row = current,
+            .len = 1,
+            .lo = 0,
+            .hi = 0,
+            .hoisted = -kInfeasible,
+            .stages = 0};
+  scratch.stages[0] = {0, 0, fold.hoisted};
+  for (topology::VertexId child : children) {
+    fold.len = std::min(s.n, fold.len - 1 + s.opt_len[child] - 1) + 1;
+    if (s.single_cell(child)) {
+      fold.hoisted = std::max(fold.hoisted, s.opt_row(child)[0]);
+      continue;
+    }
+    double* next = scratch.stage_row(++fold.stages);
+    // Every pair sums into [reach_lo, reach_hi]; the cells outside it are
+    // +inf in the reference and are never read here.
+    const int reach_lo = fold.lo + s.opt_lo[child];
+    const int reach_hi = std::min(s.n, fold.hi + s.opt_hi[child]);
+    if (reach_lo <= reach_hi) {
+      std::fill(next + reach_lo, next + reach_hi + 1, kInfeasible);
+      FoldChild(s, current, fold.lo, fold.hi, child, next);
+    }
+    current = next;
+    // Rescan the window (cheap: one pass over the cells the fold wrote;
+    // dwarfed by the fold's O(window^2) work).
+    fold.lo = reach_lo;
+    while (fold.lo <= reach_hi && current[fold.lo] == kInfeasible) ++fold.lo;
+    fold.hi = reach_hi;
+    while (fold.hi > fold.lo && current[fold.hi] == kInfeasible) --fold.hi;
+    if (fold.lo > reach_hi) {  // empty row: nothing feasible any more
+      fold.lo = 1;
+      fold.hi = 0;
+    }
+    scratch.stages[fold.stages] = {fold.lo, fold.hi, fold.hoisted};
+  }
+  fold.row = current;
+  return fold;
+}
+
+// The count of VMs the reference recurrence records for `child` at total r,
+// where child turned stage j - 1 into stage j of the last fold.  The
+// reference scans h = r - e upward and keeps the first strict improvement,
+// so its count is the largest e among the minimizers in optimize mode and
+// the largest e of a finite pair in feasibility mode.  The stage rows lack
+// the maximum K of the single-cell children folded before `child`, so K is
+// put back on both sides: with it, every pair below K ties at K, as it does
+// in the reference's rows.
+int SplitCount(const DpShared& s, DpArena& arena, topology::VertexId child,
+               int j, int r) {
+  const double* prev = arena.stage_row(j - 1);
+  const DpArena::Stage& from = arena.stages[j - 1];
+  const double k = arena.stages[j].hoisted;
+  const double target = std::max(k, arena.stage_row(j)[r]);
+  const double* child_opt = s.opt_row(child);
+  const int e_lo = std::max(s.opt_lo[child], r - from.hi);
+  for (int e = std::min(s.opt_hi[child], r - from.lo); e >= e_lo; --e) {
+    const double rest = prev[r - e];  // the earlier children's r - e VMs
+    if (s.optimize ? std::max(std::max(k, rest), child_opt[e]) == target
+                   : rest != kInfeasible && child_opt[e] != kInfeasible) {
+      return e;
+    }
+  }
+  assert(false && "reconstruction hit an unreachable table entry");
+  return 0;
 }
 
 // Computes vertex v's opt row from the children's already-computed rows.
 // Pure with respect to the shared tables except for v's own rows, so
-// vertices within a level can run concurrently in any order.  Choice rows
-// are NOT produced here — reconstruction refolds the winning subtree.
+// vertices within a level can run concurrently in any order.
 void ComputeVertexRow(const DpShared& s, topology::VertexId v,
                       DpArena& scratch, KernelStats& stats) {
   const topology::Topology& topo = *s.topo;
@@ -320,24 +361,23 @@ void ComputeVertexRow(const DpShared& s, topology::VertexId v,
     s.opt_len[v] = cap + 1;
     UplinkRow(s, v, 0, cap, vopt, stats);
   } else {
-    int cur_len = 0;
-    int cur_lo = 0;
-    int cur_hi = 0;
-    FoldChildren<false>(s, v, scratch, stats, &cur_len, &cur_lo, &cur_hi);
-    const double* current = scratch.current.data();
-    // Apply v's own uplink (root has none), only across the fold's
-    // feasible window — everything outside is already infeasible.
-    s.opt_len[v] = cur_len;
-    std::fill(vopt, vopt + cur_len, kInfeasible);
-    if (cur_lo <= cur_hi) {
+    const Fold fold = FoldChildren(s, v, scratch);
+    // Apply the single-cell children's maximum and v's own uplink (root has
+    // none), only across the fold's feasible window — everything outside is
+    // already infeasible.
+    s.opt_len[v] = fold.len;
+    std::fill(vopt, vopt + fold.len, kInfeasible);
+    if (fold.lo <= fold.hi) {
       if (v == topo.root()) {
-        std::copy(current + cur_lo, current + cur_hi + 1, vopt + cur_lo);
+        for (int x = fold.lo; x <= fold.hi; ++x) {
+          vopt[x] = std::max(fold.row[x], fold.hoisted);
+        }
       } else {
         double* up = scratch.row.data();
-        UplinkRow(s, v, cur_lo, cur_hi, up, stats);
-        for (int x = cur_lo; x <= cur_hi; ++x) {
-          if (current[x] == kInfeasible || up[x] == kInfeasible) continue;
-          vopt[x] = std::max(current[x], up[x]);
+        UplinkRow(s, v, fold.lo, fold.hi, up, stats);
+        for (int x = fold.lo; x <= fold.hi; ++x) {
+          if (fold.row[x] == kInfeasible || up[x] == kInfeasible) continue;
+          vopt[x] = std::max(std::max(fold.row[x], fold.hoisted), up[x]);
         }
       }
     }
@@ -415,7 +455,6 @@ util::Result<Placement> HomogeneousSearchAllocator::Allocate(
                         arena.opt_len.data(),
                         arena.opt_lo.data(),
                         arena.opt_hi.data(),
-                        arena.choice.data(),
                         arena.stride,
                         n,
                         options_.optimize_occupancy,
@@ -521,19 +560,16 @@ util::Result<Placement> HomogeneousSearchAllocator::Allocate(
                 request.Describe()};
   }
 
-  // Reconstruct the chosen split top-down.  The DP pass does not record
-  // choice rows (the branchless fold kernel has no per-cell winner store),
-  // so each visited internal vertex refolds its children once with the
-  // reference recurrence — same child rows, same order, same tie-breaks,
-  // so the recovered choices match what the reference DP records.  Cost is
-  // bounded by the winning subtree, not the whole fabric; the stats sink
-  // is a local discard (the per-call metrics were flushed above).
+  // Reconstruct the chosen split top-down.  The DP pass keeps no per-cell
+  // winners, so each visited internal vertex is refolded once, and each
+  // child's count is derived from the stage it was folded into
+  // (SplitCount); a single-cell child's count is 0.  Cost is bounded by the
+  // winning subtree, not the whole fabric.
   Placement placement;
   placement.subtree_root = best_vertex;
   placement.max_occupancy = best_value;
   placement.vm_machine = TakeVmBuffer();
   placement.vm_machine.reserve(n);
-  KernelStats refold_stats;
   // Explicit stack (arena-owned) to avoid recursion on deep topologies.
   auto& stack = arena.stack;
   stack.emplace_back(best_vertex, n);
@@ -545,19 +581,16 @@ util::Result<Placement> HomogeneousSearchAllocator::Allocate(
       for (int k = 0; k < x; ++k) placement.vm_machine.push_back(v);
       continue;
     }
-    int refold_len = 0, refold_lo = 0, refold_hi = 0;
-    FoldChildren<true>(shared, v, arena, refold_stats, &refold_len,
-                       &refold_lo, &refold_hi);
+    int stage = FoldChildren(shared, v, arena).stages;
     const auto& children = topo.children(v);
     int remaining = x;
     for (size_t i = children.size(); i-- > 0;) {
-      assert(remaining <= n);
-      const int e = arena.choice_row(children[i])[remaining];
-      assert(e >= 0 && "reconstruction hit an unreachable table entry");
+      if (shared.single_cell(children[i])) continue;
+      const int e = SplitCount(shared, arena, children[i], stage--, remaining);
       if (e > 0) stack.emplace_back(children[i], e);
       remaining -= e;
     }
-    assert(remaining == 0 && "vertex itself holds no VMs");
+    assert(stage == 0 && remaining == 0 && "vertex itself holds no VMs");
   }
   assert(static_cast<int>(placement.vm_machine.size()) == n);
   return placement;

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -51,15 +52,23 @@ std::string& FlagSet::String(const std::string& name,
   return f.string_value;
 }
 
+// Numbers must parse whole ("4x" is not 4) and doubles must be finite.
 bool FlagSet::SetFromText(Flag& flag, const std::string& text) {
   try {
+    size_t used = 0;
     switch (flag.type) {
-      case Type::kInt:
-        flag.int_value = std::stoll(text);
+      case Type::kInt: {
+        const int64_t value = std::stoll(text, &used);
+        if (used != text.size()) return false;
+        flag.int_value = value;
         return true;
-      case Type::kDouble:
-        flag.double_value = std::stod(text);
+      }
+      case Type::kDouble: {
+        const double value = std::stod(text, &used);
+        if (used != text.size() || !std::isfinite(value)) return false;
+        flag.double_value = value;
         return true;
+      }
       case Type::kBool:
         if (text == "true" || text == "1") flag.bool_value = true;
         else if (text == "false" || text == "0") flag.bool_value = false;

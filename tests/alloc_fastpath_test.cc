@@ -150,17 +150,22 @@ util::Result<Placement> ReferenceAllocate(const Request& request,
   return placement;
 }
 
-// Random fabric load: admit homogeneous tenants until ~40% of slots are
-// used (or an admit fails), so probe requests see loaded links.
+// Random fabric load: admit homogeneous tenants until `fill_percent` of the
+// slots are used, so probe requests see loaded links.  Loading stops early
+// once `retries` + 1 admits in a row have failed: at a high fill, bandwidth
+// can run out before the slots do.
 void LoadFabric(NetworkManager& manager, const topology::Topology& topo,
-                stats::Rng& rng) {
+                stats::Rng& rng, int fill_percent, int retries) {
   HomogeneousDpAllocator loader;
   int64_t id = 1'000'000;
-  while (manager.slots().total_free() > topo.total_slots() * 6 / 10) {
-    const int n = static_cast<int>(rng.UniformInt(1, 8));
+  const int target_free = topo.total_slots() * (100 - fill_percent) / 100;
+  for (int failures = 0;
+       failures <= retries && manager.slots().total_free() > target_free;) {
+    const int max_n = std::min(8, manager.slots().total_free());
+    const int n = static_cast<int>(rng.UniformInt(1, max_n));
     const double mu = 50.0 * static_cast<double>(rng.UniformInt(1, 6));
     const Request r = Request::Homogeneous(id++, n, mu, mu * rng.Uniform(0, 1));
-    if (!manager.Admit(r, loader).ok()) break;
+    failures = manager.Admit(r, loader).ok() ? 0 : failures + 1;
   }
 }
 
@@ -170,6 +175,17 @@ Request RandomProbe(stats::Rng& rng, int64_t id, int max_n) {
   // Mix of deterministic (sigma = 0) and stochastic probes.
   const double sigma = rng.UniformInt(0, 3) == 0 ? 0.0 : mu * rng.Uniform(0, 1);
   return Request::Homogeneous(id, n, mu, sigma);
+}
+
+// Tie-heavy probes: one small mean for all of them, and two in three
+// deterministic (sigma = 0).  What they add to a loaded link is small, so
+// the links' existing occupancy, the single-cell children's maximum
+// included, decides many row values, and the DP's tie rule decides the
+// placement.
+Request TieProbe(stats::Rng& rng, int64_t id, int max_n) {
+  const int n = static_cast<int>(rng.UniformInt(1, std::max(2, max_n)));
+  const double sigma = rng.UniformInt(0, 2) == 0 ? 30.0 : 0.0;
+  return Request::Homogeneous(id, n, 25.0, sigma);
 }
 
 void ExpectSameOutcome(const util::Result<Placement>& reference,
@@ -191,15 +207,17 @@ void ExpectSameOutcome(const util::Result<Placement>& reference,
   EXPECT_EQ(reference->vm_machine, fast->vm_machine) << context;
 }
 
-topology::Topology BuildVariant(int variant) {
+// `scale` multiplies the machines under each switch, so a fabric loaded to
+// 90% of its slots still has free slots on several machines of a rack.
+topology::Topology BuildVariant(int variant, int scale) {
   switch (variant % 3) {
     case 0:
-      return topology::BuildStar(6, 4, 800);
+      return topology::BuildStar(6 * scale, 4, 800);
     case 1:
-      return topology::BuildTwoTier(4, 3, 4, 1000, 2.0);
+      return topology::BuildTwoTier(4, 3 * scale, 4, 1000, 2.0);
     default:
       return topology::BuildThreeTier({.racks = 4,
-                                       .machines_per_rack = 3,
+                                       .machines_per_rack = 3 * scale,
                                        .slots_per_machine = 4,
                                        .racks_per_agg = 2,
                                        .machine_link_mbps = 1000,
@@ -207,8 +225,19 @@ topology::Topology BuildVariant(int variant) {
   }
 }
 
-void RunEquivalence(double epsilon, bool optimize, bool lowest,
-                    bool parallel) {
+// What the probes run against: how large and how full the fabric is, and
+// which probe family asks.
+struct Input {
+  int scale;  // BuildVariant's
+  int fill_percent;
+  int retries;  // failed loading admits in a row that are skipped
+  Request (*probe)(stats::Rng&, int64_t, int);
+};
+constexpr Input kLightLoad{1, 40, 0, RandomProbe};
+constexpr Input kHighFillTies{4, 90, 50, TieProbe};
+
+void RunEquivalence(double epsilon, bool optimize, bool lowest, bool parallel,
+                    const Input& input = kLightLoad) {
   util::ThreadPool pool(2);
   HomogeneousSearchOptions options;
   options.optimize_occupancy = optimize;
@@ -220,14 +249,20 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest,
   const HomogeneousSearchAllocator fast(options, "fastpath-under-test");
 
   for (int variant = 0; variant < 6; ++variant) {
-    const topology::Topology topo = BuildVariant(variant);
+    const topology::Topology topo = BuildVariant(variant, input.scale);
     NetworkManager manager(topo, epsilon);
     stats::Rng rng(1234 + 1000 * variant +
                    static_cast<uint64_t>(epsilon * 100));
-    LoadFabric(manager, topo, rng);
+    LoadFabric(manager, topo, rng, input.fill_percent, input.retries);
+    if (input.retries > 0) {
+      // The light load stops at its first failed admit and may end below
+      // its target; an input that skips failures must reach its fill.
+      ASSERT_GE(100 * (topo.total_slots() - manager.slots().total_free()),
+                input.fill_percent * topo.total_slots());
+    }
     for (int probe = 0; probe < 25; ++probe) {
-      const Request r =
-          RandomProbe(rng, 5'000'000 + probe, manager.slots().total_free());
+      const Request r = input.probe(rng, 5'000'000 + probe,
+                                    manager.slots().total_free());
       const auto reference = ReferenceAllocate(r, manager.ledger(),
                                                manager.slots(), optimize,
                                                lowest);
@@ -236,6 +271,7 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest,
           reference, fast_result,
           "variant " + std::to_string(variant) + " probe " +
               std::to_string(probe) + " eps " + std::to_string(epsilon) +
+              " fill " + std::to_string(input.fill_percent) +
               (optimize ? " opt" : " tivc") + (lowest ? " lowest" : " global") +
               (parallel ? " parallel" : " serial"));
       if (fast_result.ok()) {
@@ -277,13 +313,28 @@ TEST(AllocFastPath, TightEpsilonMatchesReference) {
   RunEquivalence(0.001, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
 }
 
+// Every mode above again on fabrics loaded to 90% of their slots.  Most
+// machines are full and many uplinks saturated, so most children have x = 0
+// as their only feasible cell and are folded as one maximum, which then
+// sets many row values; with the tie-heavy probes, which of several equal
+// splits the reference keeps decides the placement.
+TEST(AllocFastPath, HighFillTiesMatchReference) {
+  for (const bool parallel : {false, true}) {
+    RunEquivalence(0.05, true, true, parallel, kHighFillTies);
+    RunEquivalence(0.05, false, true, parallel, kHighFillTies);
+    RunEquivalence(0.7, true, true, parallel, kHighFillTies);
+  }
+  RunEquivalence(0.05, true, false, false, kHighFillTies);
+  RunEquivalence(0.001, true, true, false, kHighFillTies);
+}
+
 // The batch kernel must agree bit for bit with the scalar OccupancyWith on
 // every cell, including the +inf it returns for condition-(4) violations.
 TEST(AllocFastPath, OccupancyWithBatchMatchesScalar) {
   const topology::Topology topo = topology::BuildTwoTier(3, 3, 4, 500, 2.0);
   NetworkManager manager(topo, 0.05);
   stats::Rng rng(99);
-  LoadFabric(manager, topo, rng);
+  LoadFabric(manager, topo, rng, 40, 0);
   const net::LinkLedger& ledger = manager.ledger();
 
   const int count = 64;
@@ -316,7 +367,7 @@ TEST(AllocFastPath, FeasibleFrontierMatchesLinearScan) {
   const topology::Topology topo = topology::BuildStar(4, 4, 600);
   NetworkManager manager(topo, 0.05);
   stats::Rng rng(7);
-  LoadFabric(manager, topo, rng);
+  LoadFabric(manager, topo, rng, 40, 0);
   const net::LinkLedger& ledger = manager.ledger();
 
   const int count = 40;

@@ -1,5 +1,5 @@
-// FlagSet parsing (success paths; the error paths exit() and are covered
-// by the bench binaries' own --help handling).
+// FlagSet parsing: the success paths, and the malformed values that must
+// exit 2 naming the flag (death tests).
 #include "util/flags.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace svc::util {
 namespace {
@@ -131,6 +132,45 @@ TEST(FlagSet, NegativeNumbers) {
   flags.Parse(3, argv);
   EXPECT_EQ(offset, -5);
   EXPECT_DOUBLE_EQ(delta, -1.5);
+}
+
+// Parses `args` (after the program name) against one flag of each numeric
+// type.  A malformed value exits, so callers run this inside EXPECT_EXIT.
+void ParseNumeric(std::vector<std::string> args) {
+  FlagSet flags("test");
+  flags.Int("threads", 1, "");
+  flags.Double("seconds", 1.0, "");
+  char prog[] = "prog";
+  std::vector<char*> argv{prog};
+  for (std::string& arg : args) argv.push_back(arg.data());
+  flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagSetDeathTest, IntegerMustParseWhole) {
+  EXPECT_EXIT(ParseNumeric({"--threads", "4x"}), testing::ExitedWithCode(2),
+              "bad value '4x' for flag '--threads'");
+  EXPECT_EXIT(ParseNumeric({"--threads=2.9"}), testing::ExitedWithCode(2),
+              "bad value '2.9' for flag '--threads'");
+  EXPECT_EXIT(ParseNumeric({"--threads="}), testing::ExitedWithCode(2),
+              "bad value '' for flag '--threads'");
+}
+
+TEST(FlagSetDeathTest, DoubleMustParseWholeAndBeFinite) {
+  EXPECT_EXIT(ParseNumeric({"--seconds", "nan"}), testing::ExitedWithCode(2),
+              "bad value 'nan' for flag '--seconds'");
+  EXPECT_EXIT(ParseNumeric({"--seconds=-inf"}), testing::ExitedWithCode(2),
+              "bad value '-inf' for flag '--seconds'");
+  EXPECT_EXIT(ParseNumeric({"--seconds", "1e999"}), testing::ExitedWithCode(2),
+              "bad value '1e999' for flag '--seconds'");
+  EXPECT_EXIT(ParseNumeric({"--seconds", "1.5s"}), testing::ExitedWithCode(2),
+              "bad value '1.5s' for flag '--seconds'");
+}
+
+TEST(FlagSetDeathTest, MissingValueAndUnknownFlag) {
+  EXPECT_EXIT(ParseNumeric({"--seconds"}), testing::ExitedWithCode(2),
+              "flag '--seconds' requires a value");
+  EXPECT_EXIT(ParseNumeric({"--thread", "4"}), testing::ExitedWithCode(2),
+              "unknown flag '--thread'");
 }
 
 }  // namespace
