@@ -12,15 +12,14 @@
 //              pre-loaded fabric, plus heap allocations per call after
 //              warm-up (must be zero: thread-local DP arena + recycled
 //              placement buffers; alloc_counter.cc counts operator new).
-//              Also timed: the level-parallel variant (placements must be
-//              bit-identical to serial) and both heterogeneous allocators
-//              on a smaller fabric sized to their complexity.
+//              Also timed: both heterogeneous allocators on a smaller
+//              fabric sized to their complexity.
 //   admission — AdmitBatch throughput through core::AdmissionPipeline, one
 //              worker (the serial baseline, record admission_throughput_1w)
 //              vs --pipeline-workers (record admission_throughput), over a
 //              fill/release churn workload.  Verdicts and placements must
-//              be bit-identical across worker counts (deterministic commit
-//              discipline); conflict/retry/fallback counts ride along as
+//              be bit-identical across worker counts (commits follow
+//              request order); conflict/fallback counts ride along as
 //              record extras.
 //   sharded  — AdmitBatch throughput with --admit-shards commit shards on a
 //              ~100k-machine fabric pre-loaded with 10^5 live tenants
@@ -85,11 +84,6 @@ std::string GitSha() {
     sha.pop_back();
   }
   return sha.empty() ? "unknown" : sha;
-}
-
-bool SamePlacement(const core::Placement& a, const core::Placement& b) {
-  return a.subtree_root == b.subtree_root &&
-         a.max_occupancy == b.max_occupancy && a.vm_machine == b.vm_machine;
 }
 
 bool SameJobs(const std::vector<sim::JobRecord>& a,
@@ -369,41 +363,6 @@ int main(int argc, char** argv) {
       "allocate: %.0f calls/s  %.3f heap allocations/call  (obs enabled)\n",
       obs_calls_per_sec, obs_allocs_per_call);
 
-  // --- Allocate, level-parallel: same fabric and request as the serial ---
-  // loop; placements must be bit-identical (the suite's second hard gate).
-  util::ThreadPool alloc_pool(common.threads());
-  core::HomogeneousSearchOptions parallel_options;
-  parallel_options.pool = &alloc_pool;
-  const core::HomogeneousSearchAllocator parallel_alloc(parallel_options,
-                                                        "svc-dp-par");
-  bool parallel_identical = true;
-  {
-    auto serial_ref = alloc.Allocate(request, manager.ledger(), manager.slots());
-    auto parallel_ref =
-        parallel_alloc.Allocate(request, manager.ledger(), manager.slots());
-    parallel_identical = serial_ref.ok() && parallel_ref.ok() &&
-                         SamePlacement(*serial_ref, *parallel_ref);
-    if (serial_ref.ok()) {
-      core::RecycleVmBuffer(std::move(serial_ref->vm_machine));
-    }
-    if (parallel_ref.ok()) {
-      core::RecycleVmBuffer(std::move(parallel_ref->vm_machine));
-    }
-  }
-  const double par_start = Now();
-  for (int64_t i = 0; i < alloc_iters; ++i) {
-    auto result =
-        parallel_alloc.Allocate(request, manager.ledger(), manager.slots());
-    if (result.ok()) core::RecycleVmBuffer(std::move(result->vm_machine));
-  }
-  const double par_seconds = Now() - par_start;
-  const double par_calls_per_sec =
-      par_seconds > 0 ? alloc_iters / par_seconds : 0.0;
-  std::printf(
-      "allocate: %.0f calls/s  (level-parallel, %d threads)  identical %s\n",
-      par_calls_per_sec, alloc_pool.num_threads(),
-      parallel_identical ? "yes" : "NO");
-
   // --- Hetero allocators: admit throughput on a fabric sized to their ----
   // complexity (the heuristic is O(|V| * Delta * N^4), the exact DP
   // O(|V| * Delta * 3^N); paper-scale fabrics are not where they run).
@@ -474,9 +433,9 @@ int main(int argc, char** argv) {
   // workers run the allocator concurrently to real effect — exactly the
   // regime where an online control plane needs admission throughput.
   // Everything admitted is released at the end of its round, so every
-  // round (and every worker count) starts from the same books.  The
-  // deterministic discipline makes the decision sequence a hard gate: any
-  // worker count must reproduce the serial verdicts and placements
+  // round (and every worker count) starts from the same books.  Commits
+  // follow request order, which makes the decision sequence a hard gate:
+  // any worker count must reproduce the serial verdicts and placements
   // exactly.
   // With --decisions (the default) the admission and sharded benches run
   // with decision provenance armed, so their throughput records — and the
@@ -565,11 +524,10 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf(
       "admission: %.0f req/s serial  %.0f req/s (%d workers)  speedup %.2fx  "
-      "conflicts %lld retries %lld fallbacks %lld  identical %s\n",
+      "conflicts %lld fallbacks %lld  identical %s\n",
       admit_serial_rate, admit_parallel_rate,
       static_cast<int>(pipeline_workers), admit_speedup,
       static_cast<long long>(admit_parallel.stats.conflicts),
-      static_cast<long long>(admit_parallel.stats.retries),
       static_cast<long long>(admit_parallel.stats.fallbacks),
       admission_identical ? "yes" : "NO");
 
@@ -825,7 +783,6 @@ int main(int argc, char** argv) {
   }
   w.EndArray();
   w.EndObject();
-  w.Member("parallel_alloc_identical", parallel_identical);
   w.Member("admission_identical", admission_identical);
   w.Member("sharded_identical", sharded_identical);
   w.Key("sweep");
@@ -854,10 +811,6 @@ int main(int argc, char** argv) {
                      0.0,
                      {{"calls_per_sec", obs_calls_per_sec},
                       {"allocs_per_call", obs_allocs_per_call}}});
-  records.push_back({"allocate_steady_parallel", alloc_iters,
-                     par_calls_per_sec > 0 ? 1e9 / par_calls_per_sec : 0.0,
-                     0.0,
-                     {{"calls_per_sec", par_calls_per_sec}}});
   records.push_back({"allocate_hetero_heuristic", hetero_iters,
                      heuristic_calls_per_sec > 0
                          ? 1e9 / heuristic_calls_per_sec
@@ -881,7 +834,6 @@ int main(int argc, char** argv) {
         {"workers", static_cast<double>(pipeline_workers)},
         {"admitted", static_cast<double>(admit_parallel.admitted)},
         {"conflicts", static_cast<double>(admit_parallel.stats.conflicts)},
-        {"retries", static_cast<double>(admit_parallel.stats.retries)},
         {"fallbacks", static_cast<double>(admit_parallel.stats.fallbacks)}}});
   {
     // Satellite schema note: same BenchRecord shape as every PR 3-5 record —
@@ -942,11 +894,8 @@ int main(int argc, char** argv) {
   if (!bench::WriteFile(out, w.str() + "\n")) return 1;
   std::printf("wrote %s\n", out.c_str());
 
-  // Non-zero exit if the parallel sweep, the level-parallel allocator, the
-  // multi-worker admission pipeline, or the sharded commit plane diverged
-  // from serial — the suite's hard correctness gates.
-  return identical && parallel_identical && admission_identical &&
-                 sharded_identical
-             ? 0
-             : 2;
+  // Non-zero exit if the parallel sweep, the multi-worker admission
+  // pipeline, or the sharded commit plane diverged from serial — the
+  // suite's hard correctness gates.
+  return identical && admission_identical && sharded_identical ? 0 : 2;
 }

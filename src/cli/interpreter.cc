@@ -1,6 +1,7 @@
 #include "cli/interpreter.h"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -38,20 +39,42 @@ bool ParseDouble(const std::string& text, double& value) {
   }
 }
 
-bool ParseInt(const std::string& text, int64_t& value) {
+// Every integer argument is parsed here: the whole token must be a decimal
+// integer within [lo, hi], so no value wraps or narrows on its way to a VM
+// count, a vertex id or a thread count.
+bool ParseIntIn(const std::string& text, int64_t lo, int64_t hi,
+                int64_t& value) {
+  int64_t parsed = 0;
   try {
     size_t used = 0;
-    value = std::stoll(text, &used);
-    return used == text.size();
+    parsed = std::stoll(text, &used);
+    if (used != text.size()) return false;
   } catch (const std::exception&) {
     return false;
   }
+  if (parsed < lo || parsed > hi) return false;
+  value = parsed;
+  return true;
 }
+
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
 
 // Tenant ids stay within ±(2^53 - 1), like svcd's NDJSON "id": state
 // documents (svc/snapshot.h) carry them as JSON numbers.
-bool SafeId(int64_t id) {
-  return id >= -util::kMaxSafeInteger && id <= util::kMaxSafeInteger;
+bool ParseId(const std::string& text, int64_t& id) {
+  return ParseIntIn(text, -util::kMaxSafeInteger, util::kMaxSafeInteger, id);
+}
+
+// A request holds its VM count as an int.
+bool ParseVmCount(const std::string& text, int& n, std::ostream& out) {
+  constexpr int64_t kMaxVmCount = std::numeric_limits<int>::max();
+  int64_t value = 0;
+  if (!ParseIntIn(text, 1, kMaxVmCount, value)) {
+    out << "error: VM counts are integers in [1, " << kMaxVmCount << "]\n";
+    return false;
+  }
+  n = static_cast<int>(value);
+  return true;
 }
 
 std::string IdRangeError() {
@@ -68,6 +91,19 @@ Interpreter::Interpreter(const topology::Topology& topo, double epsilon)
 }
 
 Interpreter::~Interpreter() = default;
+
+bool Interpreter::ParseVertex(const std::string& text,
+                              topology::VertexId& vertex,
+                              std::ostream& out) const {
+  const int64_t last = manager_.topo().num_vertices() - 1;
+  int64_t value = 0;
+  if (!ParseIntIn(text, 0, last, value)) {
+    out << "error: vertex ids are integers in [0, " << last << "]\n";
+    return false;
+  }
+  vertex = static_cast<topology::VertexId>(value);
+  return true;
+}
 
 bool Interpreter::SelectAllocator(const std::string& name) {
   auto it = allocators_.find(name);
@@ -91,35 +127,32 @@ bool Interpreter::CmdAdmit(const std::vector<std::string>& args,
     return false;
   }
   int64_t id = 0;
-  if (!ParseInt(args[1], id)) {
-    out << "error: bad tenant id '" << args[1] << "'\n";
-    return false;
-  }
-  if (!SafeId(id)) {
+  if (!ParseId(args[1], id)) {
     out << IdRangeError();
     return false;
   }
   const std::string& kind = args[2];
   std::unique_ptr<core::Request> request;
   if (kind == "homogeneous" && args.size() == 6) {
-    int64_t n;
+    int n = 0;
     double mu, sigma;
-    if (!ParseInt(args[3], n) || !ParseDouble(args[4], mu) ||
-        !ParseDouble(args[5], sigma) || n < 1) {
+    if (!ParseDouble(args[4], mu) || !ParseDouble(args[5], sigma)) {
       out << "error: admit homogeneous <n> <mu> <sigma>\n";
       return false;
     }
+    if (!ParseVmCount(args[3], n, out)) return false;
     request = std::make_unique<core::Request>(
-        core::Request::Homogeneous(id, static_cast<int>(n), mu, sigma));
+        core::Request::Homogeneous(id, n, mu, sigma));
   } else if (kind == "deterministic" && args.size() == 5) {
-    int64_t n;
+    int n = 0;
     double bandwidth;
-    if (!ParseInt(args[3], n) || !ParseDouble(args[4], bandwidth) || n < 1) {
+    if (!ParseDouble(args[4], bandwidth)) {
       out << "error: admit deterministic <n> <B>\n";
       return false;
     }
+    if (!ParseVmCount(args[3], n, out)) return false;
     request = std::make_unique<core::Request>(
-        core::Request::Deterministic(id, static_cast<int>(n), bandwidth));
+        core::Request::Deterministic(id, n, bandwidth));
   } else if (kind == "heterogeneous" && args.size() >= 4) {
     std::vector<stats::Normal> demands;
     for (size_t i = 3; i < args.size(); ++i) {
@@ -161,13 +194,16 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
     out << kUsage;
     return false;
   }
+  // The caps are checked before anything is reserved or started.
   int64_t workers = 0, count = 0, first_id = 0;
-  if (!ParseInt(args[1], workers) || !ParseInt(args[2], count) ||
-      !ParseInt(args[3], first_id) || workers < 1 || count < 1) {
-    out << kUsage;
+  if (!ParseIntIn(args[1], 1, kMaxBatchWorkers, workers) ||
+      !ParseIntIn(args[2], 1, kMaxBatchCount, count)) {
+    out << "error: batch takes 1.." << kMaxBatchWorkers << " workers and 1.."
+        << kMaxBatchCount << " tenants\n";
     return false;
   }
-  if (!SafeId(first_id) || count - 1 > util::kMaxSafeInteger - first_id) {
+  if (!ParseId(args[3], first_id) ||
+      count - 1 > util::kMaxSafeInteger - first_id) {
     out << IdRangeError();
     return false;
   }
@@ -175,27 +211,28 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
   std::vector<core::Request> requests;
   requests.reserve(count);
   if (kind == "homogeneous" && args.size() == 8) {
-    int64_t n;
+    int n = 0;
     double mu, sigma;
-    if (!ParseInt(args[5], n) || !ParseDouble(args[6], mu) ||
-        !ParseDouble(args[7], sigma) || n < 1) {
+    if (!ParseDouble(args[6], mu) || !ParseDouble(args[7], sigma)) {
       out << kUsage;
       return false;
     }
+    if (!ParseVmCount(args[5], n, out)) return false;
     for (int64_t i = 0; i < count; ++i) {
-      requests.push_back(core::Request::Homogeneous(
-          first_id + i, static_cast<int>(n), mu, sigma));
+      requests.push_back(
+          core::Request::Homogeneous(first_id + i, n, mu, sigma));
     }
   } else if (kind == "deterministic" && args.size() == 7) {
-    int64_t n;
+    int n = 0;
     double bandwidth;
-    if (!ParseInt(args[5], n) || !ParseDouble(args[6], bandwidth) || n < 1) {
+    if (!ParseDouble(args[6], bandwidth)) {
       out << kUsage;
       return false;
     }
+    if (!ParseVmCount(args[5], n, out)) return false;
     for (int64_t i = 0; i < count; ++i) {
-      requests.push_back(core::Request::Deterministic(
-          first_id + i, static_cast<int>(n), bandwidth));
+      requests.push_back(
+          core::Request::Deterministic(first_id + i, n, bandwidth));
     }
   } else {
     out << kUsage;
@@ -214,15 +251,15 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
   const core::PipelineStats& stats = pipeline.stats();
   out << "batch: " << admitted << " admitted, "
       << (count - admitted) << " rejected (proposed " << stats.proposed
-      << ", conflicts " << stats.conflicts << ", retries " << stats.retries
-      << ", fallbacks " << stats.fallbacks << ")\n";
+      << ", conflicts " << stats.conflicts << ", fallbacks "
+      << stats.fallbacks << ")\n";
   return true;
 }
 
 bool Interpreter::CmdRelease(const std::vector<std::string>& args,
                              std::ostream& out) {
   int64_t id = 0;
-  if (args.size() != 2 || !ParseInt(args[1], id)) {
+  if (args.size() != 2 || !ParseId(args[1], id)) {
     out << "error: release <id>\n";
     return false;
   }
@@ -249,7 +286,7 @@ bool Interpreter::CmdShow(const std::vector<std::string>& args,
   }
   if (what == "occupancy") {
     int64_t k = 5;
-    if (args.size() >= 3 && !ParseInt(args[2], k)) {
+    if (args.size() >= 3 && !ParseIntIn(args[2], 0, kMaxInt64, k)) {
       out << "error: show occupancy [k]\n";
       return false;
     }
@@ -269,7 +306,7 @@ bool Interpreter::CmdShow(const std::vector<std::string>& args,
   }
   if (what == "placement") {
     int64_t id = 0;
-    if (args.size() != 3 || !ParseInt(args[2], id)) {
+    if (args.size() != 3 || !ParseId(args[2], id)) {
       out << "error: show placement <id>\n";
       return false;
     }
@@ -301,7 +338,7 @@ bool Interpreter::CmdAssert(const std::vector<std::string>& args,
   }
   if (args.size() == 3 && args[1] == "live") {
     int64_t id = 0;
-    if (!ParseInt(args[2], id)) {
+    if (!ParseId(args[2], id)) {
       out << "error: assert live <id>\n";
       return false;
     }
@@ -375,18 +412,17 @@ bool Interpreter::CmdMetrics(const std::vector<std::string>& args,
 
 bool Interpreter::CmdFail(const std::vector<std::string>& args,
                           std::ostream& out) {
-  int64_t vertex = 0;
-  if (args.size() != 3 || (args[1] != "machine" && args[1] != "link") ||
-      !ParseInt(args[2], vertex)) {
+  if (args.size() != 3 || (args[1] != "machine" && args[1] != "link")) {
     out << "error: fail machine|link <vertex>\n";
     return false;
   }
+  topology::VertexId vertex = 0;
+  if (!ParseVertex(args[2], vertex, out)) return false;
   const core::FaultKind kind = args[1] == "machine"
                                    ? core::FaultKind::kMachine
                                    : core::FaultKind::kLink;
-  auto outcome = manager_.HandleFault(
-      kind, static_cast<topology::VertexId>(vertex), recovery_policy_,
-      *current_allocator_);
+  auto outcome =
+      manager_.HandleFault(kind, vertex, recovery_policy_, *current_allocator_);
   if (!outcome) {
     out << "fail " << args[1] << " " << vertex << ": "
         << outcome.status().ToText() << "\n";
@@ -411,19 +447,18 @@ bool Interpreter::CmdDrill(const std::vector<std::string>& args,
   // drill rack <vertex>: correlated failure drill — fail every machine
   // under the ToR (ascending id, like a rack power event), report how the
   // current policy fared, then recover everything.
-  int64_t vertex = 0;
-  if (args.size() != 3 || args[1] != "rack" || !ParseInt(args[2], vertex)) {
+  if (args.size() != 3 || args[1] != "rack") {
     out << "error: drill rack <vertex>\n";
     return false;
   }
+  topology::VertexId vertex = 0;
+  if (!ParseVertex(args[2], vertex, out)) return false;
   const auto& topo = manager_.topo();
-  if (vertex <= 0 || vertex >= topo.num_vertices() ||
-      topo.is_machine(static_cast<topology::VertexId>(vertex))) {
+  if (vertex == topo.root() || topo.is_machine(vertex)) {
     out << "error: drill rack needs a non-root switch vertex\n";
     return false;
   }
-  std::vector<topology::VertexId> machines =
-      topo.MachinesUnder(static_cast<topology::VertexId>(vertex));
+  std::vector<topology::VertexId> machines = topo.MachinesUnder(vertex);
   std::sort(machines.begin(), machines.end());
   int64_t affected = 0, switched = 0, reactive = 0, evicted = 0;
   std::vector<topology::VertexId> downed;
@@ -469,13 +504,13 @@ bool Interpreter::CmdDrain(const std::vector<std::string>& args,
   // drain <machine>: outage-free planned drain — cordon the machine and
   // migrate its tenants off (backup switchover preferred).  The machine
   // stays cordoned; `uncordon` reopens it, `fail machine` takes it down.
-  int64_t vertex = 0;
-  if (args.size() != 2 || !ParseInt(args[1], vertex)) {
+  if (args.size() != 2) {
     out << "error: drain <machine>\n";
     return false;
   }
-  auto outcome = manager_.DrainMachine(
-      static_cast<topology::VertexId>(vertex), *current_allocator_);
+  topology::VertexId vertex = 0;
+  if (!ParseVertex(args[1], vertex, out)) return false;
+  auto outcome = manager_.DrainMachine(vertex, *current_allocator_);
   if (!outcome) {
     out << "drain " << vertex << ": " << outcome.status().ToText() << "\n";
     return false;
@@ -493,13 +528,13 @@ bool Interpreter::CmdDrain(const std::vector<std::string>& args,
 
 bool Interpreter::CmdUncordon(const std::vector<std::string>& args,
                               std::ostream& out) {
-  int64_t vertex = 0;
-  if (args.size() != 2 || !ParseInt(args[1], vertex)) {
+  if (args.size() != 2) {
     out << "error: uncordon <machine>\n";
     return false;
   }
-  const util::Status status =
-      manager_.UncordonMachine(static_cast<topology::VertexId>(vertex));
+  topology::VertexId vertex = 0;
+  if (!ParseVertex(args[1], vertex, out)) return false;
+  const util::Status status = manager_.UncordonMachine(vertex);
   if (!status.ok()) {
     out << "uncordon " << vertex << ": " << status.ToText() << "\n";
     return false;
@@ -510,13 +545,13 @@ bool Interpreter::CmdUncordon(const std::vector<std::string>& args,
 
 bool Interpreter::CmdRecover(const std::vector<std::string>& args,
                              std::ostream& out) {
-  int64_t vertex = 0;
-  if (args.size() != 2 || !ParseInt(args[1], vertex)) {
+  if (args.size() != 2) {
     out << "error: recover <vertex>\n";
     return false;
   }
-  const util::Status status =
-      manager_.HandleRecovery(static_cast<topology::VertexId>(vertex));
+  topology::VertexId vertex = 0;
+  if (!ParseVertex(args[1], vertex, out)) return false;
+  const util::Status status = manager_.HandleRecovery(vertex);
   if (!status.ok()) {
     out << "recover " << vertex << ": " << status.ToText() << "\n";
     return false;
@@ -566,8 +601,8 @@ bool Interpreter::CmdHealth(const std::vector<std::string>& args,
 bool Interpreter::CmdTail(const std::vector<std::string>& args,
                           std::ostream& out) {
   int64_t n = 10;
-  if (args.size() > 2 || (args.size() == 2 && (!ParseInt(args[1], n) ||
-                                               n < 1))) {
+  if (args.size() > 2 ||
+      (args.size() == 2 && !ParseIntIn(args[1], 1, kMaxInt64, n))) {
     out << "error: tail [n]\n";
     return false;
   }
@@ -593,7 +628,7 @@ bool Interpreter::CmdTail(const std::vector<std::string>& args,
 bool Interpreter::CmdExplain(const std::vector<std::string>& args,
                              std::ostream& out) {
   int64_t id = 0;
-  if (args.size() != 2 || !ParseInt(args[1], id)) {
+  if (args.size() != 2 || !ParseId(args[1], id)) {
     out << "error: explain <tenant>\n";
     return false;
   }

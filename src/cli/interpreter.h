@@ -45,12 +45,17 @@
 //   snapshot load state.json            # replay into an empty manager
 //
 // Tenant ids are integers within ±(2^53 - 1), so a snapshot's JSON
-// numbers carry them exactly; `admit` and `batch` refuse any other id.
+// numbers carry them exactly; every command refuses any other id.  The
+// other integer arguments are range-checked the same way before use: VM
+// counts fit in an int, vertex ids lie within the fabric, and `batch` takes
+// at most kMaxBatchWorkers workers and kMaxBatchCount tenants.  An
+// out-of-range argument is an error that changes no state.
 // Each command writes a one-line result to the output stream; errors are
 // reported per line (the interpreter keeps going) and counted.  Exit
 // status of `svcctl` is nonzero if any command failed.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -63,6 +68,10 @@ namespace svc::cli {
 
 class Interpreter {
  public:
+  // `batch` caps, checked before anything is reserved or started.
+  static constexpr int64_t kMaxBatchWorkers = 64;
+  static constexpr int64_t kMaxBatchCount = 100'000;
+
   // Borrows the topology (must outlive the interpreter).
   Interpreter(const topology::Topology& topo, double epsilon);
   ~Interpreter();
@@ -105,6 +114,9 @@ class Interpreter {
   bool CmdHealth(const std::vector<std::string>& args, std::ostream& out);
   bool CmdTail(const std::vector<std::string>& args, std::ostream& out);
   bool CmdExplain(const std::vector<std::string>& args, std::ostream& out);
+  // Parses a vertex id within the fabric; writes the error otherwise.
+  bool ParseVertex(const std::string& text, topology::VertexId& vertex,
+                   std::ostream& out) const;
 
   core::NetworkManager manager_;
   std::map<std::string, std::unique_ptr<core::Allocator>> allocators_;

@@ -41,10 +41,6 @@ const char* ToString(CommitPath path) {
       return "shard-dispatch";
     case CommitPath::kStaleRerun:
       return "stale-rerun";
-    case CommitPath::kOptimistic:
-      return "optimistic";
-    case CommitPath::kOptimisticRetry:
-      return "optimistic-retry";
     case CommitPath::kFaultEvict:
       return "fault-evict";
   }

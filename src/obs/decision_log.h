@@ -83,9 +83,7 @@ enum class CommitPath : uint8_t {
   kShardFresh = 2,       // pipeline: stale but shard-freshness lemma held
   kShardDispatch = 3,    // pipeline: fresh single-shard, applied by worker
   kStaleRerun = 4,       // pipeline: stale admit, drained serial re-run
-  kOptimistic = 5,       // optimistic discipline, first-attempt commit
-  kOptimisticRetry = 6,  // optimistic discipline, committed after retries
-  kFaultEvict = 7,       // fault plane: recovery failed, tenant evicted
+  kFaultEvict = 5,       // fault plane: recovery failed, tenant evicted
 };
 
 const char* ToString(DecisionOutcome outcome);

@@ -31,7 +31,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
   if (config_.admission_workers > 1) {
     core::PipelineConfig pipeline;
     pipeline.workers = config_.admission_workers;
-    pipeline.deterministic = true;  // bit-identical to the serial path
     pipeline.shards = config_.admission_shards;
     pipeline.placement = config_.placement;
     pipeline_ =
@@ -646,8 +645,8 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
     }
     if (pipeline_ != nullptr && group_end - next > 1) {
       // The arrivals due this instant are admitted as one pipeline batch;
-      // the deterministic discipline settles them in arrival order with
-      // decisions identical to the serial loop below.
+      // the pipeline settles them in arrival order with decisions
+      // identical to the serial loop below.
       std::vector<core::Request> requests;
       requests.reserve(group_end - next);
       for (size_t j = next; j < group_end; ++j) {

@@ -71,8 +71,8 @@ struct SimConfig {
   // Concurrent admission pipeline (docs/CONCURRENCY.md): > 1 admits
   // same-instant arrival groups (RunOnline) and FIFO windows (RunBatch)
   // through core::AdmissionPipeline with that many speculation workers,
-  // under the deterministic commit discipline — every decision, event, RNG
-  // draw, and sample is bit-identical to the serial path (0 or 1).
+  // which commits in request order — every decision, event, RNG draw, and
+  // sample is bit-identical to the serial path (0 or 1).
   int admission_workers = 0;
   // Max FIFO window RunBatch hands the pipeline per admission round.
   int admission_window = 128;
@@ -218,7 +218,7 @@ class Engine {
   core::NetworkManager manager_;
   // Pristine state used only for UnallocatableEvenEmpty checks.
   core::NetworkManager empty_manager_;
-  // Non-null iff config_.admission_workers > 1 (deterministic discipline).
+  // Non-null iff config_.admission_workers > 1.
   std::unique_ptr<core::AdmissionPipeline> pipeline_;
   MaxMinScratch scratch_;
   std::vector<double> capacity_;  // uplink capacity per vertex

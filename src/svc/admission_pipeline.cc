@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -64,7 +66,6 @@ struct AdmissionPipeline::BatchCtx {
       : pending(pending_capacity),
         done(n),
         proposals(n),
-        attempts(n, 0),
         decided(n),
         apply_ready(n) {}
 
@@ -73,7 +74,6 @@ struct AdmissionPipeline::BatchCtx {
   util::BoundedQueue<size_t> pending;  // indices awaiting speculation
   util::BoundedQueue<size_t> done;     // indices with a parked proposal
   std::vector<AdmissionProposal> proposals;
-  std::vector<int> attempts;  // optimistic re-speculation count per index
   // One publication flag per request, cache-line padded: the sequencer's
   // delivery loop spins on slot i while shard workers release-store
   // neighboring slots — unpadded, every store would invalidate the line
@@ -101,13 +101,18 @@ struct AdmissionPipeline::BatchCtx {
 AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
                                      PipelineConfig config)
     : manager_(manager), config_(config) {
+  if (!config_.deterministic) {
+    std::fprintf(stderr,
+                 "AdmissionPipeline: PipelineConfig::deterministic must be "
+                 "true (request-order commits are the only discipline)\n");
+    std::abort();
+  }
   if (config_.workers <= 0) {
     config_.workers = util::ThreadPool::HardwareThreads();
   }
   if (config_.queue_capacity <= 0) {
     config_.queue_capacity = 4 * config_.workers;
   }
-  if (config_.max_retries < 0) config_.max_retries = 0;
 
   if (config_.placement != util::PlacementPolicy::kNone) {
     if (config_.topology != nullptr) {
@@ -128,8 +133,7 @@ AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
     manager_.ConfigureSharding(std::move(shards));
     touched_shards_.assign(static_cast<size_t>(num_shards) + 1, 0);
   }
-  const bool sharded_committers =
-      num_shards > 0 && config_.deterministic && config_.workers > 1;
+  const bool sharded_committers = num_shards > 0 && config_.workers > 1;
   std::vector<util::CpuSlot> shard_slots(
       sharded_committers ? num_shards : 0);
   if (sharded_committers && topo_ != nullptr) {
@@ -137,21 +141,16 @@ AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
   }
 
   if (config_.workers > 1) {
-    if (config_.pool != nullptr) {
-      pool_ = config_.pool;  // borrowed: never re-pinned (see PipelineConfig)
-    } else {
-      util::ThreadPoolOptions opts;
-      opts.num_threads = config_.workers;
-      // kShardNode is a shard-worker mapping; the speculation pool packs
-      // the cores the shard plan left free.
-      opts.placement = config_.placement == util::PlacementPolicy::kShardNode
-                           ? util::PlacementPolicy::kCompact
-                           : config_.placement;
-      opts.topology = topo_;
-      opts.reserved = shard_slots;
-      owned_pool_ = std::make_unique<util::ThreadPool>(opts);
-      pool_ = owned_pool_.get();
-    }
+    util::ThreadPoolOptions opts;
+    opts.num_threads = config_.workers;
+    // kShardNode is a shard-worker mapping; the speculation pool packs the
+    // cores the shard plan left free.
+    opts.placement = config_.placement == util::PlacementPolicy::kShardNode
+                         ? util::PlacementPolicy::kCompact
+                         : config_.placement;
+    opts.topology = topo_;
+    opts.reserved = shard_slots;
+    pool_ = std::make_unique<util::ThreadPool>(opts);
   }
 
   if (sharded_committers) {
@@ -414,7 +413,7 @@ int AdmissionPipeline::SingleShardOf(uint64_t touched_mask) const {
   return s < static_cast<int>(committers_.size()) ? s : -1;
 }
 
-std::optional<util::Result<Placement>> AdmissionPipeline::FinalizeDeterministic(
+std::optional<util::Result<Placement>> AdmissionPipeline::FinalizeProposal(
     const Request& request, const Allocator& allocator,
     AdmissionProposal&& proposal, BatchCtx* ctx, size_t index) {
   const bool fresh = proposal.epoch == manager_.epoch();
@@ -586,8 +585,6 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
     bool stop_on_failure, const DecisionFn& on_decision, int window) {
   const size_t n = requests.size();
   if (n == 0) return {};
-  assert((config_.deterministic || !stop_on_failure) &&
-         "stop_on_failure requires the deterministic commit discipline");
   if (config_.workers <= 1 || n == 1) {
     return AdmitSerial(requests, allocator, stop_on_failure, on_decision);
   }
@@ -617,7 +614,7 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
   }
 
   size_t next_submit = 0;
-  size_t sequenced = 0;  // commit-front progress, maintained by both loops
+  size_t commit_cursor = 0;  // next request to sequence
   bool aborted = false;
 
   // Keeps the pending queue fed.  Run-ahead is bounded explicitly by
@@ -629,7 +626,7 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
       static_cast<size_t>(config_.queue_capacity) + nworkers;
   auto feed = [&] {
     while (!aborted && next_submit < n &&
-           next_submit - sequenced < inflight_cap) {
+           next_submit - commit_cursor < inflight_cap) {
       if (ctx.decisions) ctx.submit_ns[next_submit] = NowNs();
       if (!ctx.pending.TryPush(next_submit)) break;
       manager_.BeginProposal();
@@ -649,236 +646,110 @@ std::vector<util::Result<Placement>> AdmissionPipeline::AdmitBatch(
   };
 
   feed();
-  if (config_.deterministic) {
-    // How each classified index resolves (sequencer-only).
-    enum : uint8_t {
-      kUnclassified = 0,
-      kInline = 1,     // decided[] set by the sequencer; callback due
-      kDelegated = 2,  // apply in flight; shard worker parks decided[]
-      kSilent = 3,     // not attempted (FIFO abort); no callback
-    };
-    std::vector<uint8_t> route(n, kUnclassified);
-    size_t deliver_cursor = 0;
+  // How each classified index resolves (sequencer-only).
+  enum : uint8_t {
+    kUnclassified = 0,
+    kInline = 1,     // decided[] set by the sequencer; callback due
+    kDelegated = 2,  // apply in flight; shard worker parks decided[]
+    kSilent = 3,     // not attempted (FIFO abort); no callback
+  };
+  std::vector<uint8_t> route(n, kUnclassified);
+  size_t deliver_cursor = 0;
 
-    // In-order decision delivery.  The sequencer may classify (and
-    // dispatch) several requests ahead of the oldest in-flight apply;
-    // callbacks still fire strictly in request order, waiting on the shard
-    // worker only when `block` demands it.
-    auto deliver = [&](bool block) {
-      while (deliver_cursor < n && route[deliver_cursor] != kUnclassified) {
-        const size_t i = deliver_cursor;
-        if (route[i] == kDelegated) {
-          if (!ctx.apply_ready[i].flag.load(std::memory_order_acquire)) {
-            if (!block) return;
-            do {
-              std::this_thread::yield();
-            } while (!ctx.apply_ready[i].flag.load(std::memory_order_acquire));
-          }
-          util::Result<Placement>& r = *ctx.decided[i];
-          if (r.ok()) {
-            ++stats_.committed;
-            SVC_METRIC_INC("admission/committed");
-          } else {
-            // The apply half re-validated bit-identical rows and still
-            // failed: an allocator bug.  Undo the sequencer-side
-            // registration; under FIFO semantics the abort lands here, so
-            // a few already-sequenced successors may have committed.
-            manager_.AbandonShardCommit(requests[i].id());
-            ++stats_.rejected;
-            SVC_LOG(Error) << "shard apply failed for request "
-                           << requests[i].id() << " via " << allocator.name()
-                           << ": " << r.status().message();
-            r = util::Result<Placement>(
-                util::ErrorCode::kFailedPrecondition,
-                std::string(allocator.name()) + ": " + r.status().message());
-            if (stop_on_failure) aborted = true;
-          }
-          manager_.EndProposal();
+  // In-order decision delivery.  The sequencer may classify (and
+  // dispatch) several requests ahead of the oldest in-flight apply;
+  // callbacks still fire strictly in request order, waiting on the shard
+  // worker only when `block` demands it.
+  auto deliver = [&](bool block) {
+    while (deliver_cursor < n && route[deliver_cursor] != kUnclassified) {
+      const size_t i = deliver_cursor;
+      if (route[i] == kDelegated) {
+        if (!ctx.apply_ready[i].flag.load(std::memory_order_acquire)) {
+          if (!block) return;
+          do {
+            std::this_thread::yield();
+          } while (!ctx.apply_ready[i].flag.load(std::memory_order_acquire));
         }
-        if (route[i] != kSilent && on_decision) {
-          on_decision(i, *ctx.decided[i]);
-        }
-        ++deliver_cursor;
-      }
-    };
-
-    std::vector<char> ready(n, 0);
-    size_t commit_cursor = 0;
-    while (commit_cursor < n) {
-      if (commit_cursor >= next_submit) {
-        // The feed stopped on abort before this index was ever speculated
-        // (never registered: no EndProposal due).
-        assert(aborted);
-        ctx.decided[commit_cursor] = NotAttempted();
-        route[commit_cursor] = kSilent;
-        sequenced = ++commit_cursor;
-        deliver(/*block=*/false);
-        continue;
-      }
-      if (!ready[commit_cursor]) {
-        ready[pop_done()] = 1;
-        feed();
-        continue;
-      }
-      if (aborted) {
-        ctx.decided[commit_cursor] = NotAttempted();
-        route[commit_cursor] = kSilent;
-        manager_.EndProposal();
-      } else {
-        std::optional<util::Result<Placement>> r = FinalizeDeterministic(
-            requests[commit_cursor], allocator,
-            std::move(ctx.proposals[commit_cursor]), &ctx, commit_cursor);
-        if (r.has_value()) {
-          if (stop_on_failure && !r->ok()) aborted = true;
-          ctx.decided[commit_cursor] = std::move(*r);
-          route[commit_cursor] = kInline;
-          manager_.EndProposal();
-        } else {
-          route[commit_cursor] = kDelegated;  // EndProposal at delivery
-        }
-      }
-      sequenced = ++commit_cursor;
-      // Cross-window barrier: windows overlap in speculation (the feeder
-      // runs ahead), but the commit plane quiesces — every shard queue
-      // drains, pending decisions deliver, and window N+1's speculations
-      // get window N's final books.
-      if (window > 0 && commit_cursor < n &&
-          commit_cursor % static_cast<size_t>(window) == 0) {
-        DrainShards(~uint64_t{0});
-        deliver(/*block=*/true);
-        RefreshSnapshot();
-      } else {
-        deliver(/*block=*/false);
-      }
-      feed();
-    }
-    DrainShards(~uint64_t{0});
-    deliver(/*block=*/true);
-    assert(deliver_cursor == n);
-  } else {
-    // Optimistic: commit in completion order; validate-or-retry conflicts.
-    size_t finalized = 0;
-    while (finalized < n) {
-      const size_t idx = pop_done();
-      AdmissionProposal& proposal = ctx.proposals[idx];
-      const bool fresh = proposal.epoch == manager_.epoch();
-      // Optimistic mode runs no shard committers: the sequencer is the
-      // only books writer, so decision-record slack reads use the
-      // authoritative ledger directly.
-      const obs::CommitPath opt_path = ctx.attempts[idx] > 0
-                                           ? obs::CommitPath::kOptimisticRetry
-                                           : obs::CommitPath::kOptimistic;
-      const uint32_t epoch_delta =
-          static_cast<uint32_t>(manager_.epoch() - proposal.epoch);
-      if (ctx.decisions) {
-        ctx.stages[idx].sequence_us =
-            MicrosBetween(ctx.spec_end_ns[idx], NowNs());
-      }
-      std::optional<util::Result<Placement>> r;
-      if (proposal.ok) {
-        if (!touched_shards_.empty()) {
-          const uint64_t shard_bits =
-              (uint64_t{1} << (touched_shards_.size() - 1)) - 1;
-          ++touched_shards_[static_cast<size_t>(
-              std::popcount(proposal.touched_mask & shard_bits))];
-        }
-        // Validation runs against the authoritative books either way, so a
-        // stale epoch alone is not a conflict until the re-check fails.
-        const auto start = std::chrono::steady_clock::now();
-        util::Result<Placement> committed =
-            manager_.CommitProposal((*ctx.requests)[idx],
-                                    std::move(proposal));
-        const double commit_us = MicrosSince(start);
-        SVC_METRIC_HIST("admission/commit_latency_us", commit_us);
-        if (committed.ok()) {
-          if (ctx.decisions) {
-            ctx.stages[idx].apply_us = static_cast<float>(commit_us);
-            manager_.RecordAdmissionDecision(
-                (*ctx.requests)[idx], allocator.name(), /*admitted=*/true,
-                "ok", opt_path, /*shard=*/-1, epoch_delta, manager_.ledger(),
-                &proposal.demands, ctx.stages[idx]);
-          }
-          if (obs::FlightRecorder::Global().enabled()) {
-            obs::FlightRecorder::Global().ObserveAdmission(true, commit_us);
-          }
+        util::Result<Placement>& r = *ctx.decided[i];
+        if (r.ok()) {
           ++stats_.committed;
           SVC_METRIC_INC("admission/committed");
-          RefreshSnapshot();
-          r = std::move(committed);
-        } else if (fresh) {
-          if (ctx.decisions) {
-            ctx.stages[idx].apply_us = static_cast<float>(commit_us);
-            manager_.RecordAdmissionDecision(
-                (*ctx.requests)[idx], allocator.name(), /*admitted=*/false,
-                ReasonCode(committed.status().code()), opt_path,
-                /*shard=*/-1, epoch_delta, manager_.ledger(),
-                &proposal.demands, ctx.stages[idx]);
-          }
-          if (obs::FlightRecorder::Global().enabled()) {
-            obs::FlightRecorder::Global().ObserveAdmission(false, commit_us);
-          }
+        } else {
+          // The apply half re-validated bit-identical rows and still
+          // failed: an allocator bug.  Undo the sequencer-side
+          // registration; under FIFO semantics the abort lands here, so
+          // a few already-sequenced successors may have committed.
+          manager_.AbandonShardCommit(requests[i].id());
           ++stats_.rejected;
+          SVC_LOG(Error) << "shard apply failed for request "
+                         << requests[i].id() << " via " << allocator.name()
+                         << ": " << r.status().message();
           r = util::Result<Placement>(
               util::ErrorCode::kFailedPrecondition,
-              std::string(allocator.name()) + ": " +
-                  committed.status().message());
-        } else {
-          ++stats_.conflicts;
-          SVC_METRIC_INC("admission/conflicts");
+              std::string(allocator.name()) + ": " + r.status().message());
+          if (stop_on_failure) aborted = true;
         }
-      } else if (fresh || proposal.rejection_monotone) {
-        // Fresh rejections are authoritative; stale ones are too for a
-        // monotone allocator, because the books only gained tenants since
-        // the snapshot (nothing releases mid-batch).
-        if (ctx.decisions) {
-          manager_.RecordAdmissionDecision(
-              (*ctx.requests)[idx], allocator.name(), /*admitted=*/false,
-              ReasonCode(proposal.status.code()), opt_path, /*shard=*/-1,
-              epoch_delta, manager_.ledger(), nullptr, ctx.stages[idx]);
-        }
-        if (obs::FlightRecorder::Global().enabled()) {
-          obs::FlightRecorder::Global().ObserveAdmission(
-              false, ctx.decisions ? ctx.stages[idx].sequence_us : 0.0);
-        }
-        ++stats_.rejected;
-        r = util::Result<Placement>(proposal.status);
-      } else {
-        // A stale rejection from a greedy allocator: the changed books may
-        // have changed the verdict — treat it as a conflict and
-        // re-speculate.
-        ++stats_.conflicts;
-        SVC_METRIC_INC("admission/conflicts");
+        manager_.EndProposal();
       }
-      if (!r.has_value()) {
-        if (ctx.attempts[idx] < config_.max_retries &&
-            ctx.pending.TryPush(idx)) {
-          ++ctx.attempts[idx];
-          ++stats_.retries;
-          SVC_METRIC_INC("admission/retries");
-          continue;  // still in flight: no EndProposal, not finalized
-        }
-        // Retry budget exhausted (or the queue is saturated): serial
-        // fallback on the commit thread — never worse than the serial path.
-        ++stats_.fallbacks;
-        SVC_METRIC_INC("admission/fallbacks");
-        util::Result<Placement> f = manager_.Admit(
-            (*ctx.requests)[idx], allocator, obs::CommitPath::kStaleRerun);
-        if (f.ok()) {
-          ++stats_.committed;
-          SVC_METRIC_INC("admission/committed");
-          RefreshSnapshot();
-        } else {
-          ++stats_.rejected;
-        }
-        r = std::move(f);
+      if (route[i] != kSilent && on_decision) {
+        on_decision(i, *ctx.decided[i]);
       }
-      manager_.EndProposal();
-      if (on_decision) on_decision(idx, *r);
-      ctx.decided[idx] = std::move(*r);
-      sequenced = ++finalized;
-      feed();
+      ++deliver_cursor;
     }
+  };
+
+  std::vector<char> ready(n, 0);
+  while (commit_cursor < n) {
+    if (commit_cursor >= next_submit) {
+      // The feed stopped on abort before this index was ever speculated
+      // (never registered: no EndProposal due).
+      assert(aborted);
+      ctx.decided[commit_cursor] = NotAttempted();
+      route[commit_cursor] = kSilent;
+      ++commit_cursor;
+      deliver(/*block=*/false);
+      continue;
+    }
+    if (!ready[commit_cursor]) {
+      ready[pop_done()] = 1;
+      feed();
+      continue;
+    }
+    if (aborted) {
+      ctx.decided[commit_cursor] = NotAttempted();
+      route[commit_cursor] = kSilent;
+      manager_.EndProposal();
+    } else {
+      std::optional<util::Result<Placement>> r = FinalizeProposal(
+          requests[commit_cursor], allocator,
+          std::move(ctx.proposals[commit_cursor]), &ctx, commit_cursor);
+      if (r.has_value()) {
+        if (stop_on_failure && !r->ok()) aborted = true;
+        ctx.decided[commit_cursor] = std::move(*r);
+        route[commit_cursor] = kInline;
+        manager_.EndProposal();
+      } else {
+        route[commit_cursor] = kDelegated;  // EndProposal at delivery
+      }
+    }
+    ++commit_cursor;
+    // Cross-window barrier: windows overlap in speculation (the feeder
+    // runs ahead), but the commit plane quiesces — every shard queue
+    // drains, pending decisions deliver, and window N+1's speculations
+    // get window N's final books.
+    if (window > 0 && commit_cursor < n &&
+        commit_cursor % static_cast<size_t>(window) == 0) {
+      DrainShards(~uint64_t{0});
+      deliver(/*block=*/true);
+      RefreshSnapshot();
+    } else {
+      deliver(/*block=*/false);
+    }
+    feed();
   }
+  DrainShards(~uint64_t{0});
+  deliver(/*block=*/true);
+  assert(deliver_cursor == n);
 
   ctx.pending.Close();
   latch.Wait();

@@ -14,10 +14,10 @@
 //                  commit worker (NetworkManager::ApplyShardCommit), so
 //                  commits into different top-level subtrees overlap.
 //
-// Sharded commit discipline (PipelineConfig::shards > 0, deterministic
-// mode): the constructor partitions the fabric at the aggregation level
-// (net::ShardMap) and starts one commit worker per shard.  The sequencer
-// classifies each proposal by its touched-bucket mask:
+// Sharded commits (PipelineConfig::shards > 0): the constructor partitions
+// the fabric at the aggregation level (net::ShardMap) and starts one commit
+// worker per shard.  The sequencer classifies each proposal by its
+// touched-bucket mask:
 //
 //   * single-shard, strictly fresh — PrepareShardCommit on the sequencer
 //     (duplicate/shape check, live registration, epoch bump: the commit's
@@ -47,10 +47,10 @@
 // batch end is always a full barrier: on return no proposal is in flight
 // and every shard queue is empty (snapshots and faults are safe again).
 //
-// Obs: admission/{proposed,committed,conflicts,retries,fallbacks,
-// shard_conflicts,cross_shard_commits} counters, the pipeline/depth and
-// per-shard pipeline/shard_depth/<s> gauges, and the
-// admission/commit_latency_us histogram.
+// Obs: admission/{proposed,committed,conflicts,fallbacks,shard_conflicts,
+// cross_shard_commits} counters, the pipeline/depth and per-shard
+// pipeline/shard_depth/<s> gauges, and the admission/commit_latency_us
+// histogram.
 #pragma once
 
 #include <atomic>
@@ -75,17 +75,17 @@ namespace svc::core {
 struct PipelineConfig {
   int workers = 0;         // speculation threads; 0 = hardware concurrency
   int queue_capacity = 0;  // pending-queue bound; 0 = 4 * workers
-  int max_retries = 3;     // optimistic re-speculations before serial fallback
+  // Commits follow request order, so every decision is the serial one.
+  // That is the only discipline: the constructor aborts on false.  The
+  // field stays because callers (perfbench/src/workloads.cc) assign it.
   bool deterministic = true;
   // Aggregation-level commit shards: 0 leaves the manager unsharded (the
   // PR-5 single-committer pipeline); >= 1 installs a net::ShardMap on the
-  // manager (clamped to the root's child count) and, under the
-  // deterministic discipline with workers > 1, starts one commit worker
-  // per shard.  1 is a valid degenerate point — one shard plus the core
-  // stripe — and is the baseline the shard-scaling bench compares against.
+  // manager (clamped to the root's child count) and, with workers > 1,
+  // starts one commit worker per shard.  1 is a valid degenerate point —
+  // one shard plus the core stripe — and is the baseline the shard-scaling
+  // bench compares against.
   int shards = 0;
-  // Borrowed pool to speculate on; the pipeline owns a private one if null.
-  util::ThreadPool* pool = nullptr;
   // Topology-aware placement (docs/PERFORMANCE.md §7).  kShardNode pins
   // shard commit worker s to a core on node (s % nodes), first-touch
   // re-homes the ledger so that node owns bucket s's rows, and spreads the
@@ -94,8 +94,7 @@ struct PipelineConfig {
   // Placement never changes decisions — plans are deterministic and the
   // commit discipline is placement-oblivious — and degrades to kNone
   // behavior (no pinning, no re-homing effect) on single-cpu or
-  // single-node hosts.  A borrowed `pool` is never re-pinned; only the
-  // pipeline's own workers participate.
+  // single-node hosts.
   util::PlacementPolicy placement = util::PlacementPolicy::kNone;
   // Borrowed; must outlive the constructor.  nullptr + a non-kNone
   // placement detects the host topology.
@@ -105,11 +104,10 @@ struct PipelineConfig {
 // Cumulative across AdmitBatch calls; owned by the commit thread (read it
 // only between batches).
 struct PipelineStats {
-  int64_t proposed = 0;    // speculation runs (includes retries)
+  int64_t proposed = 0;    // speculation runs
   int64_t committed = 0;   // admissions committed to the books
   int64_t rejected = 0;    // final negative decisions
   int64_t conflicts = 0;   // proposals invalidated by a concurrent commit
-  int64_t retries = 0;     // optimistic re-speculations after a conflict
   int64_t fallbacks = 0;   // serial re-runs on the commit thread
   int64_t shard_commits = 0;       // applies dispatched to shard workers
   int64_t shard_conflicts = 0;     // admits that failed the shard-fresh check
@@ -126,7 +124,6 @@ class AdmissionPipeline {
   AdmissionPipeline& operator=(const AdmissionPipeline&) = delete;
 
   int workers() const { return config_.workers; }
-  bool deterministic() const { return config_.deterministic; }
   // Shard commit workers actually running (0 = unsharded single committer).
   int shard_workers() const { return static_cast<int>(committers_.size()); }
 
@@ -150,9 +147,9 @@ class AdmissionPipeline {
 
   // Decision observer: runs on the calling thread with a mutable reference
   // to the request's decision (the engine moves the placement out to
-  // register flows).  Under the deterministic discipline invocations are in
-  // request order — delivery may lag the sequencer while a shard worker's
-  // apply is in flight, but never reorders.
+  // register flows).  Invocations are in request order — delivery may lag
+  // the sequencer while a shard worker's apply is in flight, but never
+  // reorders.
   using DecisionFn = std::function<void(size_t, util::Result<Placement>&)>;
 
   // Runs the batch through the pipeline; returns one decision per request,
@@ -160,12 +157,12 @@ class AdmissionPipeline {
   // in-flight proposals, all shard queues empty — snapshots and faults are
   // safe again).
   //
-  // `stop_on_failure` models strict-FIFO admission (deterministic
-  // discipline only): after the first failed request no later request is
-  // committed; their slots report kFailedPrecondition "not attempted" and
-  // `on_decision` is not called for them.  (A shard-worker apply failure —
-  // an allocator bug, never a scheduling artifact — aborts at delivery
-  // time, so a few already-sequenced successors may still have committed.)
+  // `stop_on_failure` models strict-FIFO admission: after the first failed
+  // request no later request is committed; their slots report
+  // kFailedPrecondition "not attempted" and `on_decision` is not called
+  // for them.  (A shard-worker apply failure — an allocator bug, never a
+  // scheduling artifact — aborts at delivery time, so a few
+  // already-sequenced successors may still have committed.)
   //
   // `window` > 0 inserts a cross-window barrier every `window` requests:
   // shard queues drain, pending decisions deliver, and the snapshot is
@@ -266,10 +263,10 @@ class AdmissionPipeline {
   util::Result<Placement> SerialRerun(const Request& request,
                                       const Allocator& allocator);
 
-  // Finalizes one proposal under the deterministic discipline.  Returns
-  // the decision, or nullopt when the apply half was dispatched to a shard
-  // worker (the decision is delivered later, in request order).
-  std::optional<util::Result<Placement>> FinalizeDeterministic(
+  // Finalizes one proposal in request order.  Returns the decision, or
+  // nullopt when the apply half was dispatched to a shard worker (the
+  // decision is delivered later, in request order).
+  std::optional<util::Result<Placement>> FinalizeProposal(
       const Request& request, const Allocator& allocator,
       AdmissionProposal&& proposal, BatchCtx* ctx, size_t index);
 
@@ -283,8 +280,7 @@ class AdmissionPipeline {
   util::CpuTopology owned_topology_;
   const util::CpuTopology* topo_ = nullptr;
   std::vector<WorkerPlacement> placement_map_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<util::ThreadPool> pool_;  // speculation; null if serial
 
   // Shard commit workers (empty = unsharded / serial-commit pipeline).
   std::vector<std::unique_ptr<ShardCommitter>> committers_;

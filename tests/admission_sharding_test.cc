@@ -337,6 +337,7 @@ TEST(ShardedPipelineDeterministic, WindowBarriersDoNotChangeDecisions) {
 TEST(ShardedPipelineDeterministic, GreedyAllocatorStillSerialIdentical) {
   // first-fit declares neither monotone property, so every stale proposal
   // re-runs serially — slower, but decisions must still be bit-identical.
+  // Unsharded (0) too: there a stale rejection re-runs on the sequencer.
   const topology::Topology topo = ShardTopo();
   const FirstFitAllocator alloc;
   const std::vector<Request> requests = ShardChurn(32, 43);
@@ -346,17 +347,20 @@ TEST(ShardedPipelineDeterministic, GreedyAllocatorStillSerialIdentical) {
   for (const Request& r : requests) {
     expected.push_back(serial.Admit(r, alloc).ok() ? 1 : 0);
   }
-  NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  config.shards = 4;
-  AdmissionPipeline pipeline(manager, config);
-  std::vector<char> verdicts;
-  for (const auto& d : pipeline.AdmitBatch(requests, alloc)) {
-    verdicts.push_back(d.ok() ? 1 : 0);
+  for (int shards : {0, 4}) {
+    NetworkManager manager(topo, 0.05);
+    PipelineConfig config;
+    config.workers = 4;
+    config.shards = shards;
+    AdmissionPipeline pipeline(manager, config);
+    std::vector<char> verdicts;
+    for (const auto& d : pipeline.AdmitBatch(requests, alloc)) {
+      verdicts.push_back(d.ok() ? 1 : 0);
+    }
+    EXPECT_EQ(verdicts, expected) << shards << " shards";
+    EXPECT_EQ(manager.MaxOccupancy(), serial.MaxOccupancy())
+        << shards << " shards";
   }
-  EXPECT_EQ(verdicts, expected);
-  EXPECT_EQ(manager.MaxOccupancy(), serial.MaxOccupancy());
 }
 
 TEST(ShardedPipelineDeterministic, PlacementPoliciesDoNotChangeDecisions) {
@@ -435,7 +439,6 @@ TEST(ShardedPipelineStats, AccountsDispatchesConflictsAndHistogram) {
   EXPECT_GE(stats.shard_commits + stats.cross_shard_commits + stats.fallbacks,
             stats.committed);
   EXPECT_GT(stats.shard_commits, 0);
-  EXPECT_EQ(stats.retries, 0);
   // The histogram covers every admit proposal the sequencer classified.
   const std::vector<int64_t>& hist = pipeline.touched_shard_histogram();
   ASSERT_EQ(hist.size(), 5u);

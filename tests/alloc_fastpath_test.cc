@@ -2,14 +2,13 @@
 //
 // The production DP evaluates occupancy through the fused batch kernel,
 // prunes provably-infeasible cells via frontier binary search and per-row
-// feasible windows, terminates levels early, and optionally fans vertices
-// across a thread pool.  Every one of those transformations is supposed to
-// be invisible: placements must stay bit-identical to the plain reference
-// recurrence.  This file keeps a straightforward port of that reference DP
-// (one validity + occupancy call pair per cell, no pruning) and
-// property-tests the production paths against it on randomized fabrics,
-// loads, and requests — plus direct exactness checks for the batch kernel
-// and the frontier search.
+// feasible windows, and terminates levels early.  Every one of those
+// transformations is supposed to be invisible: placements must stay
+// bit-identical to the plain reference recurrence.  This file keeps a
+// straightforward port of that reference DP (one validity + occupancy call
+// pair per cell, no pruning) and property-tests the production paths
+// against it on randomized fabrics, loads, and requests — plus direct
+// exactness checks for the batch kernel and the frontier search.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -25,7 +24,6 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
-#include "util/thread_pool.h"
 
 namespace svc::core {
 namespace {
@@ -152,15 +150,15 @@ util::Result<Placement> ReferenceAllocate(const Request& request,
 
 // Random fabric load: admit homogeneous tenants until `fill_percent` of the
 // slots are used, so probe requests see loaded links.  Loading stops early
-// once `retries` + 1 admits in a row have failed: at a high fill, bandwidth
+// once `skips` + 1 admits in a row have failed: at a high fill, bandwidth
 // can run out before the slots do.
 void LoadFabric(NetworkManager& manager, const topology::Topology& topo,
-                stats::Rng& rng, int fill_percent, int retries) {
+                stats::Rng& rng, int fill_percent, int skips) {
   HomogeneousDpAllocator loader;
   int64_t id = 1'000'000;
   const int target_free = topo.total_slots() * (100 - fill_percent) / 100;
   for (int failures = 0;
-       failures <= retries && manager.slots().total_free() > target_free;) {
+       failures <= skips && manager.slots().total_free() > target_free;) {
     const int max_n = std::min(8, manager.slots().total_free());
     const int n = static_cast<int>(rng.UniformInt(1, max_n));
     const double mu = 50.0 * static_cast<double>(rng.UniformInt(1, 6));
@@ -230,31 +228,25 @@ topology::Topology BuildVariant(int variant, int scale) {
 struct Input {
   int scale;  // BuildVariant's
   int fill_percent;
-  int retries;  // failed loading admits in a row that are skipped
+  int skips;  // failed loading admits in a row that are skipped
   Request (*probe)(stats::Rng&, int64_t, int);
 };
 constexpr Input kLightLoad{1, 40, 0, RandomProbe};
 constexpr Input kHighFillTies{4, 90, 50, TieProbe};
 
-void RunEquivalence(double epsilon, bool optimize, bool lowest, bool parallel,
+void RunEquivalence(double epsilon, bool optimize, bool lowest,
                     const Input& input = kLightLoad) {
-  util::ThreadPool pool(2);
-  HomogeneousSearchOptions options;
-  options.optimize_occupancy = optimize;
-  options.lowest_subtree_first = lowest;
-  if (parallel) {
-    options.pool = &pool;
-    options.min_parallel_vertices = 1;  // force the parallel path everywhere
-  }
-  const HomogeneousSearchAllocator fast(options, "fastpath-under-test");
+  const HomogeneousSearchAllocator fast(
+      {.optimize_occupancy = optimize, .lowest_subtree_first = lowest},
+      "fastpath-under-test");
 
   for (int variant = 0; variant < 6; ++variant) {
     const topology::Topology topo = BuildVariant(variant, input.scale);
     NetworkManager manager(topo, epsilon);
     stats::Rng rng(1234 + 1000 * variant +
                    static_cast<uint64_t>(epsilon * 100));
-    LoadFabric(manager, topo, rng, input.fill_percent, input.retries);
-    if (input.retries > 0) {
+    LoadFabric(manager, topo, rng, input.fill_percent, input.skips);
+    if (input.skips > 0) {
       // The light load stops at its first failed admit and may end below
       // its target; an input that skips failures must reach its fill.
       ASSERT_GE(100 * (topo.total_slots() - manager.slots().total_free()),
@@ -272,8 +264,8 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest, bool parallel,
           "variant " + std::to_string(variant) + " probe " +
               std::to_string(probe) + " eps " + std::to_string(epsilon) +
               " fill " + std::to_string(input.fill_percent) +
-              (optimize ? " opt" : " tivc") + (lowest ? " lowest" : " global") +
-              (parallel ? " parallel" : " serial"));
+              (optimize ? " opt" : " tivc") +
+              (lowest ? " lowest" : " global"));
       if (fast_result.ok()) {
         RecycleVmBuffer(std::move(fast_result->vm_machine));
       }
@@ -282,35 +274,26 @@ void RunEquivalence(double epsilon, bool optimize, bool lowest, bool parallel,
 }
 
 TEST(AllocFastPath, SerialOptimizeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, SerialFeasibilityModeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, GlobalSearchMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/false, /*parallel=*/false);
-}
-
-TEST(AllocFastPath, ParallelMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/true, /*parallel=*/true);
-}
-
-TEST(AllocFastPath, ParallelFeasibilityModeMatchesReference) {
-  RunEquivalence(0.05, /*optimize=*/false, /*lowest=*/true, /*parallel=*/true);
+  RunEquivalence(0.05, /*optimize=*/true, /*lowest=*/false);
 }
 
 // epsilon > 0.5 flips the guarantee quantile negative: occupancy is no
 // longer monotone in the added variance, so the allocator must disable the
 // frontier/early-termination pruning — and still match the reference.
 TEST(AllocFastPath, NegativeQuantileMatchesReference) {
-  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
-  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true, /*parallel=*/true);
+  RunEquivalence(0.7, /*optimize=*/true, /*lowest=*/true);
 }
 
 TEST(AllocFastPath, TightEpsilonMatchesReference) {
-  RunEquivalence(0.001, /*optimize=*/true, /*lowest=*/true, /*parallel=*/false);
+  RunEquivalence(0.001, /*optimize=*/true, /*lowest=*/true);
 }
 
 // Every mode above again on fabrics loaded to 90% of their slots.  Most
@@ -319,13 +302,11 @@ TEST(AllocFastPath, TightEpsilonMatchesReference) {
 // sets many row values; with the tie-heavy probes, which of several equal
 // splits the reference keeps decides the placement.
 TEST(AllocFastPath, HighFillTiesMatchReference) {
-  for (const bool parallel : {false, true}) {
-    RunEquivalence(0.05, true, true, parallel, kHighFillTies);
-    RunEquivalence(0.05, false, true, parallel, kHighFillTies);
-    RunEquivalence(0.7, true, true, parallel, kHighFillTies);
-  }
-  RunEquivalence(0.05, true, false, false, kHighFillTies);
-  RunEquivalence(0.001, true, true, false, kHighFillTies);
+  RunEquivalence(0.05, true, true, kHighFillTies);
+  RunEquivalence(0.05, false, true, kHighFillTies);
+  RunEquivalence(0.7, true, true, kHighFillTies);
+  RunEquivalence(0.05, true, false, kHighFillTies);
+  RunEquivalence(0.001, true, true, kHighFillTies);
 }
 
 // The batch kernel must agree bit for bit with the scalar OccupancyWith on

@@ -2,7 +2,11 @@
 // handling, and script execution.
 #include "cli/interpreter.h"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,8 +177,8 @@ TEST_F(InterpreterTest, SnapshotBadUsage) {
   EXPECT_FALSE(ok);
 }
 
-// Snapshots carry tenant ids as JSON numbers, so admit and batch take
-// only ids a double holds exactly.
+// Snapshots carry tenant ids as JSON numbers, so commands take only ids a
+// double holds exactly.
 TEST_F(InterpreterTest, TenantIdsBeyondSafeIntegersAreRefused) {
   bool ok = true;
   for (const char* line : {"admit 9007199254740992 homogeneous 2 100 40",
@@ -273,6 +277,76 @@ TEST_F(InterpreterTest, FaultCommandBadUsage) {
   EXPECT_FALSE(ok);
   Exec("policy smite", &ok);
   EXPECT_FALSE(ok);
+}
+
+// Integer arguments are range-checked before use: a VM count past INT_MAX
+// or a vertex id past the fabric used to wrap into a valid one (or abort),
+// and a huge batch count used to throw from `reserve`.  Each line must get
+// an error and leave slots, faults and live tenants as they were.
+TEST_F(InterpreterTest, OutOfRangeIntegersChangeNothing) {
+  const std::vector<topology::VertexId>& machines = topo_.machines();
+  ASSERT_GE(machines.size(), 5u);
+  bool ok = false;
+  Exec("fail machine " + std::to_string(machines[0]), &ok);
+  ASSERT_TRUE(ok);
+  Exec("drain " + std::to_string(machines[1]), &ok);
+  ASSERT_TRUE(ok);
+  Exec("admit 1 homogeneous 2 100 40", &ok);
+  ASSERT_TRUE(ok);
+  // The id a 32-bit cast turns into `v`.
+  const auto wrapped = [](topology::VertexId v) {
+    return std::to_string((int64_t{1} << 32) + v);
+  };
+  const core::NetworkManager& manager = interpreter_.manager();
+  const auto state = [&] {
+    return std::make_tuple(manager.slots().total_free(), manager.Faults(),
+                           manager.live_count(),
+                           manager.placement_of(1)->vm_machine);
+  };
+  // Ordered so that, where a line used to throw, nothing is left after it.
+  const std::vector<std::string> lines = {
+      "admit 2 homogeneous 4294967298 100 40",
+      "admit 3 deterministic 4294967298 100",
+      "batch 1 2 10 homogeneous 4294967298 100 40",
+      "batch 1 2 20 deterministic 4294967298 100",
+      "batch 4294967297 2 30 homogeneous 2 100 40",
+      "fail link " + wrapped(machines[2]),
+      "fail machine " + wrapped(machines[3]),
+      "drain " + wrapped(machines[4]),
+      "uncordon " + wrapped(machines[1]),
+      "recover " + wrapped(machines[0]),
+      "admit 4 homogeneous 2147483648 100 40",
+      "batch 1 1000000000000000 40 homogeneous 2 100 40",
+  };
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line);
+    const auto before = state();
+    const std::string out = Exec(line, &ok);
+    EXPECT_FALSE(ok) << out;
+    EXPECT_EQ(out.rfind("error: ", 0), 0u) << out;
+    EXPECT_EQ(state(), before);
+  }
+}
+
+// The batch caps refuse before any reserve or thread start, so the limit is
+// tested by its refusal alone.
+TEST_F(InterpreterTest, BatchCapsAreRefusedBeforeAnythingStarts) {
+  bool ok = true;
+  const std::vector<std::string> lines = {
+      "batch " + std::to_string(Interpreter::kMaxBatchWorkers + 1) +
+          " 2 1 homogeneous 2 100 40",
+      "batch 1 " + std::to_string(Interpreter::kMaxBatchCount + 1) +
+          " 1 homogeneous 2 100 40",
+      "batch 0 2 1 homogeneous 2 100 40",
+      "batch 1 0 1 homogeneous 2 100 40",
+  };
+  for (const std::string& line : lines) {
+    SCOPED_TRACE(line);
+    EXPECT_NE(Exec(line, &ok).find("error: batch takes 1.."),
+              std::string::npos);
+    EXPECT_FALSE(ok);
+  }
+  EXPECT_EQ(interpreter_.manager().live_count(), 0u);
 }
 
 TEST_F(InterpreterTest, DrainMigratesAndUncordonReopens) {

@@ -9,8 +9,6 @@
 //   * hetero exact DP — hard zero (mask tables live in the arena);
 //   * hetero heuristic — bounded (std::stable_sort's temporary buffer is
 //     the one per-call allocation; the DP itself is arena-resident);
-//   * homogeneous level-parallel — bounded (task handoff may touch the
-//     pool's deque chunks; the DP rows and scratch stay arena-resident);
 //   * the simulator's max-min solve — hard zero after one warm-up solve,
 //     even when every tick rebuilds its flat topology arrays.
 #include <gtest/gtest.h>
@@ -31,7 +29,6 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
-#include "util/thread_pool.h"
 
 namespace svc {
 namespace {
@@ -175,33 +172,6 @@ TEST(ObsAllocOverhead, HeteroHeuristicStaysBoundedWithObsEnabled) {
   // std::stable_sort's temporary buffer is the only tolerated allocation;
   // the DP tables, candidate arrays, and placement buffers are recycled.
   EXPECT_LE(allocations, static_cast<int64_t>(iters) * 2);
-}
-
-TEST(ObsAllocOverhead, ParallelAllocateStaysBoundedWithObsEnabled) {
-  obs::SetMetricsEnabled(true);
-  obs::SetTraceEnabled(true);
-  topology::ThreeTierConfig config;
-  config.racks = 20;
-  config.machines_per_rack = 10;
-  config.racks_per_agg = 4;
-  const topology::Topology topo = topology::BuildThreeTier(config);
-  const core::NetworkManager manager = LoadedManager(topo);
-  util::ThreadPool pool(2);
-  core::HomogeneousSearchOptions options;
-  options.pool = &pool;
-  const core::HomogeneousSearchAllocator alloc(options, "svc-dp-par");
-  const core::Request r = core::Request::Homogeneous(1, 30, 200, 100);
-  const int iters = 50;
-  const int64_t allocations = SteadyAllocations(alloc, r, manager, iters);
-  obs::SetMetricsEnabled(false);
-  obs::SetTraceEnabled(false);
-  // The DP itself allocates nothing (shared rows in the caller's arena,
-  // per-worker scratch in theirs); the only tolerated traffic is the task
-  // handoff — worker-deque chunk churn in the pool, a handful per
-  // submitted task at worst.
-  const int64_t levels_bound = 4;  // levels that can fan out per call
-  EXPECT_LE(allocations,
-            static_cast<int64_t>(iters) * levels_bound * pool.num_threads() * 2);
 }
 
 // The engine re-solves after every redraw of the desires, and the set of
