@@ -55,8 +55,6 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
-#include "util/affinity.h"
-#include "util/cpu_topology.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -177,27 +175,8 @@ int main(int argc, char** argv) {
       "tenants pre-loaded onto the sharded fabric before measuring");
   int64_t& shard_iters = flags.Int(
       "shard-iters", 256, "admission requests per sharded pipeline round");
-  std::string& placement_flag = flags.String(
-      "placement", "none",
-      "worker placement for admission_sharded "
-      "(none|compact|scatter|shard_node): pins shard commit workers per "
-      "docs/PERFORMANCE.md §7.  The serial baseline always runs unpinned, "
-      "so the suite's identity gate doubles as the pinning-on-vs-off "
-      "bit-identity check");
   std::string& out = flags.String("out", "BENCH_PERF.json", "output path");
   flags.Parse(argc, argv);
-  util::PlacementPolicy placement_policy = util::PlacementPolicy::kNone;
-  if (!util::ParsePlacementPolicy(placement_flag, &placement_policy)) {
-    std::fprintf(stderr,
-                 "perf_suite: unknown --placement '%s' "
-                 "(none|compact|scatter|shard_node)\n",
-                 placement_flag.c_str());
-    return 1;
-  }
-  // Host topology, for the snapshot header (tools/bench_diff.py warns when
-  // diffing snapshots recorded on mismatched topologies) and for the
-  // sharded pipeline's placement plan.
-  const util::CpuTopology host_topo = util::CpuTopology::Detect();
   bench::ObsScope obs(common);
 
   // Measurement-workload identity for the snapshot header: the fabric,
@@ -563,8 +542,7 @@ int main(int argc, char** argv) {
   // slots plus headroom on every machine.  At the default 10^5 tenants this
   // reproduces the PR-6 shape exactly (4 slots, 1 Gbps); --shard-tenants
   // 1000000 deepens the fabric to ~22 slots/machine instead of growing it
-  // wider, so the per-shard row volume — what placement and first-touch
-  // re-homing act on — is what scales.
+  // wider, so the per-shard row volume is what scales.
   const int64_t shard_machines =
       shard_racks * sharded_config.machines_per_rack;
   const int preload_passes = static_cast<int>(
@@ -634,10 +612,8 @@ int main(int argc, char** argv) {
     double max_occupancy = 0;
     core::PipelineStats stats;
     std::vector<int64_t> histogram;
-    std::vector<core::AdmissionPipeline::WorkerPlacement> placements;
   };
-  auto run_sharded = [&](int workers, int shards,
-                         util::PlacementPolicy policy) {
+  auto run_sharded = [&](int workers, int shards) {
     ShardedOutcome outcome;
     core::NetworkManager sharded_manager(sharded_topo, common.epsilon());
     core::PipelineConfig pipeline_config;
@@ -648,11 +624,8 @@ int main(int argc, char** argv) {
     // shard-freshness fast path to hold.
     pipeline_config.queue_capacity = 1;
     pipeline_config.shards = shards;
-    pipeline_config.placement = policy;
-    pipeline_config.topology = &host_topo;
     core::AdmissionPipeline pipeline(sharded_manager, pipeline_config);
     outcome.shards = shards > 0 ? sharded_manager.num_shards() : 0;
-    outcome.placements = pipeline.placement_map();
     // Pre-load: rack-local 2-VM tenants committed directly (no allocator
     // search), two per machine pair per pass — identical books for every
     // (worker, shard) configuration.
@@ -695,14 +668,11 @@ int main(int argc, char** argv) {
     outcome.max_occupancy = sharded_manager.MaxOccupancy();
     return outcome;
   };
-  // The serial baseline always runs unpinned: the identity gate below then
-  // doubles as the pinning-on-vs-off bit-identity check.
-  const ShardedOutcome sharded_serial =
-      run_sharded(1, 0, util::PlacementPolicy::kNone);
+  const ShardedOutcome sharded_serial = run_sharded(1, 0);
   // Two speculation workers move the stream; the per-shard commit workers
   // and the O(V / shards) snapshot re-captures are what scales.
   const ShardedOutcome sharded =
-      run_sharded(2, static_cast<int>(admit_shards), placement_policy);
+      run_sharded(2, static_cast<int>(admit_shards));
   const bool sharded_identical =
       sharded.verdicts == sharded_serial.verdicts &&
       sharded.roots == sharded_serial.roots &&
@@ -722,21 +692,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(sharded.stats.cross_shard_commits),
       static_cast<long long>(sharded.stats.shard_conflicts),
       sharded_identical ? "yes" : "NO");
-  // The resolved placement map, one line per worker: flight-recorder
-  // bundles and bench snapshots reference these to explain
-  // placement-dependent latency outliers.
-  std::printf("placement: %s on %s\n",
-              util::PlacementPolicyName(placement_policy),
-              host_topo.Summary().c_str());
-  for (const core::AdmissionPipeline::WorkerPlacement& p :
-       sharded.placements) {
-    if (p.cpu >= 0) {
-      std::printf("placement: %s %d -> cpu %d (node %d)\n", p.role, p.index,
-                  p.cpu, p.node);
-    } else {
-      std::printf("placement: %s %d -> unpinned\n", p.role, p.index);
-    }
-  }
   if (decisions_on != 0) {
     obs::SetDecisionsEnabled(false);
     std::printf("decisions: %llu records logged (ring keeps last %zu/thread)\n",
@@ -753,36 +708,10 @@ int main(int argc, char** argv) {
   w.Member("name", perf_scenario.name);
   w.Member("config_hash", sim::ScenarioConfigHash(perf_scenario));
   w.EndObject();
+  // Host shape: bench_diff warns when two snapshots ran on hosts with
+  // different CPU counts, since their parallel numbers are not comparable.
   w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
   w.Member("threads", common.threads());
-  // Topology header: bench_diff warns when two snapshots were taken on
-  // machines with different shapes, since placement-sensitive numbers are
-  // not comparable across them.
-  w.Key("topology");
-  w.BeginObject();
-  w.Member("packages", static_cast<int64_t>(host_topo.num_packages()));
-  w.Member("nodes", static_cast<int64_t>(host_topo.num_nodes()));
-  w.Member("cores", static_cast<int64_t>(host_topo.num_cores()));
-  w.Member("cpus", static_cast<int64_t>(host_topo.num_cpus()));
-  w.Member("detected", host_topo.detected());
-  w.Member("summary", host_topo.Summary());
-  w.EndObject();
-  w.Key("placement");
-  w.BeginObject();
-  w.Member("policy", std::string(util::PlacementPolicyName(placement_policy)));
-  w.Key("workers");
-  w.BeginArray();
-  for (const core::AdmissionPipeline::WorkerPlacement& p :
-       sharded.placements) {
-    w.BeginObject();
-    w.Member("role", std::string(p.role));
-    w.Member("index", static_cast<int64_t>(p.index));
-    w.Member("cpu", static_cast<int64_t>(p.cpu));
-    w.Member("node", static_cast<int64_t>(p.node));
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
   w.Member("admission_identical", admission_identical);
   w.Member("sharded_identical", sharded_identical);
   w.Key("sweep");

@@ -29,6 +29,7 @@
 #include "bench_common.h"
 #include "obs/metrics.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -171,6 +172,7 @@ int main(int argc, char** argv) {
 
   util::JsonWriter w;
   w.BeginObject();
+  w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
   w.Key("scenarios");
   w.BeginArray();
   for (const sim::Scenario& s : selected) {

@@ -152,106 +152,9 @@ LinkLedger::LinkLedger(const topology::Topology& topo, double epsilon)
       touched_(1) {
   assert(topo.finalized());
   links_.resize(topo.num_vertices());
-  rows_ = links_.data();
-  num_rows_ = links_.size();
   for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
-    rows_[v].capacity = topo.uplink_capacity(v);
+    links_[v].capacity = topo.uplink_capacity(v);
   }
-}
-
-LinkLedger::~LinkLedger() { DestroyRehomedRows(); }
-
-void LinkLedger::DestroyRehomedRows() {
-  if (!rehomed_) return;
-  for (size_t v = 0; v < num_rows_; ++v) rows_[v].~LinkState();
-}
-
-LinkLedger::LinkLedger(const LinkLedger& other)
-    : topo_(other.topo_), epsilon_(other.epsilon_), c_(other.c_),
-      shards_(other.shards_), touched_(other.touched_) {
-  links_.assign(other.rows_, other.rows_ + other.num_rows_);
-  rows_ = links_.data();
-  num_rows_ = links_.size();
-}
-
-LinkLedger& LinkLedger::operator=(const LinkLedger& other) {
-  if (this == &other) return *this;
-  DestroyRehomedRows();
-  rehomed_.Reset();
-  topo_ = other.topo_;
-  epsilon_ = other.epsilon_;
-  c_ = other.c_;
-  shards_ = other.shards_;
-  touched_ = other.touched_;
-  links_.assign(other.rows_, other.rows_ + other.num_rows_);
-  rows_ = links_.data();
-  num_rows_ = links_.size();
-  return *this;
-}
-
-LinkLedger::LinkLedger(LinkLedger&& other) noexcept
-    : topo_(other.topo_), epsilon_(other.epsilon_), c_(other.c_),
-      shards_(other.shards_), links_(std::move(other.links_)),
-      rehomed_(std::move(other.rehomed_)), rows_(other.rows_),
-      num_rows_(other.num_rows_), touched_(std::move(other.touched_)) {
-  // rows_ stays valid across the move: a vector move keeps its heap block
-  // and a FirstTouchBuffer move keeps its mapping.
-  other.rows_ = nullptr;
-  other.num_rows_ = 0;
-}
-
-LinkLedger& LinkLedger::operator=(LinkLedger&& other) noexcept {
-  if (this == &other) return *this;
-  DestroyRehomedRows();
-  topo_ = other.topo_;
-  epsilon_ = other.epsilon_;
-  c_ = other.c_;
-  shards_ = other.shards_;
-  links_ = std::move(other.links_);
-  rehomed_ = std::move(other.rehomed_);
-  rows_ = other.rows_;
-  num_rows_ = other.num_rows_;
-  touched_ = std::move(other.touched_);
-  other.rows_ = nullptr;
-  other.num_rows_ = 0;
-  return *this;
-}
-
-void LinkLedger::RehomeRows(const RowToucher& touch) {
-  util::FirstTouchBuffer fresh(num_rows_ * sizeof(LinkState));
-  LinkState* dst = static_cast<LinkState*>(fresh.data());
-  LinkState* src = rows_;
-  // Bucket by bucket, the owning worker faults the bucket's pages in by
-  // move-constructing its rows (touch runs init on that worker and waits).
-  // Bucket row ranges are contiguous-ish by construction (ShardMap groups
-  // each aggregation subtree's vertex-id range), so per-bucket touches
-  // mostly fault whole pages, not interleaved cache lines.
-  std::vector<char> moved(num_rows_, 0);
-  if (shards_ != nullptr) {
-    for (int b = 0; b < shards_->bucket_count(); ++b) {
-      const std::vector<topology::VertexId>& links = shards_->links_in_bucket(b);
-      touch(b, [&] {
-        for (topology::VertexId v : links) {
-          ::new (dst + v) LinkState(std::move(src[v]));
-          moved[v] = 1;
-        }
-      });
-    }
-  }
-  // Rows no bucket owns — the root row, every row when unsharded — belong
-  // to the calling (sequencer) thread.
-  for (size_t v = 0; v < num_rows_; ++v) {
-    if (!moved[v]) ::new (dst + v) LinkState(std::move(src[v]));
-  }
-  // Swap the new storage in and dispose of the moved-from husks.
-  if (rehomed_) {
-    for (size_t v = 0; v < num_rows_; ++v) src[v].~LinkState();
-  } else {
-    links_.clear();
-    links_.shrink_to_fit();
-  }
-  rehomed_ = std::move(fresh);
-  rows_ = dst;
 }
 
 void LinkLedger::SetShardMap(const ShardMap* shards) {
@@ -270,25 +173,25 @@ void LinkLedger::SetShardMap(const ShardMap* shards) {
 
 double LinkLedger::SharingBandwidth(topology::VertexId v) const {
   assert(v != topo_->root());
-  return rows_[v].capacity - rows_[v].deterministic;
+  return links_[v].capacity - links_[v].deterministic;
 }
 
 double LinkLedger::Occupancy(topology::VertexId v) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   return OccupancyRatio(s.capacity, s.deterministic, s.mean_sum, s.var_sum,
                         c_);
 }
 
 double LinkLedger::Slack(topology::VertexId v) const {
   assert(v != topo_->root());
-  return std::max(-1.0, 1.0 - WorstOccupancy(rows_[v], c_));
+  return std::max(-1.0, 1.0 - WorstOccupancy(links_[v], c_));
 }
 
 double LinkLedger::OccupancyWith(topology::VertexId v, double mean_add,
                                  double var_add, double det_add) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   if (s.backup_pareto.empty()) {
     return OccupancyRatioIfValid(s.capacity, s.deterministic + det_add,
                                  s.mean_sum + mean_add, s.var_sum + var_add,
@@ -300,7 +203,7 @@ double LinkLedger::OccupancyWith(topology::VertexId v, double mean_add,
 bool LinkLedger::ValidWith(topology::VertexId v, double mean_add,
                            double var_add, double det_add) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   if (s.backup_pareto.empty()) {
     return SatisfiesGuarantee(s.capacity, s.deterministic + det_add,
                               s.mean_sum + mean_add, s.var_sum + var_add, c_);
@@ -313,7 +216,7 @@ double LinkLedger::OccupancyWithDomain(topology::VertexId v,
                                        double mean_add, double var_add,
                                        double det_add) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   double gm = 0, gv = 0, gd = 0;
   auto it = std::lower_bound(s.backup_domains.begin(), s.backup_domains.end(),
                              domain, DomainLess);
@@ -336,7 +239,7 @@ bool LinkLedger::ValidWithDomain(topology::VertexId v,
 
 double LinkLedger::BackupShare(topology::VertexId v) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   if (s.backup_pareto.empty() || s.capacity <= 0) return 0;
   const double base =
       OccupancyRatio(s.capacity, s.deterministic, s.mean_sum, s.var_sum, c_);
@@ -359,7 +262,7 @@ void LinkLedger::OccupancyWithBatch(topology::VertexId v,
                                     const double* det_add, int count,
                                     double* out) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   const double capacity = s.capacity;
   const double slack = 1e-9 * capacity;
   const double d0 = s.deterministic;
@@ -406,7 +309,7 @@ int LinkLedger::FeasibleFrontier(topology::VertexId v, const double* mean_add,
                                  const double* var_add, const double* det_add,
                                  int lo, int hi) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   // Invariant: every index < lo is feasible, every index > hi infeasible
   // (once one candidate violates (4), every larger-moment candidate does:
   // the slack side shrinks while the quantile side grows; an AND over the
@@ -436,7 +339,7 @@ int LinkLedger::FeasibleFrontierDescending(topology::VertexId v,
                                            const double* det_add, int lo,
                                            int hi) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   // Invariant: every index < lo is infeasible, every index > hi feasible.
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
@@ -466,7 +369,7 @@ double LinkLedger::MaxOccupancy() const {
 
 void LinkLedger::SetLinkState(topology::VertexId v, bool up) {
   assert(v != topo_->root());
-  LinkState& s = rows_[v];
+  LinkState& s = links_[v];
   if (s.up == up) return;
   s.up = up;
   // Transactional drain/restore: the single capacity write is what makes
@@ -478,7 +381,7 @@ void LinkLedger::SetLinkState(topology::VertexId v, bool up) {
 std::vector<RequestId> LinkLedger::AffectedRequests(
     topology::VertexId v) const {
   assert(v != topo_->root());
-  const LinkState& s = rows_[v];
+  const LinkState& s = links_[v];
   std::vector<RequestId> ids;
   ids.reserve(s.stochastic.size() + s.reserved.size());
   for (const StochasticDemand& d : s.stochastic) ids.push_back(d.request);
@@ -503,7 +406,7 @@ void LinkLedger::AddStochastic(topology::VertexId v, RequestId req,
   assert(v != topo_->root());
   assert(mean >= 0 && variance >= 0);
   if (mean < kNegligible && variance < kNegligible) return;
-  LinkState& s = rows_[v];
+  LinkState& s = links_[v];
   s.stochastic.push_back({req, mean, variance});
   s.mean_sum += mean;
   s.var_sum += variance;
@@ -518,7 +421,7 @@ void LinkLedger::AddDeterministic(topology::VertexId v, RequestId req,
   assert(v != topo_->root());
   assert(amount >= 0);
   if (amount < kNegligible) return;
-  LinkState& s = rows_[v];
+  LinkState& s = links_[v];
   s.reserved.push_back({req, amount});
   s.deterministic += amount;
   SVC_METRIC_HIST("net/occupancy_ratio", Occupancy(v));
@@ -535,7 +438,7 @@ void LinkLedger::AddBackup(topology::VertexId v, RequestId req,
       deterministic < kNegligible) {
     return;
   }
-  LinkState& s = rows_[v];
+  LinkState& s = links_[v];
   s.backup.push_back({req, domain, mean, variance, deterministic});
   BackupDomainSums& g = DomainSums(s.backup_domains, domain);
   const bool var_was_zero = g.var_sum <= 0;
@@ -547,7 +450,7 @@ void LinkLedger::AddBackup(topology::VertexId v, RequestId req,
 }
 
 void LinkLedger::RebuildSums(topology::VertexId v) {
-  LinkState& s = rows_[v];
+  LinkState& s = links_[v];
   s.mean_sum = 0;
   s.var_sum = 0;
   s.deterministic = 0;
@@ -561,12 +464,12 @@ void LinkLedger::RebuildSums(topology::VertexId v) {
 
 void LinkLedger::AssignAggregatesFrom(const LinkLedger& other) {
   assert(topo_ == other.topo_);
-  assert(num_rows_ == other.num_rows_);
+  assert(links_.size() == other.links_.size());
   epsilon_ = other.epsilon_;
   c_ = other.c_;
-  for (size_t v = 0; v < num_rows_; ++v) {
-    LinkState& dst = rows_[v];
-    const LinkState& src = other.rows_[v];
+  for (size_t v = 0; v < links_.size(); ++v) {
+    LinkState& dst = links_[v];
+    const LinkState& src = other.links_[v];
     dst.capacity = src.capacity;
     dst.deterministic = src.deterministic;
     dst.mean_sum = src.mean_sum;
@@ -592,8 +495,8 @@ void LinkLedger::AssignAggregatesFromLinks(
     const LinkLedger& other, const std::vector<topology::VertexId>& links) {
   assert(topo_ == other.topo_);
   for (topology::VertexId v : links) {
-    LinkState& dst = rows_[v];
-    const LinkState& src = other.rows_[v];
+    LinkState& dst = links_[v];
+    const LinkState& src = other.links_[v];
     assert(dst.stochastic.empty() && dst.reserved.empty() &&
            dst.backup.empty() &&
            "partial capture is a shadow-ledger operation");
@@ -628,7 +531,7 @@ void LinkLedger::RemoveRecords(RequestId req,
   // restored by direct subtraction — no scan of the surviving records —
   // and record order is not preserved (swap-remove); nothing keys on it.
   for (topology::VertexId v : links) {
-    LinkState& s = rows_[v];
+    LinkState& s = links_[v];
     for (size_t i = 0; i < s.stochastic.size();) {
       if (s.stochastic[i].request == req) {
         s.mean_sum -= s.stochastic[i].mean;
@@ -671,9 +574,8 @@ void LinkLedger::RemoveRecords(RequestId req,
 
 size_t LinkLedger::TotalRecords() const {
   size_t total = 0;
-  for (size_t v = 0; v < num_rows_; ++v) {
-    total += rows_[v].stochastic.size() + rows_[v].reserved.size() +
-             rows_[v].backup.size();
+  for (const LinkState& s : links_) {
+    total += s.stochastic.size() + s.reserved.size() + s.backup.size();
   }
   return total;
 }

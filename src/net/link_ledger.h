@@ -12,14 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "net/admission.h"
 #include "net/shard_map.h"
 #include "topology/topology.h"
-#include "util/affinity.h"
 
 namespace svc::net {
 
@@ -91,39 +89,6 @@ class LinkLedger {
   // The ledger borrows the topology; it must outlive the ledger.
   // `epsilon` is the SLA risk factor of condition (1).
   LinkLedger(const topology::Topology& topo, double epsilon);
-  ~LinkLedger();
-
-  // Copies deep-copy the row array back into ordinary heap storage (a
-  // copy is a fresh ledger, not a re-homed one); moves transfer the
-  // first-touch mapping intact.
-  LinkLedger(const LinkLedger& other);
-  LinkLedger& operator=(const LinkLedger& other);
-  LinkLedger(LinkLedger&& other) noexcept;
-  LinkLedger& operator=(LinkLedger&& other) noexcept;
-
-  // Runs `init` on whichever thread should own bucket `bucket`'s pages;
-  // must not return until init has completed.
-  using RowToucher = std::function<void(int bucket,
-                                        const std::function<void()>& init)>;
-
-  // First-touch re-homing of the row array (docs/PERFORMANCE.md §7): moves
-  // every LinkState row into a fresh page-aligned FirstTouchBuffer, with
-  // bucket b's rows move-constructed inside `touch(b, init)` — the caller
-  // runs init on the shard worker pinned to the node that should own the
-  // bucket, so Linux's first-touch policy places those pages node-locally.
-  // Rows no bucket owns (the root row; every row when unsharded) are
-  // touched by the calling thread.  Ledger contents are unchanged —
-  // aggregates, records and touched bookkeeping all survive verbatim, so
-  // admission decisions cannot depend on whether re-homing ran.  Requires
-  // a quiesced commit plane (no concurrent readers or writers).  NOTE: the
-  // per-record heap vectors inside each row keep their old allocations;
-  // they drain and refill node-locally through normal churn, since
-  // AddStochastic/RemoveRequest run on the owning shard worker.
-  void RehomeRows(const RowToucher& touch);
-
-  // True once RehomeRows has replaced the heap vector with a first-touch
-  // buffer (diagnostics / tests).
-  bool rows_rehomed() const { return static_cast<bool>(rehomed_); }
 
   // --- Sharding (docs/CONCURRENCY.md "Sharded fabric commit") ---
 
@@ -146,7 +111,7 @@ class LinkLedger {
   double quantile() const { return c_; }
   const topology::Topology& topo() const { return *topo_; }
 
-  const LinkState& link(topology::VertexId v) const { return rows_[v]; }
+  const LinkState& link(topology::VertexId v) const { return links_[v]; }
 
   // S_L = C_L - D_L, the stochastic sharing bandwidth.
   double SharingBandwidth(topology::VertexId v) const;
@@ -247,7 +212,7 @@ class LinkLedger {
   // --- Fault plane ---
 
   // Whether the link below vertex v is up (new links start up).
-  bool link_up(topology::VertexId v) const { return rows_[v].up; }
+  bool link_up(topology::VertexId v) const { return links_[v].up; }
 
   // Transactionally drains or restores the link's capacity: down sets
   // C_L = 0 (so condition (4) and occupancy (6) immediately reflect the
@@ -330,18 +295,8 @@ class LinkLedger {
   void RemoveRecords(RequestId req,
                      const std::vector<topology::VertexId>& links);
 
-  // Destroys the placement-new'd rows living in `rehomed_` (no-op while
-  // the rows still live in `links_`).
-  void DestroyRehomedRows();
-
   const ShardMap* shards_ = nullptr;  // borrowed; nullptr = unsharded
-  // Row storage, indexed by vertex id (root row unused).  `rows_` is the
-  // single access path; it aims at `links_.data()` until RehomeRows moves
-  // the rows into `rehomed_` (placement-new'd there, destroyed by hand).
-  std::vector<LinkState> links_;
-  util::FirstTouchBuffer rehomed_;
-  LinkState* rows_ = nullptr;
-  size_t num_rows_ = 0;
+  std::vector<LinkState> links_;  // indexed by vertex id; root unused
   // Which links each live request touches, for O(records) release, bucketed
   // by shard (one map when unsharded) so same-bucket mutations never share
   // a map with another bucket's.  Each link appears at most once per

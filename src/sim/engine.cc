@@ -32,7 +32,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
     core::PipelineConfig pipeline;
     pipeline.workers = config_.admission_workers;
     pipeline.shards = config_.admission_shards;
-    pipeline.placement = config_.placement;
     pipeline_ =
         std::make_unique<core::AdmissionPipeline>(manager_, pipeline);
   }

@@ -41,9 +41,12 @@ namespace svc::sim {
 // destination for exactly one flow (paper's workload model) — i.e. the
 // pairing is a fixed-point-free permutation of the tasks.
 enum class FlowPattern {
-  // dst(i) drawn as a random derangement: the expected traffic crossing a
-  // link that splits the job m / N-m is ~2*m*(N-m)/N * mu, which matches
-  // the hose-model demand min(m, N-m)*mu the SVC reservation is based on.
+  // dst(i) drawn as a random derangement.  Links are full-duplex: per
+  // direction, a link that splits the job m / N-m carries about
+  // m*(N-m)/(N-1) * mu, between half of the hose-model demand
+  // min(m, N-m)*mu the SVC reservation is based on (at an even split) and
+  // all of it (when m << N).  Only the two directions combined,
+  // 2*m*(N-m)/(N-1) * mu, reach the hose demand, and only at an even split.
   kRandomPermutation,
   // dst(i) = (i+1) mod N: a ring (pipeline-shaped jobs).  Only ~2 flows
   // cross any link under contiguous placement — far below the hose bound,
@@ -88,9 +91,6 @@ struct SimConfig {
   // the manager and runs per-shard commit workers when admission_workers
   // > 1.  Bit-identical to the serial path for any value.
   int admission_shards = 0;
-  // Worker/shard core-affinity placement for the admission pipeline
-  // (PipelineConfig::placement); kNone leaves the OS scheduler in charge.
-  util::PlacementPolicy placement = util::PlacementPolicy::kNone;
   bool sample_occupancy = true;    // record MaxOccupancy at arrivals
   FlowPattern flow_pattern = FlowPattern::kRandomPermutation;
   // Count bandwidth outages: (link, second) pairs where offered demand

@@ -145,7 +145,6 @@ const Fields<AdmissionConfig>& AdmissionFields() {
       Number("shards", &C::shards, Range::AtLeast(0)),
       Number("window", &C::window, Range::AtLeast(1)),
       Number("lookahead", &C::lookahead, Range::AtLeast(1)),
-      Text("placement", &C::placement, {"none", "compact", "scatter", "shard_node"}),
   };
   return *fields;
 }
@@ -542,7 +541,6 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   config.admission_shards = s.admission.shards;
   config.admission_window = s.admission.window;
   config.admission_lookahead = s.admission.lookahead;
-  util::ParsePlacementPolicy(s.admission.placement, &config.placement);
   config.sample_occupancy = online;
   config.enforcement = resolved.enforcement;
   config.burst_seconds = s.enforcement.burst_seconds;

@@ -82,7 +82,6 @@ struct AdmissionConfig {
   int shards = 0;
   int window = 128;
   int lookahead = 1;
-  std::string placement = "none";  // none | compact | scatter | shard_node
 };
 
 struct EnforcementConfig {

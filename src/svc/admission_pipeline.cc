@@ -114,108 +114,26 @@ AdmissionPipeline::AdmissionPipeline(NetworkManager& manager,
     config_.queue_capacity = 4 * config_.workers;
   }
 
-  if (config_.placement != util::PlacementPolicy::kNone) {
-    if (config_.topology != nullptr) {
-      topo_ = config_.topology;
-    } else {
-      owned_topology_ = util::CpuTopology::Detect();
-      topo_ = &owned_topology_;
-    }
+  if (config_.workers > 1) {
+    pool_ = std::make_unique<util::ThreadPool>(config_.workers);
   }
-
-  // Shard partition first: the commit workers' pin plan is an input to the
-  // speculation pool's plan (it fills the *remaining* cores).
-  int num_shards = 0;
   if (config_.shards > 0) {
     auto shards =
         std::make_shared<net::ShardMap>(manager_.topo(), config_.shards);
-    num_shards = shards->num_shards();
+    const int num_shards = shards->num_shards();
     manager_.ConfigureSharding(std::move(shards));
     touched_shards_.assign(static_cast<size_t>(num_shards) + 1, 0);
-  }
-  const bool sharded_committers = num_shards > 0 && config_.workers > 1;
-  std::vector<util::CpuSlot> shard_slots(
-      sharded_committers ? num_shards : 0);
-  if (sharded_committers && topo_ != nullptr) {
-    shard_slots = util::PlanShardCpus(*topo_, config_.placement, num_shards);
-  }
-
-  if (config_.workers > 1) {
-    util::ThreadPoolOptions opts;
-    opts.num_threads = config_.workers;
-    // kShardNode is a shard-worker mapping; the speculation pool packs the
-    // cores the shard plan left free.
-    opts.placement = config_.placement == util::PlacementPolicy::kShardNode
-                         ? util::PlacementPolicy::kCompact
-                         : config_.placement;
-    opts.topology = topo_;
-    opts.reserved = shard_slots;
-    pool_ = std::make_unique<util::ThreadPool>(opts);
-  }
-
-  if (sharded_committers) {
-    // The latch holds the constructor until every worker has pinned itself
-    // and prefaulted its queue ring: the pin must precede the prefault (the
-    // ring's pages land on the pinned node) and the prefault must precede
-    // the first Push (a faulted-by-producer page defeats first touch).
-    util::Latch started(num_shards);
-    committers_.reserve(num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      auto c = std::make_unique<ShardCommitter>(
-          static_cast<size_t>(config_.queue_capacity));
-      c->depth_gauge = "pipeline/shard_depth/" + std::to_string(s);
-      c->node_gauge = "pipeline/worker_node/" + std::to_string(s);
-      c->cpu = shard_slots[s];
-      c->started = &started;
-      c->thread = std::thread([this, committer = c.get()] {
-        CommitterLoop(*committer);
-      });
-      committers_.push_back(std::move(c));
-    }
-    started.Wait();
-
-    // First-touch re-homing: each bucket's ledger rows are move-constructed
-    // into the fresh buffer ON the owning shard worker (a control task),
-    // so the pages land on that worker's node.  Pure storage migration —
-    // decisions cannot depend on it.  Skipped under kNone: without a pin
-    // plan the "owning node" is wherever the OS happens to run things, and
-    // the copy would buy nothing.
-    if (config_.placement != util::PlacementPolicy::kNone) {
-      manager_.RehomeLedgerRows(
-          [this](int bucket, const std::function<void()>& init) {
-            if (bucket < static_cast<int>(committers_.size())) {
-              ShardCommitter& c = *committers_[bucket];
-              util::Latch done(1);
-              CommitTask task;
-              task.fn = [&init, &done] {
-                init();
-                done.CountDown();
-              };
-              ++c.dispatched;
-              const bool pushed = c.queue.Push(std::move(task));
-              assert(pushed && "shard queue closed during re-homing");
-              (void)pushed;
-              done.Wait();
-            } else {
-              // Core-stripe bucket: sequencer-owned, touched right here.
-              init();
-            }
-          });
-    }
-  }
-
-  // Resolved placement map, commit workers first — perf_suite logs this
-  // and embeds it in BENCH_PERF.json.
-  for (size_t s = 0; s < committers_.size(); ++s) {
-    const util::CpuSlot& slot = committers_[s]->cpu;
-    placement_map_.push_back({"shard_commit", static_cast<int>(s), slot.cpu,
-                              slot.cpu >= 0 ? slot.node : -1});
-  }
-  if (pool_ != nullptr) {
-    const std::vector<util::CpuSlot>& plan = pool_->worker_cpus();
-    for (size_t w = 0; w < plan.size(); ++w) {
-      placement_map_.push_back({"speculate", static_cast<int>(w), plan[w].cpu,
-                                plan[w].cpu >= 0 ? plan[w].node : -1});
+    if (config_.workers > 1) {
+      committers_.reserve(num_shards);
+      for (int s = 0; s < num_shards; ++s) {
+        auto c = std::make_unique<ShardCommitter>(
+            static_cast<size_t>(config_.queue_capacity));
+        c->depth_gauge = "pipeline/shard_depth/" + std::to_string(s);
+        c->thread = std::thread([this, committer = c.get()] {
+          CommitterLoop(*committer);
+        });
+        committers_.push_back(std::move(c));
+      }
     }
   }
 }
@@ -315,26 +233,8 @@ void AdmissionPipeline::SpeculateLoop(BatchCtx& ctx) {
 }
 
 void AdmissionPipeline::CommitterLoop(ShardCommitter& committer) {
-  // Pin before prefault: the ring's pages must fault on the target node.
-  // A failed pin (cgroup-restricted cpu, non-Linux) just runs unpinned.
-  if (committer.cpu.cpu >= 0) util::PinCurrentThreadToCpu(committer.cpu.cpu);
-  committer.queue.PrefaultStorage();
-  if (obs::MetricsEnabled()) {
-    obs::Registry::Global().GetGauge(committer.node_gauge)
-        .Set(static_cast<double>(committer.cpu.cpu >= 0 ? committer.cpu.node
-                                                        : -1));
-  }
-  if (committer.started != nullptr) committer.started->CountDown();
   CommitTask task;
   while (committer.queue.Pop(task)) {
-    if (task.fn) {
-      // Control task (first-touch init): run it on this thread and retire
-      // it through the normal progress counter so drains stay uniform.
-      task.fn();
-      task.fn = nullptr;
-      committer.applied.fetch_add(1, std::memory_order_release);
-      continue;
-    }
     const auto start = std::chrono::steady_clock::now();
     util::Result<Placement> r =
         manager_.ApplyShardCommit(*task.request, std::move(task.proposal));

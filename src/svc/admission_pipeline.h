@@ -64,9 +64,7 @@
 #include <vector>
 
 #include "svc/manager.h"
-#include "util/affinity.h"
 #include "util/bounded_queue.h"
-#include "util/cpu_topology.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -86,19 +84,6 @@ struct PipelineConfig {
   // one shard plus the core stripe — and is the baseline the shard-scaling
   // bench compares against.
   int shards = 0;
-  // Topology-aware placement (docs/PERFORMANCE.md §7).  kShardNode pins
-  // shard commit worker s to a core on node (s % nodes), first-touch
-  // re-homes the ledger so that node owns bucket s's rows, and spreads the
-  // speculation workers over the remaining cores; kCompact/kScatter apply
-  // the same general policy to commit and speculation workers alike.
-  // Placement never changes decisions — plans are deterministic and the
-  // commit discipline is placement-oblivious — and degrades to kNone
-  // behavior (no pinning, no re-homing effect) on single-cpu or
-  // single-node hosts.
-  util::PlacementPolicy placement = util::PlacementPolicy::kNone;
-  // Borrowed; must outlive the constructor.  nullptr + a non-kNone
-  // placement detects the host topology.
-  const util::CpuTopology* topology = nullptr;
 };
 
 // Cumulative across AdmitBatch calls; owned by the commit thread (read it
@@ -126,24 +111,6 @@ class AdmissionPipeline {
   int workers() const { return config_.workers; }
   // Shard commit workers actually running (0 = unsharded single committer).
   int shard_workers() const { return static_cast<int>(committers_.size()); }
-
-  // One resolved worker pin, for logs and bench snapshots (so
-  // placement-dependent latency outliers can be explained post hoc).
-  struct WorkerPlacement {
-    const char* role;  // "shard_commit" | "speculate"
-    int index;         // shard id, or pool worker id
-    int cpu;           // -1 = unpinned
-    int node;          // -1 when unpinned
-  };
-  // The resolved placement map: shard commit workers first, then the
-  // speculation pool's workers.  Stable for the pipeline's lifetime; empty
-  // under the serial degenerate config.
-  const std::vector<WorkerPlacement>& placement_map() const {
-    return placement_map_;
-  }
-  util::PlacementPolicy placement() const { return config_.placement; }
-  // The topology the plan was computed from (nullptr under kNone).
-  const util::CpuTopology* topology() const { return topo_; }
 
   // Decision observer: runs on the calling thread with a mutable reference
   // to the request's decision (the engine moves the placement out to
@@ -200,11 +167,6 @@ class AdmissionPipeline {
     obs::CommitPath path = obs::CommitPath::kShardDispatch;
     uint32_t epoch_delta = 0;
     obs::DecisionRecord::StageLatencies stages;
-    // Control task: when set, the worker runs `fn` instead of an apply and
-    // retires it through the same dispatched/applied accounting, so the
-    // drain protocol needs no special case.  Used for the first-touch
-    // re-homing inits, which must execute on the owning worker's thread.
-    std::function<void()> fn;
   };
 
   // Per-shard commit worker: a FIFO queue (so per-shard apply order equals
@@ -216,10 +178,6 @@ class AdmissionPipeline {
     util::BoundedQueue<CommitTask> queue;
     std::thread thread;
     std::string depth_gauge;  // cached "pipeline/shard_depth/<s>"
-    std::string node_gauge;   // cached "pipeline/worker_node/<s>"
-    util::CpuSlot cpu;        // planned pin (cpu -1: run unpinned)
-    util::Latch* started = nullptr;  // ctor-stack latch; signaled once after
-                                     // pin + ring prefault, before first Pop
     int64_t dispatched = 0;
     // False-sharing constraint: the sequencer spins on `applied` while the
     // worker bumps it after every apply, and `dispatched` above is written
@@ -275,11 +233,6 @@ class AdmissionPipeline {
 
   NetworkManager& manager_;
   PipelineConfig config_;
-  // The topology driving the placement plan: config_.topology, or a
-  // detection owned here.  nullptr under kNone (no plan, no pinning).
-  util::CpuTopology owned_topology_;
-  const util::CpuTopology* topo_ = nullptr;
-  std::vector<WorkerPlacement> placement_map_;
   std::unique_ptr<util::ThreadPool> pool_;  // speculation; null if serial
 
   // Shard commit workers (empty = unsharded / serial-commit pipeline).

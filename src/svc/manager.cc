@@ -711,10 +711,14 @@ util::Result<FaultOutcome> NetworkManager::HandleFault(
     FaultKind kind, topology::VertexId vertex, RecoveryPolicy policy,
     const Allocator& allocator) {
   SVC_TRACE_SPAN("manager/handle_fault");
-  if (vertex <= 0 || vertex >= topo_->num_vertices() ||
-      vertex == topo_->root()) {
+  if (vertex < 0 || vertex >= topo_->num_vertices()) {
     return {util::ErrorCode::kInvalidArgument,
             "fault vertex out of range: " + std::to_string(vertex)};
+  }
+  if (vertex == topo_->root()) {
+    return {util::ErrorCode::kInvalidArgument,
+            "vertex " + std::to_string(vertex) +
+                " is the root and has no uplink to fail"};
   }
   if (kind == FaultKind::kMachine && !topo_->is_machine(vertex)) {
     return {util::ErrorCode::kInvalidArgument,

@@ -237,16 +237,6 @@ class NetworkManager {
   const net::ShardMap* shard_map() const { return shards_.get(); }
   int num_shards() const { return shards_ ? shards_->num_shards() : 1; }
 
-  // First-touch re-homing of the ledger's row storage onto the shard
-  // workers' NUMA nodes (see net::LinkLedger::RehomeRows for the protocol
-  // and docs/PERFORMANCE.md §7 for why).  Pure storage migration: no
-  // aggregate, record, or epoch changes, so decisions are unaffected.
-  // Requires a quiesced pipeline, same as ConfigureSharding.
-  void RehomeLedgerRows(const net::LinkLedger::RowToucher& touch) {
-    assert(InFlightProposals() == 0);
-    ledger_.RehomeRows(touch);
-  }
-
   // Per-bucket epochs (shards plus core stripe; one entry when unsharded).
   // Commit-thread state, like the books themselves: each entry records the
   // global epoch at the bucket's last mutation, so a bucket whose entry is

@@ -7,38 +7,29 @@
 // close protocol so consumers drain the remaining items and exit without
 // sentinel values.
 //
-// Storage is a fixed ring of unconstructed slots (placement-new on push,
-// destroy on pop) carved from a FirstTouchBuffer: physical pages appear
-// only when a slot is first written, so a consumer that calls
-// PrefaultStorage() from its own (pinned) thread before traffic starts
-// owns the ring's pages on its NUMA node — see docs/PERFORMANCE.md §7.
+// Storage is a fixed ring of `capacity` default-constructed slots; items
+// are moved into a slot on push and out of it on pop.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
 #include <mutex>
-#include <new>
 #include <utility>
-
-#include "util/affinity.h"
+#include <vector>
 
 namespace svc::util {
+
+// Destructive-interference granularity used for the alignas() padding on
+// cross-thread counters and queue cursors.  64 bytes covers x86 and most
+// AArch64 parts; std::hardware_destructive_interference_size is avoided on
+// purpose (its value is ABI-fragile across GCC versions).
+inline constexpr std::size_t kCacheLineSize = 64;
 
 template <typename T>
 class BoundedQueue {
  public:
   explicit BoundedQueue(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        storage_(capacity_ * sizeof(T)) {
-    static_assert(alignof(T) <= kCacheLineSize,
-                  "ring storage is only cache-line aligned");
-  }
-
-  ~BoundedQueue() {
-    // Destroy whatever the consumers never drained.
-    for (size_t i = head_; i != tail_; ++i) slot(i)->~T();
-  }
+      : capacity_(capacity == 0 ? 1 : capacity), slots_(capacity_) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -49,7 +40,7 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [this] { return closed_ || Size() < capacity_; });
     if (closed_) return false;
-    ::new (slot(tail_)) T(std::move(item));
+    slots_[tail_ % capacity_] = std::move(item);
     ++tail_;
     lock.unlock();
     not_empty_.notify_one();
@@ -61,7 +52,7 @@ class BoundedQueue {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || Size() >= capacity_) return false;
-      ::new (slot(tail_)) T(std::move(item));
+      slots_[tail_ % capacity_] = std::move(item);
       ++tail_;
     }
     not_empty_.notify_one();
@@ -74,9 +65,7 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || Size() > 0; });
     if (Size() == 0) return false;
-    T* item = slot(head_);
-    out = std::move(*item);
-    item->~T();
+    out = std::move(slots_[head_ % capacity_]);
     ++head_;
     lock.unlock();
     not_full_.notify_one();
@@ -87,9 +76,7 @@ class BoundedQueue {
   bool TryPop(T& out) {
     std::unique_lock<std::mutex> lock(mu_);
     if (Size() == 0) return false;
-    T* item = slot(head_);
-    out = std::move(*item);
-    item->~T();
+    out = std::move(slots_[head_ % capacity_]);
     ++head_;
     lock.unlock();
     not_full_.notify_one();
@@ -107,17 +94,6 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  // Faults every page of the ring's slot storage in from the calling
-  // thread (first-touch placement: call from the pinned consumer before
-  // producers start pushing).  A no-op once any push has happened — the
-  // producers own the pages then and zeroing live slots would corrupt
-  // them.
-  void PrefaultStorage() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (head_ != 0 || tail_ != 0) return;
-    std::memset(storage_.data(), 0, capacity_ * sizeof(T));
-  }
-
   // Instantaneous depth (racy by nature; for gauges and backpressure
   // hints, not for control flow).
   size_t size() const {
@@ -131,13 +107,8 @@ class BoundedQueue {
   // Monotonic cursors; the live window is [head_, tail_).
   size_t Size() const { return tail_ - head_; }
 
-  T* slot(size_t i) {
-    return std::launder(reinterpret_cast<T*>(
-        static_cast<std::byte*>(storage_.data()) + (i % capacity_) * sizeof(T)));
-  }
-
   const size_t capacity_;
-  FirstTouchBuffer storage_;  // capacity_ raw slots; no ctors/dtors run here
+  std::vector<T> slots_;  // item i lives in slot i % capacity_
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

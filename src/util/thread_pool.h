@@ -24,9 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/affinity.h"
-#include "util/cpu_topology.h"
-
 namespace svc::util {
 
 // Count-down latch for fan-out/join of a known number of tasks on a
@@ -54,38 +51,18 @@ class Latch {
   int remaining_;
 };
 
-// Placement-aware construction knobs.  The default is indistinguishable
-// from `ThreadPool(n)`: no pinning, OS scheduling.
-struct ThreadPoolOptions {
-  // 0 uses the hardware concurrency; always clamped to >= 1 even when
-  // std::thread::hardware_concurrency() reports 0 (unknown hardware must
-  // not yield an empty pool that deadlocks every Submit).
-  int num_threads = 0;
-  PlacementPolicy placement = PlacementPolicy::kNone;
-  // Borrowed; must outlive the constructor call (the plan is computed
-  // eagerly).  nullptr + a non-kNone policy detects the host topology.
-  const CpuTopology* topology = nullptr;
-  // Cpus to fill last — e.g. the pinned shard-commit workers' cores, so
-  // speculation workers spread over the *remaining* cores first.
-  std::vector<CpuSlot> reserved;
-};
-
 class ThreadPool {
  public:
-  // `num_threads` == 0 uses the hardware concurrency.
+  // `num_threads` <= 0 uses the hardware concurrency.  Always at least one
+  // worker, even when std::thread::hardware_concurrency() reports 0: an
+  // empty pool would deadlock every Submit.
   explicit ThreadPool(int num_threads = 0);
-  explicit ThreadPool(const ThreadPoolOptions& options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  // The resolved worker→cpu plan (slot.cpu == -1: unpinned).  Index i is
-  // worker i; stable for the pool's lifetime.  Bench snapshots log this so
-  // placement-dependent latency outliers can be explained after the fact.
-  const std::vector<CpuSlot>& worker_cpus() const { return plan_; }
 
   // Enqueues a task.  Safe to call from any thread, including pool workers
   // (a worker submitting pushes onto its own deque).
@@ -110,11 +87,6 @@ class ThreadPool {
   struct Worker {
     std::mutex mu;
     std::deque<std::function<void()>> tasks;
-    // Victim scan order for this worker: same-node workers first (stealing
-    // inside a node moves the task's cache lines across a shared LLC, not
-    // the interconnect), rotated so victims spread.
-    std::vector<int> victims;
-    int node = 0;
   };
 
   void WorkerLoop(int self);
@@ -124,7 +96,6 @@ class ThreadPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  std::vector<CpuSlot> plan_;  // worker i's pin target (cpu -1: unpinned)
 
   // Wakes idle workers on submit/stop.
   std::mutex idle_mu_;

@@ -279,6 +279,30 @@ TEST_F(InterpreterTest, FaultCommandBadUsage) {
   EXPECT_FALSE(ok);
 }
 
+// Vertex 0 is in range but is the root, which has no uplink: the refusal
+// says so instead of reusing the out-of-range message, and changes nothing.
+TEST_F(InterpreterTest, FailLinkOfRootNamesTheRoot) {
+  bool ok = false;
+  Exec("admit 1 homogeneous 6 100 40", &ok);
+  ASSERT_TRUE(ok);
+  const topology::VertexId machine = topo_.machines()[0];
+  Exec("fail link " + std::to_string(machine), &ok);
+  ASSERT_TRUE(ok);
+  const core::NetworkManager& manager = interpreter_.manager();
+  const auto faults = manager.Faults();
+  const auto live = manager.live_count();
+  const auto placement = manager.placement_of(1)->vm_machine;
+
+  const std::string out = Exec("fail link 0", &ok);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(out,
+            "fail link 0: INVALID_ARGUMENT: vertex 0 is the root and has no "
+            "uplink to fail\n");
+  EXPECT_EQ(manager.Faults(), faults);
+  EXPECT_EQ(manager.live_count(), live);
+  EXPECT_EQ(manager.placement_of(1)->vm_machine, placement);
+}
+
 // Integer arguments are range-checked before use: a VM count past INT_MAX
 // or a vertex id past the fabric used to wrap into a valid one (or abort),
 // and a huge batch count used to throw from `reserve`.  Each line must get

@@ -138,26 +138,26 @@ TEST(ScenarioSerialization, TypeMismatchIsRejected) {
 // change would pass it; these literals would not.
 TEST(ScenarioIdentity, BuiltinConfigHashesArePinned) {
   const std::vector<std::pair<std::string, std::string>> pinned = {
-      {"fig5", "fc7831798205018e"},
-      {"fig6", "9e226c83b828a111"},
-      {"fig7", "2769e1f50afbb925"},
-      {"fig8", "312dc0a60faf3d75"},
-      {"fig9", "6dd97b0218eb6e09"},
-      {"fig10", "bafa4affe30ba618"},
-      {"guarantee_validation", "4b58dbfe86a19a29"},
-      {"hetero_comparison", "75facc228909bff4"},
-      {"ablation_locality", "a2f8a3a5646ab5c4"},
-      {"ablation_enforcement", "624f542dcfeedb97"},
-      {"ablation_distribution", "732fdddc360ec5f6"},
-      {"ablation_ecmp", "84a3f13bcbf10daa"},
-      {"ablation_percentile", "3c4cfd335c7587ef"},
-      {"fault_recovery", "e89e1542d6f36102"},
-      {"fault_correlated", "b3aefda40a7fb208"},
-      {"fault_drill", "188883fbb32520ec"},
-      {"work_conserving", "19b695048641071b"},
-      {"flash_crowd", "c378bf3a4de5c3e2"},
-      {"diurnal", "6a213c3a3431c7c7"},
-      {"daemon_default", "fdb19e628f6ebdb0"},
+      {"fig5", "e62e707050a91a8d"},
+      {"fig6", "b95c1fd6e838a62c"},
+      {"fig7", "de5389a61ce8866c"},
+      {"fig8", "4dd498de5dbc62e8"},
+      {"fig9", "565294900e1abcc2"},
+      {"fig10", "f1e09afb895f6c31"},
+      {"guarantee_validation", "7cef8830c6731e7c"},
+      {"hetero_comparison", "df9f47f3df14cc35"},
+      {"ablation_locality", "22908b400a0d40f5"},
+      {"ablation_enforcement", "a29fb8fe7471abbe"},
+      {"ablation_distribution", "15e8046ca3baa6f7"},
+      {"ablation_ecmp", "04a49d7f58ed0395"},
+      {"ablation_percentile", "1ab8fdadc0879bca"},
+      {"fault_recovery", "dfe80a35bd675149"},
+      {"fault_correlated", "70993422cd79c3b5"},
+      {"fault_drill", "cfbab4d438f80ad5"},
+      {"work_conserving", "372ff2346f438b28"},
+      {"flash_crowd", "36eabd6f23ab9a5b"},
+      {"diurnal", "cb8eb68476c43c98"},
+      {"daemon_default", "7af75e94a86930cf"},
   };
   ASSERT_EQ(pinned.size(), RegisteredScenarioNames().size());
   for (const auto& [name, hash] : pinned) {
@@ -193,7 +193,7 @@ TEST(ScenarioIdentity, CanonicalTextIsPinned) {
       R"("admission":{"abstraction":"svc","allocator":"",)"
       R"("epsilon":0.050000000000000003,"vc_quantile":0.94999999999999996,)"
       R"("survivability":false,"workers":0,"shards":0,"window":128,)"
-      R"("lookahead":1,"placement":"none"},)"
+      R"("lookahead":1},)"
       R"("enforcement":{"mode":"hard_cap","burst_seconds":5},)"
       R"("faults":{"machine_mtbf_seconds":0,"link_mtbf_seconds":0,)"
       R"("link_mtbf_factor":0,"mttr_seconds":0,"horizon_seconds":0,"seed":1,)"
@@ -208,7 +208,7 @@ TEST(ScenarioIdentity, CanonicalTextIsPinned) {
       R"("rate_distribution":"","policy":"","survivable":-1,"once":false}]})"
       "\n";
   EXPECT_EQ(SerializeScenario(scenario), expected);
-  EXPECT_EQ(ScenarioConfigHash(scenario), "37af554732478f0f");
+  EXPECT_EQ(ScenarioConfigHash(scenario), "9e1c5989d1899688");
 }
 
 // Canonical text of registry entry `name` with the one occurrence of
@@ -240,6 +240,17 @@ TEST(ScenarioValidation, OversubscriptionBelowOneIsRejected) {
   ExpectRejectedAt(EditBuiltin("fault_recovery", "\"oversubscription\":2,",
                                "\"oversubscription\":0.5,"),
                    "scenario.topology.oversubscription");
+}
+
+// The admission section no longer has a worker-placement field: a file
+// written while it existed is refused at that section, naming the key.
+TEST(ScenarioValidation, RemovedPlacementFieldIsRejected) {
+  const std::string text =
+      EditBuiltin("fig7", "\"lookahead\":1}",
+                  "\"lookahead\":1,\"placement\":\"none\"}");
+  ExpectRejectedAt(text, "scenario.admission");
+  EXPECT_EQ(ParseScenario(text).status().message(),
+            "scenario.admission: unknown key 'placement'");
 }
 
 TEST(ScenarioValidation, OversubSweepValueBelowOneIsRejected) {
@@ -354,7 +365,7 @@ TEST(ScenarioDocs, EveryCanonicalKeyHasASchemaRow) {
   ASSERT_TRUE(canonical);
   std::vector<std::string> keys;
   CollectKeys(*canonical, "", &keys);
-  EXPECT_EQ(keys.size(), 90u);  // 79 settable fields in 11 objects
+  EXPECT_EQ(keys.size(), 89u);  // 78 settable fields in 11 objects
 
   std::ifstream in(SVC_SCENARIOS_DOC);
   ASSERT_TRUE(in) << SVC_SCENARIOS_DOC;

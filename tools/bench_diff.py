@@ -48,6 +48,10 @@ are informational, because the cells of one sweep run concurrently and
 their wall-clock depends on scheduling.  A scenario whose ``config_hash``
 differs between the snapshots is a warning, not a failure.
 
+Every snapshot records its host CPU count as a top-level
+``hardware_threads``.  Two snapshots whose counts differ get a warning,
+not a failure: their parallel numbers are not comparable.
+
 ``--list`` prints the benchmark, scenario and latency-histogram names a
 snapshot carries (useful for picking --require-speedup targets) and
 exits 0.
@@ -237,14 +241,10 @@ def main():
     before_benches = {b["name"]: b for b in before.get("benchmarks", [])}
     after_benches = {b["name"]: b for b in after.get("benchmarks", [])}
 
-    # Placement-sensitive numbers (admission_sharded under --placement) are
-    # only comparable between machines with the same package/node/core
-    # shape.  A shape mismatch is a warning, not a failure: diffing across
-    # hosts is sometimes exactly what the user wants to do.
     # Snapshots are only apples-to-apples when they measured the same
     # scenario configuration (fabric, workload, seed, epsilon).  A config
-    # hash mismatch is a warning, not a failure, for the same reason as
-    # the host-topology mismatch below.
+    # hash mismatch is a warning, not a failure: diffing across
+    # configurations is sometimes exactly what the user wants to do.
     b_scn = before.get("scenario")
     a_scn = after.get("scenario")
     if (
@@ -262,15 +262,16 @@ def main():
             file=sys.stderr,
         )
 
-    b_topo = before.get("topology")
-    a_topo = after.get("topology")
-    if b_topo and a_topo and b_topo != a_topo:
+    # Parallel numbers (speedups, sharded throughput) are only comparable
+    # between hosts with the same CPU count; a mismatch is a warning for
+    # the same reason.
+    b_hw = before.get("hardware_threads")
+    a_hw = after.get("hardware_threads")
+    if b_hw is not None and a_hw is not None and b_hw != a_hw:
         print(
-            "WARNING: topology differs between snapshots "
-            f"(before: {b_topo.get('summary', '?')}, "
-            f"after: {a_topo.get('summary', '?')}); "
-            "placement-sensitive deltas may reflect the hardware, "
-            "not the change",
+            "WARNING: hardware_threads differs between snapshots "
+            f"(before: {b_hw}, after: {a_hw}); "
+            "parallel deltas may reflect the host, not the change",
             file=sys.stderr,
         )
 
