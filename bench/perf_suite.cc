@@ -14,19 +14,6 @@
 //              placement buffers; alloc_counter.cc counts operator new).
 //              Also timed: both heterogeneous allocators on a smaller
 //              fabric sized to their complexity.
-//   admission — AdmitBatch throughput through core::AdmissionPipeline, one
-//              worker (the serial baseline, record admission_throughput_1w)
-//              vs --pipeline-workers (record admission_throughput), over a
-//              fill/release churn workload.  Verdicts and placements must
-//              be bit-identical across worker counts (commits follow
-//              request order); conflict/fallback counts ride along as
-//              record extras.
-//   sharded  — AdmitBatch throughput with --admit-shards commit shards on a
-//              ~100k-machine fabric pre-loaded with 10^5 live tenants
-//              (record admission_sharded, with the shard count and the
-//              touched-shard histogram as extras).  CI runs it at 1 and 4
-//              shards and gates the ratio with bench_diff
-//              --require-speedup admission_sharded:1.5.
 //
 // Writes BENCH_PERF.json (override with --out) and prints a summary.  The
 // JSON carries the git SHA and thread counts so two snapshots diffed with
@@ -37,8 +24,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/rng.h"
-#include "svc/admission_pipeline.h"
 #include "svc/hetero_exact.h"
 #include "svc/hetero_heuristic.h"
 #include "svc/homogeneous_search.h"
@@ -108,37 +92,6 @@ bool SameBatchResult(const sim::BatchResult& a, const sim::BatchResult& b) {
          a.placement_levels == b.placement_levels && SameJobs(a.jobs, b.jobs);
 }
 
-// Serves pre-planned placements by request id: the admission regime where
-// the placement decision is externalized (a warmed placement cache or an
-// out-of-band planner) and the fabric layer's validate-and-commit plane is
-// the whole cost — the regime the sharded-commit bench measures.  The
-// selection ignores the books entirely, so both monotone declarations hold
-// trivially (a constant choice cannot be un-chosen by added load, and an
-// id-miss rejection stays a rejection on any books).
-class ReplayAllocator final : public core::Allocator {
- public:
-  explicit ReplayAllocator(
-      const std::unordered_map<int64_t, core::Placement>* plan)
-      : plan_(plan) {}
-
-  std::string_view name() const override { return "bench-replay"; }
-  bool monotone_rejections() const override { return true; }
-  bool monotone_placements() const override { return true; }
-
-  util::Result<core::Placement> Allocate(
-      const core::Request& request, const net::LinkLedger& /*ledger*/,
-      const core::SlotMap& /*slots*/) const override {
-    const auto it = plan_->find(request.id());
-    if (it == plan_->end()) {
-      return {util::ErrorCode::kCapacity, "no planned placement"};
-    }
-    return util::Result<core::Placement>(it->second);
-  }
-
- private:
-  const std::unordered_map<int64_t, core::Placement>* plan_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -152,29 +105,6 @@ int main(int argc, char** argv) {
       flags.Int("sweep-jobs", 80, "jobs per sweep replica");
   int64_t& alloc_iters =
       flags.Int("alloc-iters", 2000, "Allocate() calls to time");
-  int64_t& admit_iters = flags.Int(
-      "admit-iters", 600, "admission requests per pipeline batch round");
-  int64_t& pipeline_workers = flags.Int(
-      "pipeline-workers", 4, "speculation workers for admission_throughput");
-  int64_t& decisions_on = flags.Int(
-      "decisions", 1,
-      "record decision provenance (obs/decision_log) through the admission "
-      "and sharded benches, so their throughput numbers carry the logging "
-      "cost the online control plane would pay; 0 measures the "
-      "compiled-in-but-disabled baseline");
-  int64_t& admit_shards = flags.Int(
-      "admit-shards", 4,
-      "aggregation-level commit shards for admission_sharded (1 = the "
-      "unsharded-commit baseline the CI speedup gate compares against)");
-  int64_t& shard_racks = flags.Int(
-      "shard-racks", 5120, "racks in the sharded-admission fabric");
-  int64_t& shard_aggs = flags.Int(
-      "shard-aggs", 16, "aggregation switches (= shardable subtrees)");
-  int64_t& shard_tenants = flags.Int(
-      "shard-tenants", 100'000,
-      "tenants pre-loaded onto the sharded fabric before measuring");
-  int64_t& shard_iters = flags.Int(
-      "shard-iters", 256, "admission requests per sharded pipeline round");
   std::string& out = flags.String("out", "BENCH_PERF.json", "output path");
   flags.Parse(argc, argv);
   bench::ObsScope obs(common);
@@ -403,302 +333,6 @@ int main(int argc, char** argv) {
   std::printf("allocate: %.0f calls/s  (hetero exact, n=10)\n",
               exact_calls_per_sec);
 
-  // --- Admission pipeline: 1 worker (serial Admit loop) vs N-worker ------
-  // speculate/validate/commit over an Oktopus-style online workload under
-  // admission-control pressure: the fabric is pre-loaded to ~90%, then
-  // batches of mixed-size tenants churn against it.  A few admit per round
-  // (commits bump the epoch — the conflict path gets exercised); most are
-  // rejected, and rejections keep the epoch still, so the speculation
-  // workers run the allocator concurrently to real effect — exactly the
-  // regime where an online control plane needs admission throughput.
-  // Everything admitted is released at the end of its round, so every
-  // round (and every worker count) starts from the same books.  Commits
-  // follow request order, which makes the decision sequence a hard gate:
-  // any worker count must reproduce the serial verdicts and placements
-  // exactly.
-  // With --decisions (the default) the admission and sharded benches run
-  // with decision provenance armed, so their throughput records — and the
-  // CI speedup gates downstream of them — include the per-outcome logging
-  // cost an online control plane would actually pay.
-  if (decisions_on != 0) obs::SetDecisionsEnabled(true);
-  std::vector<core::Request> admit_requests;
-  {
-    stats::Rng rng(11);
-    admit_requests.reserve(admit_iters);
-    for (int64_t i = 0; i < admit_iters; ++i) {
-      const int n = static_cast<int>(rng.UniformInt(2, 40));
-      const double mu = 100.0 * static_cast<double>(rng.UniformInt(1, 5));
-      admit_requests.push_back(core::Request::Homogeneous(
-          4'000'000 + i, n, mu, mu * rng.Uniform(0, 1)));
-    }
-  }
-  constexpr int kAdmitRounds = 4;
-  struct AdmissionOutcome {
-    std::vector<char> verdicts;
-    std::vector<topology::VertexId> roots;
-    double seconds = 0;
-    int64_t admitted = 0;
-    core::PipelineStats stats;
-  };
-  const core::HomogeneousDpAllocator admission_alloc;
-  auto run_admission = [&](int workers) {
-    AdmissionOutcome result;
-    core::NetworkManager admission_manager(topo, common.epsilon());
-    {
-      // Deterministic pre-load to ~90% occupancy: both worker counts see
-      // byte-identical books.  Rejections don't end the fill (a large
-      // tenant bouncing off a near-full fabric is expected) — a run of
-      // them does, once even small tenants stop fitting.
-      stats::Rng rng(7);
-      int64_t id = 5'000'000;
-      int consecutive_failures = 0;
-      while (admission_manager.slots().total_free() >
-                 topo.total_slots() / 10 &&
-             consecutive_failures < 64) {
-        const int n = static_cast<int>(rng.UniformInt(2, 60));
-        const double mu = 100.0 * static_cast<double>(rng.UniformInt(1, 5));
-        const core::Request r =
-            core::Request::Homogeneous(id++, n, mu, mu * rng.Uniform(0, 1));
-        if (admission_manager.Admit(r, admission_alloc).ok()) {
-          consecutive_failures = 0;
-        } else {
-          ++consecutive_failures;
-        }
-      }
-    }
-    core::PipelineConfig pipeline_config;
-    pipeline_config.workers = workers;
-    core::AdmissionPipeline pipeline(admission_manager, pipeline_config);
-    const double start = Now();
-    for (int round = 0; round < kAdmitRounds; ++round) {
-      const auto decisions =
-          pipeline.AdmitBatch(admit_requests, admission_alloc);
-      for (size_t i = 0; i < decisions.size(); ++i) {
-        result.verdicts.push_back(decisions[i].ok() ? 1 : 0);
-        if (decisions[i].ok()) {
-          result.roots.push_back(decisions[i]->subtree_root);
-          admission_manager.Release(admit_requests[i].id());
-          ++result.admitted;
-        }
-      }
-    }
-    result.seconds = Now() - start;
-    result.stats = pipeline.stats();
-    return result;
-  };
-  const AdmissionOutcome admit_serial = run_admission(1);
-  const AdmissionOutcome admit_parallel =
-      run_admission(static_cast<int>(pipeline_workers));
-  const bool admission_identical =
-      admit_serial.verdicts == admit_parallel.verdicts &&
-      admit_serial.roots == admit_parallel.roots;
-  const int64_t admit_total = kAdmitRounds * admit_iters;
-  const double admit_serial_rate =
-      admit_serial.seconds > 0 ? admit_total / admit_serial.seconds : 0.0;
-  const double admit_parallel_rate =
-      admit_parallel.seconds > 0 ? admit_total / admit_parallel.seconds : 0.0;
-  const double admit_speedup =
-      admit_parallel.seconds > 0
-          ? admit_serial.seconds / admit_parallel.seconds
-          : 0.0;
-  std::printf(
-      "admission: %.0f req/s serial  %.0f req/s (%d workers)  speedup %.2fx  "
-      "conflicts %lld fallbacks %lld  identical %s\n",
-      admit_serial_rate, admit_parallel_rate,
-      static_cast<int>(pipeline_workers), admit_speedup,
-      static_cast<long long>(admit_parallel.stats.conflicts),
-      static_cast<long long>(admit_parallel.stats.fallbacks),
-      admission_identical ? "yes" : "NO");
-
-  // --- Sharded fabric commit: million-tenant-scale admission. ------------
-  // A ~100k-machine three-tier fabric (root children = --shard-aggs
-  // shardable subtrees) is pre-loaded with up to --shard-tenants live
-  // tenants, then a planned admission stream drives the pipeline's COMMIT
-  // plane: a replay allocator serves pre-computed rack-local placements
-  // (speculation is a table lookup), so the measured cost is sequencing,
-  // capacity re-validation, row writes, and snapshot re-capture — the
-  // layers this PR shards.  Planned admits rotate across the agg quarters
-  // (consecutive commits land in different shards for any shard count up
-  // to 4), interleaved 1:1 with planless requests the replay allocator
-  // rejects (absorbed without touching the books).  Sharding then wins
-  // twice: single-shard applies run on per-shard commit workers while the
-  // sequencer moves on, and every snapshot re-capture copies only the
-  // stale buckets (O(V / shards) instead of O(V) rows per admitted
-  // tenant).  At --admit-shards 1 every admit invalidates the whole
-  // fabric, so the same stream degenerates to serial re-runs plus
-  // full-fabric re-captures.  The CI gate runs this twice — 1 vs 4
-  // shards — and requires >= 1.5x on the admission_sharded record via
-  // bench_diff.  Decisions must match the serial Admit loop exactly
-  // (third hard gate).
-  shard_aggs = std::max<int64_t>(4, (shard_aggs / 4) * 4);
-  shard_racks = std::max(shard_aggs, (shard_racks / shard_aggs) * shard_aggs);
-  topology::ThreeTierConfig sharded_config;
-  sharded_config.racks = static_cast<int>(shard_racks);
-  sharded_config.machines_per_rack = 20;
-  sharded_config.racks_per_agg = static_cast<int>(shard_racks / shard_aggs);
-  // Slots and machine-link capacity scale with the requested tenant count:
-  // each pre-load pass lands one 2-VM tenant per machine pair (one slot and
-  // 50 Mbps of mean per machine), and the planned admits need two free
-  // slots plus headroom on every machine.  At the default 10^5 tenants this
-  // reproduces the PR-6 shape exactly (4 slots, 1 Gbps); --shard-tenants
-  // 1000000 deepens the fabric to ~22 slots/machine instead of growing it
-  // wider, so the per-shard row volume is what scales.
-  const int64_t shard_machines =
-      shard_racks * sharded_config.machines_per_rack;
-  const int preload_passes = static_cast<int>(
-      std::max<int64_t>(2, (shard_tenants * 2 + shard_machines - 1) /
-                               std::max<int64_t>(1, shard_machines)));
-  sharded_config.slots_per_machine = preload_passes + 2;
-  sharded_config.machine_link_mbps = 1000.0 * preload_passes / 2.0;
-  const topology::Topology sharded_topo =
-      topology::BuildThreeTier(sharded_config);
-  std::vector<core::Request> shard_requests;
-  std::unordered_map<int64_t, core::Placement> shard_plan;
-  {
-    // Plan admit k into agg (k % 4) * (aggs / 4) + (k / 4) % (aggs / 4):
-    // consecutive admits land in different quarters of the agg range, i.e.
-    // different shards under ShardMap's contiguous grouping, so a shard is
-    // revisited only every 4 admits (8 requests) — farther back than the
-    // speculation pipeline's depth, which keeps the shard-freshness fast
-    // path live.  Each admit takes 8 VMs on 4 whole-machine slot blocks of
-    // one rack (2 free slots per machine after the pre-load), walking the
-    // racks of its agg; released between rounds, so the plan never
-    // double-books.
-    const int aggs = static_cast<int>(shard_aggs);
-    const int quarter = aggs / 4;
-    const int mpr = sharded_config.machines_per_rack;
-    const int admits_per_rack = mpr / 4;
-    const auto& machines = sharded_topo.machines();
-    std::vector<int> agg_cursor(aggs, 0);
-    shard_requests.reserve(shard_iters);
-    int admit_k = 0;
-    for (int64_t i = 0; i < shard_iters; ++i) {
-      const int64_t id = 11'000'000 + i;
-      if (i % 2 != 0) {
-        // Planless: rejected by the replay allocator, absorbed stale-or-not
-        // (monotone rejection) — admission-control pressure between commits.
-        shard_requests.push_back(core::Request::Homogeneous(id, 2, 100, 20));
-        continue;
-      }
-      const int agg = (admit_k % 4) * quarter + (admit_k / 4) % quarter;
-      const int t = agg_cursor[agg]++;
-      const int rack = agg * sharded_config.racks_per_agg +
-                       (t / admits_per_rack) % sharded_config.racks_per_agg;
-      const int block = t % admits_per_rack;
-      core::Placement placement;
-      placement.vm_machine.reserve(8);
-      for (int m = 0; m < 4; ++m) {
-        const topology::VertexId machine =
-            machines[static_cast<size_t>(rack) * mpr + block * 4 + m];
-        placement.vm_machine.push_back(machine);
-        placement.vm_machine.push_back(machine);
-      }
-      placement.subtree_root = sharded_topo.parent(placement.vm_machine[0]);
-      shard_plan.emplace(id, std::move(placement));
-      shard_requests.push_back(core::Request::Homogeneous(id, 8, 100, 20));
-      ++admit_k;
-    }
-  }
-  const ReplayAllocator replay_alloc(&shard_plan);
-  constexpr int kShardRounds = 2;
-  struct ShardedOutcome {
-    std::vector<char> verdicts;
-    std::vector<topology::VertexId> roots;
-    double seconds = 0;
-    int64_t admitted = 0;
-    int64_t preloaded = 0;
-    int shards = 0;
-    int total_free = 0;
-    double max_occupancy = 0;
-    core::PipelineStats stats;
-    std::vector<int64_t> histogram;
-  };
-  auto run_sharded = [&](int workers, int shards) {
-    ShardedOutcome outcome;
-    core::NetworkManager sharded_manager(sharded_topo, common.epsilon());
-    core::PipelineConfig pipeline_config;
-    pipeline_config.workers = workers;
-    // A shallow speculation pipeline: lookups are instant, and the depth
-    // bounds how far a proposal's snapshot can lag the commit front — it
-    // must stay under the plan's 8-request shard-revisit distance for the
-    // shard-freshness fast path to hold.
-    pipeline_config.queue_capacity = 1;
-    pipeline_config.shards = shards;
-    core::AdmissionPipeline pipeline(sharded_manager, pipeline_config);
-    outcome.shards = shards > 0 ? sharded_manager.num_shards() : 0;
-    // Pre-load: rack-local 2-VM tenants committed directly (no allocator
-    // search), two per machine pair per pass — identical books for every
-    // (worker, shard) configuration.
-    {
-      const auto& machines = sharded_topo.machines();
-      int64_t id = 10'000'000;
-      for (int pass = 0;
-           pass < preload_passes && outcome.preloaded < shard_tenants;
-           ++pass) {
-        for (size_t k = 0;
-             k + 1 < machines.size() && outcome.preloaded < shard_tenants;
-             k += 2) {
-          core::Placement placement;
-          placement.vm_machine = {machines[k], machines[k + 1]};
-          const core::Request tenant =
-              core::Request::Homogeneous(id++, 2, 50, 10);
-          if (sharded_manager.AdmitPlacement(tenant, std::move(placement))
-                  .ok()) {
-            ++outcome.preloaded;
-          }
-        }
-      }
-    }
-    const double start = Now();
-    for (int round = 0; round < kShardRounds; ++round) {
-      const auto decisions = pipeline.AdmitBatch(shard_requests, replay_alloc);
-      for (size_t i = 0; i < decisions.size(); ++i) {
-        outcome.verdicts.push_back(decisions[i].ok() ? 1 : 0);
-        if (decisions[i].ok()) {
-          outcome.roots.push_back(decisions[i]->subtree_root);
-          sharded_manager.Release(shard_requests[i].id());
-          ++outcome.admitted;
-        }
-      }
-    }
-    outcome.seconds = Now() - start;
-    outcome.stats = pipeline.stats();
-    outcome.histogram = pipeline.touched_shard_histogram();
-    outcome.total_free = sharded_manager.slots().total_free();
-    outcome.max_occupancy = sharded_manager.MaxOccupancy();
-    return outcome;
-  };
-  const ShardedOutcome sharded_serial = run_sharded(1, 0);
-  // Two speculation workers move the stream; the per-shard commit workers
-  // and the O(V / shards) snapshot re-captures are what scales.
-  const ShardedOutcome sharded =
-      run_sharded(2, static_cast<int>(admit_shards));
-  const bool sharded_identical =
-      sharded.verdicts == sharded_serial.verdicts &&
-      sharded.roots == sharded_serial.roots &&
-      sharded.total_free == sharded_serial.total_free &&
-      sharded.max_occupancy == sharded_serial.max_occupancy;
-  const int64_t sharded_total = kShardRounds * shard_iters;
-  const double sharded_rate =
-      sharded.seconds > 0 ? sharded_total / sharded.seconds : 0.0;
-  std::printf(
-      "sharded:  %.0f req/s (%d shards, %d shard workers)  %lld tenants  "
-      "%lld machines  dispatched %lld cross-shard %lld conflicts %lld  "
-      "identical %s\n",
-      sharded_rate, sharded.shards, std::max(0, sharded.shards),
-      static_cast<long long>(sharded.preloaded),
-      static_cast<long long>(sharded_topo.machines().size()),
-      static_cast<long long>(sharded.stats.shard_commits),
-      static_cast<long long>(sharded.stats.cross_shard_commits),
-      static_cast<long long>(sharded.stats.shard_conflicts),
-      sharded_identical ? "yes" : "NO");
-  if (decisions_on != 0) {
-    obs::SetDecisionsEnabled(false);
-    std::printf("decisions: %llu records logged (ring keeps last %zu/thread)\n",
-                static_cast<unsigned long long>(obs::DecisionCount()),
-                obs::DecisionRingCapacity());
-  }
-
   // --- BENCH_PERF.json ---------------------------------------------------
   util::JsonWriter w;
   w.BeginObject();
@@ -712,8 +346,6 @@ int main(int argc, char** argv) {
   // different CPU counts, since their parallel numbers are not comparable.
   w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
   w.Member("threads", common.threads());
-  w.Member("admission_identical", admission_identical);
-  w.Member("sharded_identical", sharded_identical);
   w.Key("sweep");
   w.BeginObject();
   w.Member("replicas", static_cast<int64_t>(replicas));
@@ -750,46 +382,6 @@ int main(int argc, char** argv) {
                      exact_calls_per_sec > 0 ? 1e9 / exact_calls_per_sec : 0.0,
                      0.0,
                      {{"calls_per_sec", exact_calls_per_sec}}});
-  records.push_back(
-      {"admission_throughput_1w", admit_total,
-       admit_serial_rate > 0 ? 1e9 / admit_serial_rate : 0.0, 0.0,
-       {{"requests_per_sec", admit_serial_rate},
-        {"admitted", static_cast<double>(admit_serial.admitted)}}});
-  records.push_back(
-      {"admission_throughput", admit_total,
-       admit_parallel_rate > 0 ? 1e9 / admit_parallel_rate : 0.0, 0.0,
-       {{"requests_per_sec", admit_parallel_rate},
-        {"speedup", admit_speedup},
-        {"workers", static_cast<double>(pipeline_workers)},
-        {"admitted", static_cast<double>(admit_parallel.admitted)},
-        {"conflicts", static_cast<double>(admit_parallel.stats.conflicts)},
-        {"fallbacks", static_cast<double>(admit_parallel.stats.fallbacks)}}});
-  {
-    // Satellite schema note: same BenchRecord shape as every PR 3-5 record —
-    // the shard count and touched-shard histogram ride in the extras map, so
-    // tools/bench_diff.py diffs admission_sharded across snapshots unchanged.
-    bench::BenchRecord sharded_record{
-        "admission_sharded", sharded_total,
-        sharded_rate > 0 ? 1e9 / sharded_rate : 0.0, 0.0,
-        {{"requests_per_sec", sharded_rate},
-         {"shards", static_cast<double>(sharded.shards)},
-         {"workers", 2.0},
-         {"tenants_preloaded", static_cast<double>(sharded.preloaded)},
-         {"machines", static_cast<double>(sharded_topo.machines().size())},
-         {"admitted", static_cast<double>(sharded.admitted)},
-         {"shard_commits", static_cast<double>(sharded.stats.shard_commits)},
-         {"cross_shard_commits",
-          static_cast<double>(sharded.stats.cross_shard_commits)},
-         {"shard_conflicts",
-          static_cast<double>(sharded.stats.shard_conflicts)},
-         {"fallbacks", static_cast<double>(sharded.stats.fallbacks)}}};
-    for (size_t k = 0; k < sharded.histogram.size(); ++k) {
-      sharded_record.counters.push_back(
-          {"touched_shards_" + std::to_string(k),
-           static_cast<double>(sharded.histogram[k])});
-    }
-    records.push_back(std::move(sharded_record));
-  }
   bench::AddBenchmarksMember(w, records);
   // Snapshot of everything the instrumented sections recorded, so perf
   // regressions can be diffed at metric granularity across runs.
@@ -823,8 +415,7 @@ int main(int argc, char** argv) {
   if (!bench::WriteFile(out, w.str() + "\n")) return 1;
   std::printf("wrote %s\n", out.c_str());
 
-  // Non-zero exit if the parallel sweep, the multi-worker admission
-  // pipeline, or the sharded commit plane diverged from serial — the
-  // suite's hard correctness gates.
-  return identical && admission_identical && sharded_identical ? 0 : 2;
+  // Non-zero exit if the parallel sweep diverged from serial — the suite's
+  // hard correctness gate.
+  return identical ? 0 : 2;
 }

@@ -41,7 +41,7 @@ bool ParseDouble(const std::string& text, double& value) {
 
 // Every integer argument is parsed here: the whole token must be a decimal
 // integer within [lo, hi], so no value wraps or narrows on its way to a VM
-// count, a vertex id or a thread count.
+// count, a vertex id or a tenant count.
 bool ParseIntIn(const std::string& text, int64_t lo, int64_t hi,
                 int64_t& value) {
   int64_t parsed = 0;
@@ -185,51 +185,49 @@ bool Interpreter::CmdAdmit(const std::vector<std::string>& args,
 
 bool Interpreter::CmdBatch(const std::vector<std::string>& args,
                            std::ostream& out) {
-  // batch <workers> <count> <first-id> homogeneous <n> <mu> <sigma>
-  // batch <workers> <count> <first-id> deterministic <n> <B>
+  // batch <count> <first-id> homogeneous <n> <mu> <sigma>
+  // batch <count> <first-id> deterministic <n> <B>
   constexpr const char* kUsage =
-      "error: batch <workers> <count> <first-id> homogeneous <n> <mu> "
-      "<sigma> | deterministic <n> <B>\n";
-  if (args.size() < 5) {
+      "error: batch <count> <first-id> homogeneous <n> <mu> <sigma> | "
+      "deterministic <n> <B>\n";
+  if (args.size() < 4) {
     out << kUsage;
     return false;
   }
-  // The caps are checked before anything is reserved or started.
-  int64_t workers = 0, count = 0, first_id = 0;
-  if (!ParseIntIn(args[1], 1, kMaxBatchWorkers, workers) ||
-      !ParseIntIn(args[2], 1, kMaxBatchCount, count)) {
-    out << "error: batch takes 1.." << kMaxBatchWorkers << " workers and 1.."
-        << kMaxBatchCount << " tenants\n";
+  // The cap is checked before anything is reserved.
+  int64_t count = 0, first_id = 0;
+  if (!ParseIntIn(args[1], 1, kMaxBatchCount, count)) {
+    out << "error: batch takes 1.." << kMaxBatchCount << " tenants\n";
     return false;
   }
-  if (!ParseId(args[3], first_id) ||
+  if (!ParseId(args[2], first_id) ||
       count - 1 > util::kMaxSafeInteger - first_id) {
     out << IdRangeError();
     return false;
   }
-  const std::string& kind = args[4];
+  const std::string& kind = args[3];
   std::vector<core::Request> requests;
   requests.reserve(count);
-  if (kind == "homogeneous" && args.size() == 8) {
+  if (kind == "homogeneous" && args.size() == 7) {
     int n = 0;
     double mu, sigma;
-    if (!ParseDouble(args[6], mu) || !ParseDouble(args[7], sigma)) {
+    if (!ParseDouble(args[5], mu) || !ParseDouble(args[6], sigma)) {
       out << kUsage;
       return false;
     }
-    if (!ParseVmCount(args[5], n, out)) return false;
+    if (!ParseVmCount(args[4], n, out)) return false;
     for (int64_t i = 0; i < count; ++i) {
       requests.push_back(
           core::Request::Homogeneous(first_id + i, n, mu, sigma));
     }
-  } else if (kind == "deterministic" && args.size() == 7) {
+  } else if (kind == "deterministic" && args.size() == 6) {
     int n = 0;
     double bandwidth;
-    if (!ParseDouble(args[6], bandwidth)) {
+    if (!ParseDouble(args[5], bandwidth)) {
       out << kUsage;
       return false;
     }
-    if (!ParseVmCount(args[5], n, out)) return false;
+    if (!ParseVmCount(args[4], n, out)) return false;
     for (int64_t i = 0; i < count; ++i) {
       requests.push_back(
           core::Request::Deterministic(first_id + i, n, bandwidth));
@@ -239,20 +237,11 @@ bool Interpreter::CmdBatch(const std::vector<std::string>& args,
     return false;
   }
 
-  core::PipelineConfig config;
-  config.workers = static_cast<int>(workers);
-  core::AdmissionPipeline pipeline(manager_, config);
-  const auto decisions =
-      pipeline.AdmitBatch(requests, *current_allocator_);
-  int64_t admitted = 0;
-  for (const auto& decision : decisions) {
-    if (decision.ok()) ++admitted;
-  }
+  core::AdmissionPipeline pipeline(manager_);
+  pipeline.AdmitBatch(requests, *current_allocator_);
   const core::PipelineStats& stats = pipeline.stats();
-  out << "batch: " << admitted << " admitted, "
-      << (count - admitted) << " rejected (proposed " << stats.proposed
-      << ", conflicts " << stats.conflicts << ", fallbacks "
-      << stats.fallbacks << ")\n";
+  out << "batch: " << stats.committed << " admitted, " << stats.rejected
+      << " rejected\n";
   return true;
 }
 
@@ -592,8 +581,7 @@ bool Interpreter::CmdHealth(const std::vector<std::string>& args,
       << obs::DecisionCount() << ", flight-bundles "
       << obs::FlightRecorder::Global().bundles_written() << ", state "
       << (manager_.StateValid() ? "valid" : "INVALID") << "\n";
-  // Prometheus-style exposition of everything the session recorded so far
-  // (metrics registry including the per-shard pipeline gauges).
+  // Prometheus-style exposition of the metrics registry so far.
   if (obs::MetricsEnabled()) out << obs::ExportPrometheus();
   return manager_.StateValid();
 }

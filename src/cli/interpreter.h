@@ -6,10 +6,10 @@
 //   admit 1 homogeneous 10 200 120      # <id> <N> <mu> <sigma>
 //   admit 2 deterministic 6 150         # <id> <N> <B>
 //   admit 3 heterogeneous 300:150 20:5  # <id> <mu:sigma>...
-//   batch 4 50 10 homogeneous 8 200 120 # <workers> <count> <first-id>
-//                                       #   <kind args>: admit `count`
-//                                       #   identical tenants through the
-//                                       #   concurrent admission pipeline
+//   batch 50 10 homogeneous 8 200 120   # <count> <first-id> <kind args>:
+//                                       #   admit `count` identical tenants
+//                                       #   with ids first-id, first-id+1..
+//                                       #   one after another
 //   release 1
 //   show slots                          # free/total VM slots
 //   show occupancy [k]                  # k worst links (default 5)
@@ -48,8 +48,8 @@
 // numbers carry them exactly; every command refuses any other id.  The
 // other integer arguments are range-checked the same way before use: VM
 // counts fit in an int, vertex ids lie within the fabric, and `batch` takes
-// at most kMaxBatchWorkers workers and kMaxBatchCount tenants.  An
-// out-of-range argument is an error that changes no state.
+// at most kMaxBatchCount tenants.  An out-of-range argument is an error
+// that changes no state.
 // Each command writes a one-line result to the output stream; errors are
 // reported per line (the interpreter keeps going) and counted.  Exit
 // status of `svcctl` is nonzero if any command failed.
@@ -68,8 +68,7 @@ namespace svc::cli {
 
 class Interpreter {
  public:
-  // `batch` caps, checked before anything is reserved or started.
-  static constexpr int64_t kMaxBatchWorkers = 64;
+  // `batch` cap, checked before anything is reserved.
   static constexpr int64_t kMaxBatchCount = 100'000;
 
   // Borrows the topology (must outlive the interpreter).

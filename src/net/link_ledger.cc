@@ -148,26 +148,11 @@ void RebuildDomainSums(LinkState& s) {
 }  // namespace
 
 LinkLedger::LinkLedger(const topology::Topology& topo, double epsilon)
-    : topo_(&topo), epsilon_(epsilon), c_(GuaranteeQuantile(epsilon)),
-      touched_(1) {
+    : topo_(&topo), epsilon_(epsilon), c_(GuaranteeQuantile(epsilon)) {
   assert(topo.finalized());
   links_.resize(topo.num_vertices());
   for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
     links_[v].capacity = topo.uplink_capacity(v);
-  }
-}
-
-void LinkLedger::SetShardMap(const ShardMap* shards) {
-  assert(shards == nullptr || &shards->topo() == topo_);
-  // Re-bucket the existing touched lists under the new partition.
-  std::vector<TouchedMap> old = std::move(touched_);
-  shards_ = shards;
-  touched_.assign(shards_ == nullptr ? 1 : shards_->bucket_count(),
-                  TouchedMap{});
-  for (TouchedMap& map : old) {
-    for (auto& [req, links] : map) {
-      for (topology::VertexId v : links) Touch(req, v);
-    }
   }
 }
 
@@ -395,7 +380,7 @@ std::vector<RequestId> LinkLedger::AffectedRequests(
 }
 
 void LinkLedger::Touch(RequestId req, topology::VertexId v) {
-  std::vector<topology::VertexId>& list = touched_[bucket_of(v)][req];
+  std::vector<topology::VertexId>& list = touched_[req];
   if (std::find(list.begin(), list.end(), v) == list.end()) {
     list.push_back(v);
   }
@@ -462,75 +447,14 @@ void LinkLedger::RebuildSums(topology::VertexId v) {
   RebuildDomainSums(s);
 }
 
-void LinkLedger::AssignAggregatesFrom(const LinkLedger& other) {
-  assert(topo_ == other.topo_);
-  assert(links_.size() == other.links_.size());
-  epsilon_ = other.epsilon_;
-  c_ = other.c_;
-  for (size_t v = 0; v < links_.size(); ++v) {
-    LinkState& dst = links_[v];
-    const LinkState& src = other.links_[v];
-    dst.capacity = src.capacity;
-    dst.deterministic = src.deterministic;
-    dst.mean_sum = src.mean_sum;
-    dst.var_sum = src.var_sum;
-    dst.up = src.up;
-    // Backup-domain sums and their Pareto set are aggregates too:
-    // snapshots must see reserved backup bandwidth or speculative admission
-    // would over-commit the post-failure states.  The emptiness guard keeps
-    // the legacy (no-survivability) capture allocation-free.
-    if (!src.backup_domains.empty() || !dst.backup_domains.empty()) {
-      dst.backup_domains = src.backup_domains;
-      dst.backup_pareto = src.backup_pareto;
-    }
-    // A view carries no records; clears are free once the lists are empty.
-    dst.stochastic.clear();
-    dst.reserved.clear();
-    dst.backup.clear();
-  }
-  for (TouchedMap& map : touched_) map.clear();
-}
-
-void LinkLedger::AssignAggregatesFromLinks(
-    const LinkLedger& other, const std::vector<topology::VertexId>& links) {
-  assert(topo_ == other.topo_);
-  for (topology::VertexId v : links) {
-    LinkState& dst = links_[v];
-    const LinkState& src = other.links_[v];
-    assert(dst.stochastic.empty() && dst.reserved.empty() &&
-           dst.backup.empty() &&
-           "partial capture is a shadow-ledger operation");
-    dst.capacity = src.capacity;
-    dst.deterministic = src.deterministic;
-    dst.mean_sum = src.mean_sum;
-    dst.var_sum = src.var_sum;
-    dst.up = src.up;
-    if (!src.backup_domains.empty() || !dst.backup_domains.empty()) {
-      dst.backup_domains = src.backup_domains;
-      dst.backup_pareto = src.backup_pareto;
-    }
-  }
-}
-
-void LinkLedger::RemoveRequest(RequestId req) { RemoveRequest(req, nullptr); }
-
-void LinkLedger::RemoveRequest(RequestId req, uint64_t* touched_buckets) {
-  for (size_t bucket = 0; bucket < touched_.size(); ++bucket) {
-    auto it = touched_[bucket].find(req);
-    if (it == touched_[bucket].end()) continue;
-    if (touched_buckets != nullptr) *touched_buckets |= uint64_t{1} << bucket;
-    RemoveRecords(req, it->second);
-    touched_[bucket].erase(it);
-  }
-}
-
-void LinkLedger::RemoveRecords(RequestId req,
-                               const std::vector<topology::VertexId>& links) {
+void LinkLedger::RemoveRequest(RequestId req) {
+  auto it = touched_.find(req);
+  if (it == touched_.end()) return;
   // Each touched list names a link at most once (Touch dedupes on insert),
   // so this visits every record of the request exactly once.  Sums are
   // restored by direct subtraction — no scan of the surviving records —
   // and record order is not preserved (swap-remove); nothing keys on it.
-  for (topology::VertexId v : links) {
+  for (topology::VertexId v : it->second) {
     LinkState& s = links_[v];
     for (size_t i = 0; i < s.stochastic.size();) {
       if (s.stochastic[i].request == req) {
@@ -570,6 +494,7 @@ void LinkLedger::RemoveRecords(RequestId req,
     }
     if (backup_removed) RebuildDomainSums(s);
   }
+  touched_.erase(it);
 }
 
 size_t LinkLedger::TotalRecords() const {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/admission.h"
-#include "net/shard_map.h"
 #include "topology/topology.h"
 
 namespace svc::net {
@@ -89,22 +88,6 @@ class LinkLedger {
   // The ledger borrows the topology; it must outlive the ledger.
   // `epsilon` is the SLA risk factor of condition (1).
   LinkLedger(const topology::Topology& topo, double epsilon);
-
-  // --- Sharding (docs/CONCURRENCY.md "Sharded fabric commit") ---
-
-  // Installs (or, with nullptr, removes) a shard partition.  The per-request
-  // touched-link bookkeeping moves into per-bucket storage, so mutations
-  // that stay within one bucket — AddStochastic / AddDeterministic /
-  // RemoveRequest restricted to that bucket's links — are safe to run
-  // concurrently with mutations in *other* buckets: they write disjoint
-  // LinkState rows and disjoint touched maps.  The map is borrowed and must
-  // outlive the ledger (or the next SetShardMap call).
-  void SetShardMap(const ShardMap* shards);
-  const ShardMap* shard_map() const { return shards_; }
-  // Bucket owning link v (0 when unsharded).
-  int bucket_of(topology::VertexId v) const {
-    return shards_ == nullptr ? 0 : shards_->bucket_of_link(v);
-  }
 
   double epsilon() const { return epsilon_; }
   // c = Phi^{-1}(1 - epsilon), cached.
@@ -252,56 +235,24 @@ class LinkLedger {
   // a no-op (idempotent release).
   void RemoveRequest(RequestId req);
 
-  // As above, additionally OR-ing into `touched_buckets` one bit per bucket
-  // the request had records in — the scoped-epoch-invalidation input for
-  // NetworkManager::Release (an unknown request leaves the mask untouched).
-  void RemoveRequest(RequestId req, uint64_t* touched_buckets);
-
   // Recomputes the running sums of a link from its records (diagnostics /
   // drift audits; the mutation paths maintain the sums directly).
   void RebuildSums(topology::VertexId v);
-
-  // Overwrites this ledger's per-link aggregates (capacity, D_L, moment
-  // sums, up state) and risk parameters with `other`'s, WITHOUT copying the
-  // per-request demand records — the record lists here are cleared.  Both
-  // ledgers must be over the same topology.  This is the LedgerView capture
-  // primitive: every read-side kernel above depends only on the aggregates,
-  // and reusing this ledger's storage keeps steady-state captures off the
-  // heap.
-  void AssignAggregatesFrom(const LinkLedger& other);
-
-  // Partial capture: overwrites the aggregates of exactly the listed links
-  // with `other`'s, leaving every other row untouched.  Used by the sharded
-  // snapshot refresh to re-capture only the buckets whose epoch moved
-  // (`links` is typically ShardMap::links_in_bucket).  Unlike the full
-  // capture this does NOT clear record lists or touched bookkeeping — it is
-  // only meaningful on a shadow ledger, which never holds records.
-  void AssignAggregatesFromLinks(const LinkLedger& other,
-                                 const std::vector<topology::VertexId>& links);
 
   // Total number of demand records (diagnostics / tests).
   size_t TotalRecords() const;
 
  private:
-  using TouchedMap =
-      std::unordered_map<RequestId, std::vector<topology::VertexId>>;
-
   const topology::Topology* topo_;
   double epsilon_;
   double c_;
-  // Appends v to its bucket's touched list for req unless already present.
+  // Appends v to req's touched list unless already present.
   void Touch(RequestId req, topology::VertexId v);
-  // Removes req's records on the links of one touched list.
-  void RemoveRecords(RequestId req,
-                     const std::vector<topology::VertexId>& links);
 
-  const ShardMap* shards_ = nullptr;  // borrowed; nullptr = unsharded
   std::vector<LinkState> links_;  // indexed by vertex id; root unused
-  // Which links each live request touches, for O(records) release, bucketed
-  // by shard (one map when unsharded) so same-bucket mutations never share
-  // a map with another bucket's.  Each link appears at most once per
-  // request per bucket (see Touch).
-  std::vector<TouchedMap> touched_;
+  // Which links each live request touches, for O(records) release.  Each
+  // link appears at most once per request (see Touch).
+  std::unordered_map<RequestId, std::vector<topology::VertexId>> touched_;
 };
 
 }  // namespace svc::net

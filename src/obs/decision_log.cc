@@ -33,14 +33,6 @@ const char* ToString(CommitPath path) {
   switch (path) {
     case CommitPath::kSerial:
       return "serial";
-    case CommitPath::kFresh:
-      return "fresh";
-    case CommitPath::kShardFresh:
-      return "shard-fresh";
-    case CommitPath::kShardDispatch:
-      return "shard-dispatch";
-    case CommitPath::kStaleRerun:
-      return "stale-rerun";
     case CommitPath::kFaultEvict:
       return "fault-evict";
   }
@@ -224,9 +216,8 @@ void AppendDecisionJson(std::string& out, const DecisionRecord& r) {
   out += ",\"reason\":";
   AppendJsonEscaped(out, r.reason);
   std::snprintf(buf, sizeof buf,
-                ",\"shard\":%d,\"worker\":%u,\"epoch_delta\":%u,"
-                "\"ts_ns\":%llu,\"links\":[",
-                r.shard, r.worker_tid, r.epoch_delta,
+                ",\"worker\":%u,\"ts_ns\":%llu,\"links\":[",
+                r.worker_tid,
                 static_cast<unsigned long long>(r.ts_ns));
   out += buf;
   for (int i = 0; i < r.num_links; ++i) {
@@ -236,12 +227,8 @@ void AppendDecisionJson(std::string& out, const DecisionRecord& r) {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "],\"stages_us\":{\"queue_wait\":%.3f,\"snapshot\":%.3f,"
-                "\"speculate\":%.3f,\"sequence\":%.3f,\"apply\":%.3f}}",
-                static_cast<double>(r.stages.queue_wait_us),
-                static_cast<double>(r.stages.snapshot_us),
-                static_cast<double>(r.stages.speculate_us),
-                static_cast<double>(r.stages.sequence_us),
+                "],\"stages_us\":{\"alloc\":%.3f,\"apply\":%.3f}}",
+                static_cast<double>(r.stages.alloc_us),
                 static_cast<double>(r.stages.apply_us));
   out += buf;
 }
@@ -254,10 +241,9 @@ std::string FormatDecision(const DecisionRecord& r) {
                 ToString(r.path));
   out += buf;
   std::snprintf(buf, sizeof buf,
-                " alloc=%s reason=%s shard=%d worker=t%u epoch_delta=%u",
+                " alloc=%s reason=%s worker=t%u",
                 r.allocator[0] ? r.allocator : "-",
-                r.reason[0] ? r.reason : "-", r.shard, r.worker_tid,
-                r.epoch_delta);
+                r.reason[0] ? r.reason : "-", r.worker_tid);
   out += buf;
   out += " binding=[";
   for (int i = 0; i < r.num_links; ++i) {
@@ -267,12 +253,8 @@ std::string FormatDecision(const DecisionRecord& r) {
   }
   out += "]";
   std::snprintf(buf, sizeof buf,
-                " stages_us[queue=%.1f snap=%.1f spec=%.1f seq=%.1f "
-                "apply=%.1f]",
-                static_cast<double>(r.stages.queue_wait_us),
-                static_cast<double>(r.stages.snapshot_us),
-                static_cast<double>(r.stages.speculate_us),
-                static_cast<double>(r.stages.sequence_us),
+                " stages_us[alloc=%.1f apply=%.1f]",
+                static_cast<double>(r.stages.alloc_us),
                 static_cast<double>(r.stages.apply_us));
   out += buf;
   return out;

@@ -4,15 +4,10 @@
 //
 // The paper's whole contribution is a per-request admission decision —
 // condition (4) says *this* tenant fits on *these* links with *this much*
-// stochastic slack — and once admission is a sharded, speculative,
-// multi-worker pipeline (docs/CONCURRENCY.md) the decision's provenance
-// spans several threads: a speculation worker runs the allocator against an
-// epoch snapshot, the sequencer validates and routes, a shard worker may
-// apply the rows.  One DecisionRecord folds that whole story into 160
-// fixed bytes: outcome + reason, the commit path taken, the snapshot-to-
-// commit epoch delta, the top-k binding links with their condition-(4)
-// occupancy slack at commit time, and a stage-latency breakdown measured
-// on whichever thread ran each stage.
+// stochastic slack.  One DecisionRecord folds that story into a few fixed
+// bytes: outcome + reason, the path that produced it, the top-k binding
+// links with their condition-(4) occupancy slack at commit time, and the
+// decision's allocator and apply latencies.
 //
 // Design mirrors the metrics/trace layers (docs/OBSERVABILITY.md):
 //
@@ -30,12 +25,12 @@
 //     SVC_METRICS_ENABLED).
 //   * Read path (CollectDecisions / FindDecision): reads rings owned by
 //     other threads without locking against writers — call only when
-//     recording threads are quiescent (after AdmitBatch returns, after
-//     joins, at scope exit), the same single-consumer contract as the
-//     trace rings.
+//     recording threads are quiescent (between admissions, after joins,
+//     at scope exit), the same single-consumer contract as the trace
+//     rings.
 //
 // This header intentionally depends on nothing outside the standard
-// library (records carry plain integer link/shard ids, not topology
+// library (records carry plain integer link ids, not topology
 // types) so every layer can link it.
 #pragma once
 
@@ -74,16 +69,11 @@ enum class DecisionOutcome : uint8_t {
   kEvict = 2,
 };
 
-// Which route carried the decision through the admission plane
-// (docs/CONCURRENCY.md defines the routes; docs/OBSERVABILITY.md maps them
-// to records).
+// Which path produced the decision (docs/OBSERVABILITY.md "Decision
+// records").
 enum class CommitPath : uint8_t {
-  kSerial = 0,           // direct Manager::Admit (no pipeline)
-  kFresh = 1,            // pipeline: strictly fresh, committed inline
-  kShardFresh = 2,       // pipeline: stale but shard-freshness lemma held
-  kShardDispatch = 3,    // pipeline: fresh single-shard, applied by worker
-  kStaleRerun = 4,       // pipeline: stale admit, drained serial re-run
-  kFaultEvict = 5,       // fault plane: recovery failed, tenant evicted
+  kSerial = 0,      // NetworkManager::Admit
+  kFaultEvict = 1,  // fault plane: recovery failed, tenant evicted
 };
 
 const char* ToString(DecisionOutcome outcome);
@@ -103,15 +93,11 @@ struct DecisionRecord {
     float slack = 0;
   };
 
-  // Per-stage latency breakdown in microseconds, each measured on the
-  // thread that ran the stage and folded into the one record (correlated
-  // by request id).  Stages that a path skips stay 0.
+  // Latency breakdown of one Admit in microseconds.  An eviction record
+  // leaves both 0.
   struct StageLatencies {
-    float queue_wait_us = 0;  // feed -> speculation worker pop
-    float snapshot_us = 0;    // epoch-snapshot (re-)capture cost
-    float speculate_us = 0;   // allocator search against the snapshot
-    float sequence_us = 0;    // sequencer validate + route
-    float apply_us = 0;       // row writes (commit or shard apply)
+    float alloc_us = 0;  // allocator search (and backup planning)
+    float apply_us = 0;  // re-validation and row writes
   };
 
   int64_t tenant_id = 0;
@@ -120,9 +106,7 @@ struct DecisionRecord {
   DecisionOutcome outcome = DecisionOutcome::kReject;
   CommitPath path = CommitPath::kSerial;
   uint8_t num_links = 0;
-  int16_t shard = -1;      // commit shard id; -1 = unsharded / cross-shard
   uint32_t worker_tid = 0; // ThreadId() of the deciding thread (stamped)
-  uint32_t epoch_delta = 0;  // commit-time epoch - speculation-snapshot epoch
   char allocator[20] = {};   // NUL-terminated, truncated
   char reason[20] = {};      // NUL-terminated reason code, e.g. "capacity"
   BindingLink links[kMaxBindingLinks];

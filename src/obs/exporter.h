@@ -15,10 +15,9 @@
 // Triggering reads rings owned by other threads, so it inherits the
 // quiesced-threads contract of the trace/decision layers: the built-in
 // trigger points (HandleFault, StateValid failures, the engine's SLO
-// check) all run at points where the admission pipeline is drained.  SLO
-// breaches detected mid-batch via ObserveAdmission() only *latch*; the
-// dump happens at the caller's next MaybeTriggerPending() — a safe point
-// by construction.
+// check) all run between admissions.  SLO breaches detected inside an
+// admission via ObserveAdmission() only *latch*; the dump happens at the
+// caller's next MaybeTriggerPending() — a safe point by construction.
 //
 // This header intentionally depends on nothing outside the standard
 // library so every layer can link it.
@@ -66,13 +65,13 @@ class FlightRecorder {
   // Feeds one admission decision into the SLO windows.  Cheap no-op when
   // disabled or no SLO is armed; on a breach it latches a pending trigger
   // (at most one per window) instead of dumping inline, because the caller
-  // may be mid-batch with speculation workers still recording.
+  // is inside an admission.
   void ObserveAdmission(bool admitted, double latency_us);
 
   // Latches an arbitrary trigger for the next MaybeTriggerPending() — the
-  // mid-batch analogue of Trigger() for callers that cannot satisfy the
-  // quiesced-threads contract (e.g. an admission-inconsistency detected
-  // inside a pipeline decision callback).  First latch wins until dumped.
+  // deferred analogue of Trigger() for callers that are not at a quiesced
+  // point (e.g. an admission-inconsistency detected while the engine
+  // consumes a decision).  First latch wins until dumped.
   void LatchTrigger(const char* cause, const char* detail);
 
   // Dumps a latched SLO breach, if any; call from a quiesced point (the

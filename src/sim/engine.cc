@@ -28,13 +28,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
   assert(config_.time_step > 0);
   manager_.set_admission_options(config_.admission);
   empty_manager_.set_admission_options(config_.admission);
-  if (config_.admission_workers > 1) {
-    core::PipelineConfig pipeline;
-    pipeline.workers = config_.admission_workers;
-    pipeline.shards = config_.admission_shards;
-    pipeline_ =
-        std::make_unique<core::AdmissionPipeline>(manager_, pipeline);
-  }
   // Full-duplex links, one capacity slot per cable and direction; on
   // untrunked fabrics each link simply has one cable per direction.
   topo.FillCableCapacities(capacity_);
@@ -63,16 +56,11 @@ bool Engine::UnallocatableEvenEmpty(const workload::JobSpec& spec) {
 bool Engine::TryStart(const workload::JobSpec& spec, double now) {
   util::Result<core::Placement> result =
       manager_.Admit(MakeRequest(spec), *config_.allocator);
-  return FinishStart(spec, now, result);
-}
-
-bool Engine::FinishStart(const workload::JobSpec& spec, double now,
-                         util::Result<core::Placement>& result) {
   if (!result) {
     if (result.status().code() == util::ErrorCode::kFailedPrecondition) {
-      // An allocator bug, not a capacity condition — fail loudly.  This may
-      // run inside a pipeline decision callback (workers still recording),
-      // so the flight-recorder dump is latched, not taken inline.
+      // An allocator bug, not a capacity condition — fail loudly.  The
+      // flight-recorder dump is latched and taken at the next quiesced
+      // point of the run loop.
       SVC_LOG(Error) << "admission inconsistency: " << result.status().ToText();
       char detail[96];
       std::snprintf(detail, sizeof detail, "job=%lld",
@@ -462,45 +450,13 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
 
   double now = 0;
   std::unordered_map<int64_t, double> start_times;
-  // Strict-FIFO admission of the queue head(s).  With the pipeline on,
-  // whole windows are speculated concurrently and committed in FIFO order
-  // with stop_on_failure, which is exactly the serial head-by-head rule.
+  // Strict-FIFO admission of the queue head(s).
   auto admit_fifo = [&] {
     while (!queue.empty()) {
-      if (pipeline_ != nullptr && queue.size() > 1) {
-        const size_t window =
-            static_cast<size_t>(std::max(config_.admission_window, 1));
-        const size_t lookahead =
-            static_cast<size_t>(std::max(config_.admission_lookahead, 1));
-        // Cross-window pipelining: hand up to `lookahead` windows in one
-        // AdmitBatch call; the pipeline drains its commit plane at every
-        // window boundary while speculation for the next window runs on.
-        const size_t span = std::min(queue.size(), window * lookahead);
-        std::vector<core::Request> requests;
-        requests.reserve(span);
-        for (size_t i = 0; i < span; ++i) {
-          requests.push_back(MakeRequest(queue[i]));
-        }
-        size_t committed = 0;
-        pipeline_->AdmitBatch(
-            requests, *config_.allocator, /*stop_on_failure=*/true,
-            [&](size_t i, util::Result<core::Placement>& r) {
-              if (FinishStart(queue[i], now, r)) {
-                start_times[queue[i].id] = now;
-                ++committed;
-              }
-            },
-            span > window ? static_cast<int>(window) : 0);
-        // stop_on_failure commits exactly the FIFO prefix that fits.
-        queue.erase(queue.begin(),
-                    queue.begin() + static_cast<ptrdiff_t>(committed));
-        if (committed == span) continue;  // whole span admitted
-      } else {
-        if (TryStart(queue.front(), now)) {
-          start_times[queue.front().id] = now;
-          queue.pop_front();
-          continue;
-        }
+      if (TryStart(queue.front(), now)) {
+        start_times[queue.front().id] = now;
+        queue.pop_front();
+        continue;
       }
       if (UnallocatableEvenEmpty(queue.front())) {
         if (config_.events != nullptr) {
@@ -523,8 +479,8 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
   // Faults precede admissions at the same instant, as in RunOnline.
   ApplyFaultEvents(now);
   admit_fifo();
-  // Quiesced here and at every loop bottom: AdmitBatch is synchronous, so
-  // an SLO breach latched mid-batch dumps with no speculation in flight.
+  // Quiesced here and at every loop bottom: an SLO breach latched during
+  // admission dumps between admissions.
   obs::FlightRecorder::Global().MaybeTriggerPending();
   std::vector<int64_t> completed;
   while (!active_.empty() || !queue.empty()) {
@@ -612,13 +568,13 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
     ApplyFaultEvents(now);
     // Per-arrival bookkeeping, in arrival order: the admission decision,
     // then the samples the paper takes at every arrival.
-    auto settle = [&](const workload::JobSpec& spec,
-                      util::Result<core::Placement>& admitted) {
+    for (; next < jobs.size() && jobs[next].arrival_time <= now; ++next) {
+      const workload::JobSpec& spec = jobs[next];
       if (config_.events != nullptr) {
         config_.events->Record(spec.arrival_time, EventKind::kArrival,
                                spec.id);
       }
-      if (FinishStart(spec, now, admitted)) {
+      if (TryStart(spec, now)) {
         ++result.accepted;
         start_times[spec.id] = now;
         arrival_times[spec.id] = spec.arrival_time;
@@ -637,36 +593,9 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
               manager_.ledger().MaxBackupShare());
         }
       }
-    };
-    size_t group_end = next;
-    while (group_end < jobs.size() && jobs[group_end].arrival_time <= now) {
-      ++group_end;
     }
-    if (pipeline_ != nullptr && group_end - next > 1) {
-      // The arrivals due this instant are admitted as one pipeline batch;
-      // the pipeline settles them in arrival order with decisions
-      // identical to the serial loop below.
-      std::vector<core::Request> requests;
-      requests.reserve(group_end - next);
-      for (size_t j = next; j < group_end; ++j) {
-        requests.push_back(MakeRequest(jobs[j]));
-      }
-      pipeline_->AdmitBatch(requests, *config_.allocator,
-                            /*stop_on_failure=*/false,
-                            [&](size_t i, util::Result<core::Placement>& r) {
-                              settle(jobs[next + i], r);
-                            });
-      next = group_end;
-    } else {
-      while (next < group_end) {
-        util::Result<core::Placement> admitted =
-            manager_.Admit(MakeRequest(jobs[next]), *config_.allocator);
-        settle(jobs[next], admitted);
-        ++next;
-      }
-    }
-    // The admission group settled (AdmitBatch is synchronous), so a latched
-    // SLO breach or inconsistency dumps here with the pipeline drained.
+    // The admission group settled, so a latched SLO breach or
+    // inconsistency dumps here between admissions.
     obs::FlightRecorder::Global().MaybeTriggerPending();
     if (active_.empty()) {
       // Idle period: jump to the next arrival instead of stepping through

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "sim/max_min.h"
 #include "sim/metrics.h"
 #include "stats/rng.h"
-#include "svc/admission_pipeline.h"
 #include "svc/allocator.h"
 #include "svc/manager.h"
 #include "topology/topology.h"
@@ -71,26 +69,6 @@ struct SimConfig {
   double time_step = 1.0;          // seconds; the paper redraws rates at 1 s
   double max_seconds = 2e6;        // safety stop, flagged in the result log
   uint64_t seed = 1;
-  // Concurrent admission pipeline (docs/CONCURRENCY.md): > 1 admits
-  // same-instant arrival groups (RunOnline) and FIFO windows (RunBatch)
-  // through core::AdmissionPipeline with that many speculation workers,
-  // which commits in request order — every decision, event, RNG draw, and
-  // sample is bit-identical to the serial path (0 or 1).
-  int admission_workers = 0;
-  // Max FIFO window RunBatch hands the pipeline per admission round.
-  int admission_window = 128;
-  // Cross-window pipelining: RunBatch hands the pipeline up to
-  // admission_window * admission_lookahead queued requests per AdmitBatch
-  // call, with a commit-plane barrier every admission_window requests —
-  // window N+1's speculation overlaps window N's commit drain.  1 = one
-  // window per call (the PR-5 behavior).  Decisions are identical either
-  // way (every barrier placement yields the serial decision sequence).
-  int admission_lookahead = 1;
-  // Aggregation-level commit shards for the pipeline (see
-  // PipelineConfig::shards): 0 = unsharded; >= 1 installs a ShardMap on
-  // the manager and runs per-shard commit workers when admission_workers
-  // > 1.  Bit-identical to the serial path for any value.
-  int admission_shards = 0;
   bool sample_occupancy = true;    // record MaxOccupancy at arrivals
   FlowPattern flow_pattern = FlowPattern::kRandomPermutation;
   // Count bandwidth outages: (link, second) pairs where offered demand
@@ -173,18 +151,13 @@ class Engine {
   };
 
   // The admission request a job spec maps to under the configured
-  // abstraction (pure; shared by the serial and pipelined admit paths).
+  // abstraction (pure).
   core::Request MakeRequest(const workload::JobSpec& spec) const;
 
-  // Attempts admission; on success registers flows and the active record.
+  // Attempts admission; on success registers the flows (all RNG draws
+  // happen here, in decision order) and the active record; on failure logs
+  // allocator inconsistencies.  Returns whether the job was admitted.
   bool TryStart(const workload::JobSpec& spec, double now);
-
-  // Second half of TryStart, shared with the pipeline's decision callback:
-  // consumes an admission decision — on success registers the flows (all
-  // RNG draws happen here, in decision order) and the active record; on
-  // failure logs allocator inconsistencies.  Returns result.ok().
-  bool FinishStart(const workload::JobSpec& spec, double now,
-                   util::Result<core::Placement>& result);
 
   // True if the job could not be placed even on an empty datacenter (e.g.
   // per-VM effective demand above the machine link): such jobs can never
@@ -218,8 +191,6 @@ class Engine {
   core::NetworkManager manager_;
   // Pristine state used only for UnallocatableEvenEmpty checks.
   core::NetworkManager empty_manager_;
-  // Non-null iff config_.admission_workers > 1.
-  std::unique_ptr<core::AdmissionPipeline> pipeline_;
   MaxMinScratch scratch_;
   std::vector<double> capacity_;  // uplink capacity per vertex
   stats::Rng rng_;

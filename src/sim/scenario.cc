@@ -141,10 +141,6 @@ const Fields<AdmissionConfig>& AdmissionFields() {
       Number("epsilon", &C::epsilon, Range::Open(0, 1)),
       Number("vc_quantile", &C::vc_quantile, Range::Open(0, 1)),
       Flag("survivability", &C::survivability),
-      Number("workers", &C::workers, Range::AtLeast(0)),
-      Number("shards", &C::shards, Range::AtLeast(0)),
-      Number("window", &C::window, Range::AtLeast(1)),
-      Number("lookahead", &C::lookahead, Range::AtLeast(1)),
   };
   return *fields;
 }
@@ -537,10 +533,6 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   config.seed = s.seed + 1;
   config.max_seconds = s.max_seconds;
   config.admission.survivability = resolved.survivable;
-  config.admission_workers = s.admission.workers;
-  config.admission_shards = s.admission.shards;
-  config.admission_window = s.admission.window;
-  config.admission_lookahead = s.admission.lookahead;
   config.sample_occupancy = online;
   config.enforcement = resolved.enforcement;
   config.burst_seconds = s.enforcement.burst_seconds;

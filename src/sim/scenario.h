@@ -3,9 +3,9 @@
 // A Scenario is the complete, serializable description of one experiment:
 // the fabric (topology::ThreeTierConfig), the workload mix and arrival
 // regime, the admission discipline (abstraction, allocator, epsilon,
-// survivability, pipeline workers/shards), the enforcement discipline, the
-// fault schedule (random churn, scripted one-shots, correlated groups),
-// one optional sweep axis, and the variant columns that share it.  The
+// survivability), the enforcement discipline, the fault schedule (random
+// churn, scripted one-shots, correlated groups), one optional sweep axis,
+// and the variant columns that share it.  The
 // figure benches are thin shims over RunScenario: each fetches its
 // registry entry, applies its command-line overrides, runs, and formats
 // the table — so a figure is reproducible from one JSON file instead of
@@ -77,11 +77,6 @@ struct AdmissionConfig {
   double epsilon = 0.05;
   double vc_quantile = 0.95;
   bool survivability = false;
-  // Concurrent admission pipeline (SimConfig): 0/1 = serial.
-  int workers = 0;
-  int shards = 0;
-  int window = 128;
-  int lookahead = 1;
 };
 
 struct EnforcementConfig {

@@ -43,26 +43,18 @@ class Allocator {
   // generally do NOT: a fuller fabric changes the greedy path, which can
   // (pathologically) rescue a request the emptier fabric rejected.
   //
-  // The concurrent admission pipeline uses this to absorb speculative
-  // rejections computed against a stale snapshot without a serial re-run:
-  // within one batch the books only gain tenants, so a monotone rejection
-  // against older books is already the authoritative verdict.  Declaring
-  // true for a non-monotone allocator silently breaks the pipeline's
-  // serial-equivalence guarantee; when in doubt leave the default.
+  // No code under src/ reads this or monotone_placements(): admission is a
+  // serial loop of Admit, so no decision is ever taken against stale books.
+  // Both stay because perfbench/src/timed_allocator.h overrides them, and
+  // the allocators that declare them keep the declarations true.
   virtual bool monotone_rejections() const { return false; }
 
   // True when this allocator's CHOSEN placement is stable under added load
   // outside the links it read for that choice: the selection is first-best
   // (ties keep the earliest candidate in a fixed scan order) over scores
   // that are monotone non-improving in datacenter load, so a candidate that
-  // lost at speculation time can only lose harder once more tenants commit,
-  // and the winner — whose own evaluation the pipeline verifies is fresh —
-  // stays the winner.  The sharded commit scheduler uses this for its
-  // shard-freshness fast path (docs/CONCURRENCY.md): a proposal whose
-  // touched buckets (plus the core stripe) are unchanged commits without a
-  // serial re-run even though other shards moved on.  The same caveat as
-  // monotone_rejections applies: declaring this for an allocator without
-  // the property silently breaks serial equivalence.
+  // lost can only lose harder once more tenants commit.  When in doubt,
+  // leave the default.
   virtual bool monotone_placements() const { return false; }
 };
 

@@ -61,7 +61,7 @@ class HomogeneousSearchAllocator : public Allocator {
   // first strict improvement of the min-max occupancy score; occupancy only
   // rises as tenants are added, so both the lowest feasible level and the
   // within-level argmin are stable under load added outside the chosen
-  // subtree's links (which the pipeline's shard-freshness check covers).
+  // subtree's links.
   bool monotone_placements() const override { return true; }
 
  private:

@@ -1,7 +1,6 @@
 #include "svc/manager.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -106,138 +105,6 @@ const char* ReasonCode(util::ErrorCode code) {
 NetworkManager::NetworkManager(const topology::Topology& topo, double epsilon)
     : topo_(&topo), ledger_(topo, epsilon), slots_(topo) {}
 
-void NetworkManager::ConfigureSharding(
-    std::shared_ptr<const net::ShardMap> shards) {
-  assert(InFlightProposals() == 0 &&
-         "sharding reconfiguration requires a quiesced pipeline");
-  assert(shards == nullptr || &shards->topo() == topo_);
-  shards_ = std::move(shards);
-  ledger_.SetShardMap(shards_.get());
-  // Every bucket epoch records "global epoch at last mutation"; seeding
-  // with the current global value after the bump makes every pre-existing
-  // snapshot stale under the new layout.
-  const uint64_t e = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  shard_epochs_.assign(shards_ == nullptr ? 1 : shards_->bucket_count(), e);
-}
-
-uint64_t NetworkManager::TouchedBuckets(
-    const Placement& placement, const std::vector<LinkDemand>& demands) const {
-  if (shards_ == nullptr) return 1;
-  uint64_t mask = 0;
-  for (const LinkDemand& d : demands) {
-    mask |= uint64_t{1} << shards_->bucket_of_link(d.link);
-  }
-  for (topology::VertexId machine : placement.vm_machine) {
-    mask |= uint64_t{1} << shards_->shard_of_vertex(machine);
-  }
-  if (placement.survivable()) {
-    mask |= uint64_t{1} << shards_->shard_of_vertex(placement.backup_machine);
-  }
-  return mask;
-}
-
-bool NetworkManager::BucketsFresh(uint64_t mask,
-                                  const std::vector<uint64_t>& epochs) const {
-  if (epochs.size() != shard_epochs_.size()) return false;
-  for (uint64_t m = mask; m != 0; m &= m - 1) {
-    const size_t b = static_cast<size_t>(std::countr_zero(m));
-    if (b >= epochs.size() || epochs[b] != shard_epochs_[b]) return false;
-  }
-  return true;
-}
-
-void NetworkManager::BumpBuckets(uint64_t mask) {
-  const uint64_t e = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const uint64_t all = (uint64_t{1} << shard_epochs_.size()) - 1;
-  for (uint64_t m = mask & all; m != 0; m &= m - 1) {
-    shard_epochs_[static_cast<size_t>(std::countr_zero(m))] = e;
-  }
-}
-
-util::Status NetworkManager::PrepareShardCommit(
-    const Request& request, const AdmissionProposal& proposal) {
-  assert(proposal.ok && "only successful proposals can be committed");
-  if (util::Status s = CheckPlacementShape(request, proposal.placement);
-      !s.ok()) {
-    return s;
-  }
-  live_.emplace(request.id(), LiveRequest{request, proposal.placement});
-  // Bumping before the apply half lands is conservative: a later
-  // speculation against these buckets goes stale and re-runs serially,
-  // which is the serial decision by definition.
-  BumpBuckets(proposal.touched_mask);
-  return util::Status::Ok();
-}
-
-util::Result<Placement> NetworkManager::ApplyShardCommit(
-    const Request& request, AdmissionProposal&& proposal) {
-  if (util::Status s = CheckCapacity(proposal.placement, proposal.demands);
-      !s.ok()) {
-    return s;
-  }
-  for (const auto& [machine, count] : proposal.placement.MachineCounts()) {
-    slots_.Occupy(machine, count);
-  }
-  for (const LinkDemand& d : proposal.demands) {
-    if (d.domain != topology::kNoVertex) {
-      ledger_.AddBackup(d.link, request.id(), d.domain, d.mean, d.variance,
-                        d.deterministic);
-    } else if (d.deterministic > 0) {
-      ledger_.AddDeterministic(d.link, request.id(), d.deterministic);
-    } else {
-      ledger_.AddStochastic(d.link, request.id(), d.mean, d.variance);
-    }
-  }
-  return std::move(proposal.placement);
-}
-
-void NetworkManager::AbandonShardCommit(RequestId id) { live_.erase(id); }
-
-AdmissionSnapshot::AdmissionSnapshot(const topology::Topology& topo,
-                                     double epsilon)
-    : view(topo, epsilon), slots(topo) {}
-
-void AdmissionSnapshot::Capture(const NetworkManager& manager) {
-  view.Capture(manager.ledger(), manager.epoch());
-  slots = manager.slots();
-  shard_epochs = manager.shard_epochs();
-}
-
-uint64_t AdmissionSnapshot::StaleBuckets(const NetworkManager& manager) const {
-  const std::vector<uint64_t>& current = manager.shard_epochs();
-  if (shard_epochs.size() != current.size()) {
-    return (uint64_t{1} << current.size()) - 1;
-  }
-  uint64_t stale = 0;
-  for (size_t b = 0; b < current.size(); ++b) {
-    if (shard_epochs[b] != current[b]) stale |= uint64_t{1} << b;
-  }
-  return stale;
-}
-
-void AdmissionSnapshot::CaptureStale(const NetworkManager& manager) {
-  const net::ShardMap* shards = manager.shard_map();
-  if (shards == nullptr ||
-      shard_epochs.size() != manager.shard_epochs().size()) {
-    Capture(manager);
-    return;
-  }
-  const uint64_t stale = StaleBuckets(manager);
-  for (uint64_t m = stale; m != 0; m &= m - 1) {
-    const int b = std::countr_zero(m);
-    view.CaptureLinks(manager.ledger(), shards->links_in_bucket(b),
-                      manager.epoch());
-    if (b < shards->num_shards()) {
-      slots.AssignMachinesFrom(manager.slots(), shards->machines_in_shard(b));
-    }
-  }
-  shard_epochs = manager.shard_epochs();
-  // Bucket epochs record the global epoch of the bucket's last mutation, so
-  // buckets all matching implies no mutation since the newest of them — the
-  // re-captured snapshot equals the books exactly.
-  assert(view.epoch() == manager.epoch() || stale != 0);
-}
-
 std::vector<LinkDemand> NetworkManager::ComputeLinkDemands(
     const Request& request, const Placement& placement) const {
   // The primary computation (and, for survivable placements, the per-domain
@@ -315,9 +182,16 @@ util::Status NetworkManager::CheckCapacity(
   return util::Status::Ok();
 }
 
-void NetworkManager::CommitPrepared(const Request& request,
-                                    const Placement& placement,
-                                    const std::vector<LinkDemand>& demands) {
+util::Result<Placement> NetworkManager::AdmitPlacement(const Request& request,
+                                                       Placement placement) {
+  // Defense in depth: re-check shape, slots, and condition (4) before
+  // committing.
+  if (util::Status s = CheckPlacementShape(request, placement); !s.ok()) {
+    return s;
+  }
+  const std::vector<LinkDemand> demands =
+      ComputeLinkDemands(request, placement);
+  if (util::Status s = CheckCapacity(placement, demands); !s.ok()) return s;
   for (const auto& [machine, count] : placement.MachineCounts()) {
     slots_.Occupy(machine, count);
   }
@@ -332,92 +206,12 @@ void NetworkManager::CommitPrepared(const Request& request,
     }
   }
   live_.emplace(request.id(), LiveRequest{request, placement});
-  BumpBuckets(TouchedBuckets(placement, demands));
-}
-
-util::Result<Placement> NetworkManager::AdmitPlacement(const Request& request,
-                                                       Placement placement) {
-  // Defense in depth: re-check shape, slots, and condition (4) before
-  // committing.
-  if (util::Status s = CheckPlacementShape(request, placement); !s.ok()) {
-    return s;
-  }
-  const std::vector<LinkDemand> demands =
-      ComputeLinkDemands(request, placement);
-  if (util::Status s = CheckCapacity(placement, demands); !s.ok()) return s;
-  CommitPrepared(request, placement, demands);
-  return placement;
-}
-
-AdmissionProposal NetworkManager::Propose(
-    const Request& request, const Allocator& allocator,
-    const AdmissionSnapshot& snapshot) const {
-  SVC_TRACE_SPAN("manager/propose");
-  AdmissionProposal proposal;
-  proposal.epoch = snapshot.epoch();
-  util::Result<Placement> result =
-      allocator.Allocate(request, snapshot.view.ledger(), snapshot.slots);
-  if (!result) {
-    proposal.status = result.status();
-    proposal.rejection_monotone = allocator.monotone_rejections();
-    return proposal;
-  }
-  if (options_.survivability && !result->survivable()) {
-    result = PlanBackup(*topo_, request, std::move(*result),
-                        snapshot.view.ledger(), snapshot.slots);
-    if (!result) {
-      proposal.status = result.status();
-      // Never monotone: against fuller books the allocator can pick a
-      // DIFFERENT primary whose backup does fit, so this rejection must be
-      // re-run serially rather than absorbed.
-      proposal.rejection_monotone = false;
-      return proposal;
-    }
-  }
-  proposal.ok = true;
-  proposal.placement = std::move(*result);
-  // The demands depend only on (topology, request, placement) — never on
-  // ledger state — so computing them here off the commit thread is exact.
-  proposal.demands = ComputeLinkDemands(request, proposal.placement);
-  proposal.touched_mask = TouchedBuckets(proposal.placement, proposal.demands);
-  // The allocator's evaluation of the CHOSEN placement also read the
-  // zero-demand links on its hosts' root paths; in a tree those live in the
-  // hosts' own buckets (already in touched_mask) or the core stripe.
-  // Backup planning scans the whole fabric, so a survivable decision
-  // depends on EVERY bucket's freshness: an all-ones mask disables the
-  // shard-freshness fast path and falls back to exact epoch equality.
-  proposal.fresh_mask =
-      proposal.placement.survivable()
-          ? ~uint64_t{0}
-          : (shards_ == nullptr
-                 ? proposal.touched_mask
-                 : proposal.touched_mask |
-                       shards_->BucketBit(shards_->core_stripe()));
-  proposal.shard_epochs = snapshot.shard_epochs;
-  return proposal;
-}
-
-util::Result<Placement> NetworkManager::CommitProposal(
-    const Request& request, AdmissionProposal&& proposal) {
-  SVC_TRACE_SPAN("manager/commit_proposal");
-  assert(proposal.ok && "only successful proposals can be committed");
-  if (util::Status s = CheckPlacementShape(request, proposal.placement);
-      !s.ok()) {
-    return s;
-  }
-  if (util::Status s = CheckCapacity(proposal.placement, proposal.demands);
-      !s.ok()) {
-    return s;
-  }
-  Placement placement = std::move(proposal.placement);
-  CommitPrepared(request, placement, proposal.demands);
   return placement;
 }
 
 void NetworkManager::RecordAdmissionDecision(
     const Request& request, std::string_view allocator_name, bool admitted,
-    std::string_view reason, obs::CommitPath path, int shard,
-    uint64_t epoch_delta, const net::LinkLedger& books,
+    std::string_view reason, obs::CommitPath path,
     const std::vector<LinkDemand>* demands,
     const obs::DecisionRecord::StageLatencies& stages) const {
   if (!obs::DecisionsEnabled()) return;
@@ -429,9 +223,6 @@ void NetworkManager::RecordAdmissionDecision(
     rec.outcome = obs::DecisionOutcome::kEvict;
   }
   rec.path = path;
-  rec.shard = static_cast<int16_t>(shard);
-  rec.epoch_delta = static_cast<uint32_t>(
-      std::min<uint64_t>(epoch_delta, std::numeric_limits<uint32_t>::max()));
   rec.set_allocator(allocator_name);
   rec.set_reason(reason);
   rec.stages = stages;
@@ -440,21 +231,20 @@ void NetworkManager::RecordAdmissionDecision(
     // links the placement's demand lands on; keep the k tightest by
     // condition-(4) slack at commit time.
     for (const LinkDemand& d : *demands) {
-      rec.AddBindingLink(static_cast<int32_t>(d.link), books.Slack(d.link));
+      rec.AddBindingLink(static_cast<int32_t>(d.link), ledger_.Slack(d.link));
     }
   } else {
     // Rejection (no placement to attribute): greedy tightest-child descent
     // from the root records the most-loaded root-to-leaf path — O(fanout
-    // along one path), never an O(V) scan, so the sharded-admission gate
-    // survives with decisions enabled.
+    // along one path), never an O(V) scan.
     topology::VertexId v = topo_->root();
     while (!topo_->is_machine(v)) {
       const std::vector<topology::VertexId>& kids = topo_->children(v);
       if (kids.empty()) break;
       topology::VertexId tightest = kids.front();
-      double tightest_slack = books.Slack(tightest);
+      double tightest_slack = ledger_.Slack(tightest);
       for (size_t i = 1; i < kids.size(); ++i) {
-        const double s = books.Slack(kids[i]);
+        const double s = ledger_.Slack(kids[i]);
         if (s < tightest_slack) {
           tightest = kids[i];
           tightest_slack = s;
@@ -468,8 +258,7 @@ void NetworkManager::RecordAdmissionDecision(
 }
 
 util::Result<Placement> NetworkManager::Admit(const Request& request,
-                                              const Allocator& allocator,
-                                              obs::CommitPath decision_path) {
+                                              const Allocator& allocator) {
   SVC_TRACE_SPAN("manager/admit");
   const bool metrics = obs::MetricsEnabled();
   const bool decisions = obs::DecisionsEnabled();
@@ -496,11 +285,10 @@ util::Result<Placement> NetworkManager::Admit(const Request& request,
     }
     if (decisions) {
       obs::DecisionRecord::StageLatencies stages;
-      stages.speculate_us = static_cast<float>(alloc_us);
+      stages.alloc_us = static_cast<float>(alloc_us);
       stages.apply_us = static_cast<float>(micros - alloc_us);
       RecordAdmissionDecision(request, allocator.name(), admitted, reason,
-                              decision_path, /*shard=*/-1, /*epoch_delta=*/0,
-                              ledger_, demands, stages);
+                              obs::CommitPath::kSerial, demands, stages);
     }
     if (flight) {
       obs::FlightRecorder::Global().ObserveAdmission(admitted, micros);
@@ -568,19 +356,11 @@ void NetworkManager::Release(RequestId id) {
     SVC_METRIC_INC("manager/release_unknown");
     return;
   }
-  // Scoped invalidation: only the buckets this tenant actually touched
-  // (its demand records' buckets plus its hosts' shards) go stale — an
-  // unrelated shard's in-flight speculation stays fresh across the release.
-  uint64_t mask = 0;
-  ledger_.RemoveRequest(id, &mask);
+  ledger_.RemoveRequest(id);
   for (const auto& [machine, count] : it->second.placement.MachineCounts()) {
     slots_.Release(machine, count);
-    mask |= shards_ == nullptr
-                ? uint64_t{1}
-                : uint64_t{1} << shards_->shard_of_vertex(machine);
   }
   live_.erase(it);
-  BumpBuckets(mask);
 }
 
 bool NetworkManager::MachineBelow(topology::VertexId machine,
@@ -728,16 +508,6 @@ util::Result<FaultOutcome> NetworkManager::HandleFault(
     return {util::ErrorCode::kFailedPrecondition,
             "vertex already failed: " + std::to_string(vertex)};
   }
-  if (InFlightProposals() != 0) {
-    // Speculation workers read epoch-stamped snapshots, so the drain below
-    // would not corrupt them — but their proposals would validate against
-    // books the fault is about to rewrite.  The pipeline must quiesce
-    // (AdmitBatch returns) before the fault plane runs.
-    return {util::ErrorCode::kFailedPrecondition,
-            "fault handling requires a quiesced admission pipeline (" +
-                std::to_string(InFlightProposals()) +
-                " proposals in flight)"};
-  }
   const bool metrics = obs::MetricsEnabled();
   std::chrono::steady_clock::time_point start;
   if (metrics) start = std::chrono::steady_clock::now();
@@ -748,14 +518,6 @@ util::Result<FaultOutcome> NetworkManager::HandleFault(
   failed_.emplace(vertex, kind);
   ledger_.SetLinkState(vertex, false);
   if (kind == FaultKind::kMachine) slots_.SetMachineState(vertex, false);
-  // Scoped drain bump: the failed element's own bucket (plus its shard's
-  // slot state for a machine fault); the releases and re-admissions below
-  // bump whatever they touch themselves.
-  uint64_t drain_mask = uint64_t{1} << ledger_.bucket_of(vertex);
-  if (shards_ != nullptr && kind == FaultKind::kMachine) {
-    drain_mask |= uint64_t{1} << shards_->shard_of_vertex(vertex);
-  }
-  BumpBuckets(drain_mask);
 
   // Affected tenants.  A machine fault strands every tenant with a VM on
   // the machine (even single-machine tenants with no uplink demand); a
@@ -850,8 +612,8 @@ util::Result<FaultOutcome> NetworkManager::HandleFault(
       RecordAdmissionDecision(live.request, allocator.name(),
                               /*admitted=*/false,
                               ToString(tenant.evict_reason),
-                              obs::CommitPath::kFaultEvict, /*shard=*/-1,
-                              /*epoch_delta=*/0, ledger_, &fault_link, stages);
+                              obs::CommitPath::kFaultEvict, &fault_link,
+                              stages);
     }
     outcome.tenants.push_back(tenant);
   }
@@ -874,9 +636,8 @@ util::Result<FaultOutcome> NetworkManager::HandleFault(
                  << outcome.recovered() << " recovered, "
                  << outcome.evicted() << " evicted";
   if (obs::FlightRecorder::Global().enabled()) {
-    // Quiesced by construction here (InFlightProposals() == 0 was checked
-    // above and the pipeline cannot restart mid-call), so freezing the
-    // decision/trace rings races with nothing.
+    // Single-threaded here, so freezing the decision/trace rings races
+    // with nothing.
     if (!StateValid()) {
       char detail[96];
       std::snprintf(detail, sizeof detail, "vertex=%d post-fault", vertex);
@@ -901,21 +662,10 @@ util::Status NetworkManager::HandleRecovery(topology::VertexId vertex) {
     return {util::ErrorCode::kFailedPrecondition,
             "vertex not failed: " + std::to_string(vertex)};
   }
-  if (InFlightProposals() != 0) {
-    return {util::ErrorCode::kFailedPrecondition,
-            "recovery requires a quiesced admission pipeline (" +
-                std::to_string(InFlightProposals()) +
-                " proposals in flight)"};
-  }
   const bool machine = it->second == FaultKind::kMachine;
   ledger_.SetLinkState(vertex, true);
   if (machine) slots_.SetMachineState(vertex, true);
   failed_.erase(it);
-  uint64_t recover_mask = uint64_t{1} << ledger_.bucket_of(vertex);
-  if (shards_ != nullptr && machine) {
-    recover_mask |= uint64_t{1} << shards_->shard_of_vertex(vertex);
-  }
-  BumpBuckets(recover_mask);
   SVC_METRIC_INC("fault/recoveries");
   SVC_LOG(Debug) << "recovered vertex " << vertex;
   assert(StateValid());
@@ -934,21 +684,11 @@ util::Result<FaultOutcome> NetworkManager::DrainMachine(
     return {util::ErrorCode::kFailedPrecondition,
             "vertex already failed: " + std::to_string(machine)};
   }
-  if (InFlightProposals() != 0) {
-    return {util::ErrorCode::kFailedPrecondition,
-            "drain requires a quiesced admission pipeline (" +
-                std::to_string(InFlightProposals()) + " proposals in flight)"};
-  }
   // Cordon FIRST: free slots read as 0, so no migration target or
   // re-protection below can land back on this machine.  The uplink stays
   // up — tenants keep their bandwidth until their own move commits, which
   // is what makes a drain outage-free.
   slots_.SetMachineState(machine, false);
-  uint64_t cordon_mask = uint64_t{1} << ledger_.bucket_of(machine);
-  if (shards_ != nullptr) {
-    cordon_mask |= uint64_t{1} << shards_->shard_of_vertex(machine);
-  }
-  BumpBuckets(cordon_mask);
 
   // Tenants to move: anyone with a primary VM here, plus anyone whose
   // BACKUP group lives here (leaving it would silently void their coverage
@@ -1020,7 +760,6 @@ util::Result<FaultOutcome> NetworkManager::DrainMachine(
         tenant.evict_reason = EvictReason::kReallocationFailed;
       }
       slots_.SetMachineState(machine, false);
-      BumpBuckets(cordon_mask);
     }
     outcome.tenants.push_back(tenant);
   }
@@ -1051,11 +790,6 @@ util::Status NetworkManager::UncordonMachine(topology::VertexId machine) {
   }
   if (slots_.machine_up(machine)) return util::Status::Ok();
   slots_.SetMachineState(machine, true);
-  uint64_t mask = uint64_t{1} << ledger_.bucket_of(machine);
-  if (shards_ != nullptr) {
-    mask |= uint64_t{1} << shards_->shard_of_vertex(machine);
-  }
-  BumpBuckets(mask);
   return util::Status::Ok();
 }
 

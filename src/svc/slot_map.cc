@@ -1,17 +1,17 @@
 #include "svc/slot_map.h"
 
+#include <cassert>
+
 namespace svc::core {
 
 SlotMap::SlotMap(const topology::Topology& topo) : topo_(&topo) {
   assert(topo.finalized());
   free_.resize(topo.num_vertices(), 0);
   failed_.resize(topo.num_vertices(), 0);
-  int total = 0;
   for (topology::VertexId machine : topo.machines()) {
     free_[machine] = topo.vm_slots(machine);
-    total += free_[machine];
+    total_free_ += free_[machine];
   }
-  total_free_.store(total, std::memory_order_relaxed);
 }
 
 void SlotMap::SetMachineState(topology::VertexId machine, bool up) {
@@ -19,10 +19,10 @@ void SlotMap::SetMachineState(topology::VertexId machine, bool up) {
   if (machine_up(machine) == up) return;
   if (up) {
     failed_[machine] = 0;
-    total_free_.fetch_add(free_[machine], std::memory_order_relaxed);
+    total_free_ += free_[machine];
   } else {
     failed_[machine] = 1;
-    total_free_.fetch_sub(free_[machine], std::memory_order_relaxed);
+    total_free_ -= free_[machine];
   }
 }
 
@@ -32,7 +32,7 @@ void SlotMap::Occupy(topology::VertexId machine, int count) {
   assert(!failed_[machine] && "occupying slots on a failed machine");
   assert(free_[machine] >= count && "occupying more slots than free");
   free_[machine] -= count;
-  total_free_.fetch_sub(count, std::memory_order_relaxed);
+  total_free_ -= count;
 }
 
 void SlotMap::Release(topology::VertexId machine, int count) {
@@ -43,20 +43,7 @@ void SlotMap::Release(topology::VertexId machine, int count) {
   free_[machine] += count;
   // A failed machine's free slots are invisible until recovery; its
   // total_free contribution is restored by SetMachineState(up).
-  if (!failed_[machine]) total_free_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void SlotMap::AssignMachinesFrom(
-    const SlotMap& other, const std::vector<topology::VertexId>& machines) {
-  assert(topo_ == other.topo_);
-  int delta = 0;
-  for (topology::VertexId m : machines) {
-    delta -= failed_[m] ? 0 : free_[m];
-    free_[m] = other.free_[m];
-    failed_[m] = other.failed_[m];
-    delta += failed_[m] ? 0 : free_[m];
-  }
-  total_free_.fetch_add(delta, std::memory_order_relaxed);
+  if (!failed_[machine]) total_free_ += count;
 }
 
 }  // namespace svc::core

@@ -1,14 +1,6 @@
 // Empty-VM-slot bookkeeping per machine.
-//
-// Per-machine state is independent, so mutations on disjoint machine sets
-// (the sharded commit workers') are safe to run concurrently: the only
-// cross-machine aggregate, total_free_, is a relaxed atomic whose final
-// value is order-independent.
 #pragma once
 
-#include <atomic>
-#include <cassert>
-#include <utility>
 #include <vector>
 
 #include "topology/topology.h"
@@ -19,42 +11,13 @@ class SlotMap {
  public:
   explicit SlotMap(const topology::Topology& topo);
 
-  SlotMap(const SlotMap& other)
-      : topo_(other.topo_),
-        free_(other.free_),
-        failed_(other.failed_),
-        total_free_(other.total_free_.load(std::memory_order_relaxed)) {}
-  SlotMap& operator=(const SlotMap& other) {
-    topo_ = other.topo_;
-    free_ = other.free_;
-    failed_ = other.failed_;
-    total_free_.store(other.total_free_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    return *this;
-  }
-  SlotMap(SlotMap&& other) noexcept
-      : topo_(other.topo_),
-        free_(std::move(other.free_)),
-        failed_(std::move(other.failed_)),
-        total_free_(other.total_free_.load(std::memory_order_relaxed)) {}
-  SlotMap& operator=(SlotMap&& other) noexcept {
-    topo_ = other.topo_;
-    free_ = std::move(other.free_);
-    failed_ = std::move(other.failed_);
-    total_free_.store(other.total_free_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    return *this;
-  }
-
   // Free slots visible to placement: 0 while the machine is failed, so the
   // allocators (which only consult free_slots) avoid down machines with no
   // special-casing of their own.
   int free_slots(topology::VertexId machine) const {
     return failed_[machine] ? 0 : free_[machine];
   }
-  int total_free() const {
-    return total_free_.load(std::memory_order_relaxed);
-  }
+  int total_free() const { return total_free_; }
 
   bool machine_up(topology::VertexId machine) const {
     return !failed_[machine];
@@ -75,19 +38,11 @@ class SlotMap {
   // slots); the freed slots become visible only after recovery.
   void Release(topology::VertexId machine, int count);
 
-  // Overwrites the per-machine state (free count + fault flag) of exactly
-  // the listed machines with `other`'s, keeping total_free_ consistent.
-  // Both maps must be over the same topology.  Reads only the listed
-  // machines' entries of `other`, so it is safe while other machines'
-  // entries are mutating (the sharded partial snapshot refresh).
-  void AssignMachinesFrom(const SlotMap& other,
-                          const std::vector<topology::VertexId>& machines);
-
  private:
   const topology::Topology* topo_;
   std::vector<int> free_;      // unoccupied slots, ignoring fault state
   std::vector<char> failed_;   // fault-plane state; indexed by vertex id
-  std::atomic<int> total_free_{0};  // excludes failed machines
+  int total_free_ = 0;         // excludes failed machines
 };
 
 }  // namespace svc::core

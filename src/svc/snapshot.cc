@@ -23,14 +23,6 @@ std::string At(const std::string& path, size_t i) {
   return path + "[" + std::to_string(i) + "]";
 }
 
-util::Status Quiesced(const NetworkManager& manager, const char* what) {
-  if (manager.InFlightProposals() == 0) return util::Status::Ok();
-  return {util::ErrorCode::kFailedPrecondition,
-          std::string(what) + " requires a quiesced admission pipeline (" +
-              std::to_string(manager.InFlightProposals()) +
-              " proposals in flight)"};
-}
-
 // The field table's checks plus those that relate fields: ids strictly
 // increasing, moment lists of one entry or one per VM, and a backup
 // machine exactly when there are backup slots.
@@ -115,7 +107,6 @@ const util::Fields<TenantRecord>& TenantFields() {
 
 util::Result<std::vector<TenantRecord>> CaptureTenants(
     const NetworkManager& manager, const std::string& path) {
-  if (util::Status s = Quiesced(manager, "snapshot save"); !s.ok()) return s;
   std::vector<TenantRecord> tenants;
   tenants.reserve(manager.live_count());
   manager.ForEachLive([&](const Request& request, const Placement& placement) {
@@ -141,9 +132,6 @@ util::Result<std::vector<TenantRecord>> CaptureTenants(
 util::Status RestoreTenants(const std::vector<TenantRecord>& tenants,
                             const std::string& path,
                             NetworkManager& manager) {
-  if (util::Status s = Quiesced(manager, "snapshot restore"); !s.ok()) {
-    return s;
-  }
   if (manager.live_count() != 0) {
     return {util::ErrorCode::kFailedPrecondition,
             "restore target must have no live tenants"};

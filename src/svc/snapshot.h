@@ -54,21 +54,17 @@ struct TenantRecord {
 const util::Fields<TenantRecord>& TenantFields();
 
 // The manager's live tenants in increasing id, checked as the reader
-// checks them (so whatever this returns restores).  Refuses with
-// kFailedPrecondition while admission proposals are in flight
-// (NetworkManager::InFlightProposals): a snapshot taken mid-pipeline could
-// miss commits the speculating batch is about to make — drain the
-// AdmissionPipeline first (AdmitBatch is synchronous, so between batches
-// the count is zero).  `path` names the list in error messages.
+// checks them (so whatever this returns restores).  `path` names the list
+// in error messages.
 util::Result<std::vector<TenantRecord>> CaptureTenants(
     const NetworkManager& manager, const std::string& path);
 
 // Checks all of `tenants` (read from `path`, e.g. "checkpoint.tenants")
 // against the field table, each other and the target, then replays them
-// into `manager`, which must have no live tenants and no proposals in
-// flight.  No VM and no backup group may sit on a machine that is
-// currently down.  On any error nothing is restored (the manager is
-// rolled back to empty); the message names the JSON path.
+// into `manager`, which must have no live tenants.  No VM and no backup
+// group may sit on a machine that is currently down.  On any error nothing
+// is restored (the manager is rolled back to empty); the message names the
+// JSON path.
 util::Status RestoreTenants(const std::vector<TenantRecord>& tenants,
                             const std::string& path, NetworkManager& manager);
 

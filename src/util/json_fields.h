@@ -119,7 +119,7 @@ Status ReadFields(const Fields<T>& fields, const JsonValue& v,
     auto field = std::find_if(fields.begin(), fields.end(),
                               [&](const Field<T>& f) { return f.key == key; });
     if (field == fields.end()) {
-      return FieldError(path, "unknown key '" + key + "'");
+      return FieldError(path + "." + key, "unknown key");
     }
     Status status = field->read(value, path + "." + key, *out);
     if (!status.ok()) return status;

@@ -8,17 +8,6 @@
 
 namespace svc::util {
 
-void Latch::CountDown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  assert(remaining_ > 0);
-  if (--remaining_ == 0) cv_.notify_all();
-}
-
-void Latch::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return remaining_ == 0; });
-}
-
 int ThreadPool::HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

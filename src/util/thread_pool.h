@@ -26,31 +26,6 @@
 
 namespace svc::util {
 
-// Count-down latch for fan-out/join of a known number of tasks on a
-// ThreadPool without using ThreadPool::Wait() (which waits for *every*
-// task submitted so far and must not run concurrently with other waiters).
-// The submitting thread may keep doing work of its own between Submit()
-// and Wait(); it blocks only until the counted tasks retire.  Stack
-// allocation is the intended use — a Latch owns no heap state.
-class Latch {
- public:
-  explicit Latch(int count) : remaining_(count) {}
-
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  // Called exactly once per counted task, from any thread.
-  void CountDown();
-
-  // Blocks until `count` CountDown() calls have happened.
-  void Wait();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-};
-
 class ThreadPool {
  public:
   // `num_threads` <= 0 uses the hardware concurrency.  Always at least one

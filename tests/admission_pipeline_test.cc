@@ -1,27 +1,22 @@
-// Concurrent admission pipeline: serial equivalence of request-order
-// commits, FIFO abort semantics, quiesce rules, epoch semantics, and the
-// bounded queue / snapshot plumbing underneath.
+// Batch admission: AdmitBatch is a loop of NetworkManager::Admit in request
+// order, with FIFO abort semantics and per-request decision callbacks.
 //
-// Every fixture name contains "Pipeline" so the TSan CI job can select the
-// whole file with a single -R regex.
+// Every fixture name contains "Pipeline" so the file can be selected with a
+// single -R regex.
 #include "svc/admission_pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/engine.h"
-#include "sim/event_log.h"
 #include "stats/rng.h"
 #include "svc/first_fit.h"
 #include "svc/hetero_exact.h"
 #include "svc/hetero_heuristic.h"
 #include "svc/homogeneous_search.h"
 #include "topology/builders.h"
-#include "util/bounded_queue.h"
 
 namespace svc::core {
 namespace {
@@ -31,7 +26,8 @@ topology::Topology TestTopo() {
 }
 
 // A request mix sized so a 24-slot fabric admits some and rejects others.
-std::vector<Request> ChurnRequests(int count, uint64_t seed) {
+std::vector<Request> ChurnRequests(int count, uint64_t seed,
+                                   RequestId first_id = 1000) {
   stats::Rng rng(seed);
   std::vector<Request> requests;
   requests.reserve(count);
@@ -39,87 +35,110 @@ std::vector<Request> ChurnRequests(int count, uint64_t seed) {
     const int n = static_cast<int>(rng.UniformInt(2, 8));
     const double mu = 100.0 * static_cast<double>(rng.UniformInt(1, 5));
     requests.push_back(
-        Request::Homogeneous(1000 + i, n, mu, mu * rng.Uniform(0, 1)));
+        Request::Homogeneous(first_id + i, n, mu, mu * rng.Uniform(0, 1)));
   }
   return requests;
 }
 
-// --- Serial equivalence -----------------------------------------------------
+// --- Equivalence with a loop of Admit ---------------------------------------
 
 TEST(PipelineDeterministic, MatchesSerialDecisionsAndBooks) {
   const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
+  const HomogeneousDpAllocator dp;
+  const FirstFitAllocator first_fit;
   const std::vector<Request> requests = ChurnRequests(40, 17);
-
-  NetworkManager serial(topo, 0.05);
-  std::vector<util::Result<Placement>> expected;
-  for (const Request& r : requests) expected.push_back(serial.Admit(r, alloc));
-
-  NetworkManager piped(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(piped, config);
-  const auto decisions = pipeline.AdmitBatch(requests, alloc);
-
-  ASSERT_EQ(decisions.size(), expected.size());
-  for (size_t i = 0; i < decisions.size(); ++i) {
-    ASSERT_EQ(decisions[i].ok(), expected[i].ok()) << "request " << i;
-    if (decisions[i].ok()) {
-      EXPECT_EQ(decisions[i]->vm_machine, expected[i]->vm_machine)
-          << "request " << i;
-      EXPECT_EQ(decisions[i]->subtree_root, expected[i]->subtree_root);
+  for (const Allocator* alloc : {static_cast<const Allocator*>(&dp),
+                                 static_cast<const Allocator*>(&first_fit)}) {
+    SCOPED_TRACE(std::string(alloc->name()));
+    NetworkManager serial(topo, 0.05);
+    std::vector<util::Result<Placement>> expected;
+    for (const Request& r : requests) {
+      expected.push_back(serial.Admit(r, *alloc));
     }
+
+    NetworkManager batched(topo, 0.05);
+    AdmissionPipeline pipeline(batched);
+    const auto decisions = pipeline.AdmitBatch(requests, *alloc);
+
+    ASSERT_EQ(decisions.size(), expected.size());
+    int admitted = 0;
+    for (size_t i = 0; i < decisions.size(); ++i) {
+      ASSERT_EQ(decisions[i].ok(), expected[i].ok()) << "request " << i;
+      if (decisions[i].ok()) {
+        ++admitted;
+        EXPECT_EQ(decisions[i]->vm_machine, expected[i]->vm_machine)
+            << "request " << i;
+        EXPECT_EQ(decisions[i]->subtree_root, expected[i]->subtree_root);
+      } else {
+        EXPECT_EQ(decisions[i].status().ToText(),
+                  expected[i].status().ToText());
+      }
+    }
+    // The mix exercises both verdicts.
+    EXPECT_GT(admitted, 0);
+    EXPECT_LT(admitted, static_cast<int>(requests.size()));
+    EXPECT_EQ(batched.live_count(), serial.live_count());
+    EXPECT_EQ(batched.slots().total_free(), serial.slots().total_free());
+    EXPECT_EQ(batched.ledger().TotalRecords(),
+              serial.ledger().TotalRecords());
+    EXPECT_EQ(batched.MaxOccupancy(), serial.MaxOccupancy());  // bit-identical
+    EXPECT_TRUE(batched.StateValid());
   }
-  EXPECT_EQ(piped.live_count(), serial.live_count());
-  EXPECT_EQ(piped.slots().total_free(), serial.slots().total_free());
-  EXPECT_EQ(piped.ledger().TotalRecords(), serial.ledger().TotalRecords());
-  EXPECT_EQ(piped.MaxOccupancy(), serial.MaxOccupancy());  // bit-identical
-  EXPECT_TRUE(piped.StateValid());
 }
 
+// PipelineConfig::{workers, shards} are accepted and ignored.
 TEST(PipelineDeterministic, IdenticalAcrossWorkerCounts) {
   const topology::Topology topo = TestTopo();
   const HomogeneousDpAllocator alloc;
   const std::vector<Request> requests = ChurnRequests(30, 23);
 
-  auto run = [&](int workers) {
+  auto run = [&](int workers, int shards) {
     NetworkManager manager(topo, 0.05);
     PipelineConfig config;
     config.workers = workers;
+    config.shards = shards;
     AdmissionPipeline pipeline(manager, config);
+    EXPECT_EQ(pipeline.shard_workers(), 0);
     std::vector<char> verdicts;
     for (const auto& d : pipeline.AdmitBatch(requests, alloc)) {
       verdicts.push_back(d.ok() ? 1 : 0);
     }
     return std::make_pair(verdicts, manager.MaxOccupancy());
   };
-  const auto base = run(1);
-  for (int workers : {2, 3, 4, 8}) {
-    EXPECT_EQ(run(workers), base) << workers << " workers";
+  const auto base = run(0, 0);
+  for (const auto& [workers, shards] :
+       {std::pair{1, 1}, std::pair{4, 0}, std::pair{4, 4}, std::pair{8, 2}}) {
+    EXPECT_EQ(run(workers, shards), base)
+        << workers << " workers, " << shards << " shards";
   }
 }
 
 TEST(PipelineDeterministic, StatsAccountForEveryRequest) {
   const topology::Topology topo = TestTopo();
   const HomogeneousDpAllocator alloc;
-  const std::vector<Request> requests = ChurnRequests(30, 31);
   NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(manager, config);
+  AdmissionPipeline pipeline(manager);
   int64_t admitted = 0;
-  for (const auto& d : pipeline.AdmitBatch(requests, alloc)) {
-    if (d.ok()) ++admitted;
+  int64_t offered = 0;
+  // Cumulative across batches.
+  for (const auto& [seed, first_id] :
+       {std::pair{31, 1000}, std::pair{37, 2000}}) {
+    const std::vector<Request> batch = ChurnRequests(30, seed, first_id);
+    for (const auto& d : pipeline.AdmitBatch(batch, alloc)) {
+      if (d.ok()) ++admitted;
+    }
+    offered += static_cast<int64_t>(batch.size());
   }
   const PipelineStats& stats = pipeline.stats();
+  EXPECT_EQ(stats.proposed, offered);
   EXPECT_EQ(stats.committed, admitted);
-  EXPECT_EQ(stats.committed + stats.rejected,
-            static_cast<int64_t>(requests.size()));
-  EXPECT_GE(stats.proposed, static_cast<int64_t>(requests.size()));
+  EXPECT_EQ(stats.committed + stats.rejected, offered);
   EXPECT_EQ(stats.committed, static_cast<int64_t>(manager.live_count()));
-  // Every conflict is resolved by a serial fallback (or absorbed outright
-  // for monotone rejections — those are not conflicts at all).
-  EXPECT_EQ(stats.fallbacks, stats.conflicts);
+  // Nothing speculates, so nothing conflicts, falls back or is handed off.
+  EXPECT_EQ(stats.conflicts, 0);
+  EXPECT_EQ(stats.fallbacks, 0);
+  EXPECT_EQ(stats.shard_commits, 0);
+  EXPECT_EQ(stats.cross_shard_commits, 0);
 }
 
 TEST(PipelineDeterministic, DecisionObserverRunsInRequestOrder) {
@@ -127,12 +146,16 @@ TEST(PipelineDeterministic, DecisionObserverRunsInRequestOrder) {
   const HomogeneousDpAllocator alloc;
   const std::vector<Request> requests = ChurnRequests(20, 41);
   NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(manager, config);
+  AdmissionPipeline pipeline(manager);
   std::vector<size_t> order;
   pipeline.AdmitBatch(requests, alloc, /*stop_on_failure=*/false,
-                      [&](size_t i, util::Result<Placement>&) {
+                      [&](size_t i, util::Result<Placement>& r) {
+                        // Called right after request i's Admit: the books
+                        // already hold it, and no later request yet.
+                        EXPECT_EQ(manager.IsLive(requests[i].id()), r.ok());
+                        if (i + 1 < requests.size()) {
+                          EXPECT_FALSE(manager.IsLive(requests[i + 1].id()));
+                        }
                         order.push_back(i);
                       });
   ASSERT_EQ(order.size(), requests.size());
@@ -140,8 +163,8 @@ TEST(PipelineDeterministic, DecisionObserverRunsInRequestOrder) {
 }
 
 #if defined(GTEST_HAS_DEATH_TEST)
-// Request-order commits are the only discipline; asking for any other one
-// stops the process before a worker starts.
+// Request-order decisions are the only discipline; asking for any other one
+// stops the process.
 TEST(PipelineDeathTest, NonDeterministicConfigIsRefused) {
   const topology::Topology topo = TestTopo();
   NetworkManager manager(topo, 0.05);
@@ -168,9 +191,7 @@ TEST(PipelineFifo, StopOnFailureMatchesSerialPrefix) {
   requests[5] = Request::Homogeneous(2005, 100, 100, 10);
 
   NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(manager, config);
+  AdmissionPipeline pipeline(manager);
   std::vector<size_t> observed;
   const auto decisions = pipeline.AdmitBatch(
       requests, alloc, /*stop_on_failure=*/true,
@@ -183,6 +204,9 @@ TEST(PipelineFifo, StopOnFailureMatchesSerialPrefix) {
     EXPECT_EQ(decisions[i].status().code(),
               util::ErrorCode::kFailedPrecondition)
         << "request " << i;
+    EXPECT_EQ(decisions[i].status().message().rfind("not attempted", 0), 0u)
+        << decisions[i].status().message();
+    EXPECT_FALSE(manager.IsLive(requests[i].id()));
   }
   // The observer sees exactly the attempted prefix, in order.
   ASSERT_EQ(observed.size(), 6u);
@@ -194,121 +218,12 @@ TEST(PipelineFifo, StopOnFailureMatchesSerialPrefix) {
     EXPECT_EQ(decisions[i].ok(), expected.ok()) << "request " << i;
   }
   EXPECT_EQ(manager.live_count(), serial.live_count());
+  // Not-attempted requests are not counted.
+  EXPECT_EQ(pipeline.stats().proposed, 6);
+  EXPECT_EQ(pipeline.stats().committed + pipeline.stats().rejected, 6);
 }
 
-// --- Quiesce rules: faults refuse while proposals are in flight -------------
-
-TEST(PipelineQuiesce, FaultPlaneRefusesWithProposalsInFlight) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 4, 100, 50), alloc).ok());
-  const topology::VertexId machine = topo.machines()[0];
-
-  manager.BeginProposal();
-  const auto fault =
-      manager.HandleFault(FaultKind::kMachine, machine,
-                          RecoveryPolicy::kReallocate, alloc);
-  ASSERT_FALSE(fault.ok());
-  EXPECT_EQ(fault.status().code(), util::ErrorCode::kFailedPrecondition);
-  manager.EndProposal();
-
-  ASSERT_TRUE(manager
-                  .HandleFault(FaultKind::kMachine, machine,
-                               RecoveryPolicy::kReallocate, alloc)
-                  .ok());
-  manager.BeginProposal();
-  EXPECT_EQ(manager.HandleRecovery(machine).code(),
-            util::ErrorCode::kFailedPrecondition);
-  manager.EndProposal();
-  EXPECT_TRUE(manager.HandleRecovery(machine).ok());
-}
-
-TEST(PipelineQuiesce, BatchDrainsInFlightCounter) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(manager, config);
-  pipeline.AdmitBatch(ChurnRequests(20, 67), alloc);
-  EXPECT_EQ(manager.InFlightProposals(), 0);
-  // Drained: the fault plane is usable again.
-  EXPECT_TRUE(manager
-                  .HandleFault(FaultKind::kMachine, topo.machines()[0],
-                               RecoveryPolicy::kReallocate, alloc)
-                  .ok());
-}
-
-// --- Epoch semantics ---------------------------------------------------------
-
-TEST(PipelineEpoch, BumpsOnMutationsNotRejections) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  const uint64_t e0 = manager.epoch();
-  EXPECT_FALSE(
-      manager.Admit(Request::Homogeneous(1, 100, 100, 10), alloc).ok());
-  EXPECT_EQ(manager.epoch(), e0);  // rejections leave the books untouched
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(2, 4, 100, 50), alloc).ok());
-  const uint64_t e1 = manager.epoch();
-  EXPECT_GT(e1, e0);
-  manager.Release(2);
-  EXPECT_GT(manager.epoch(), e1);
-}
-
-TEST(PipelineEpoch, StaleProposalDetected) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  AdmissionSnapshot snapshot(topo, 0.05);
-  snapshot.Capture(manager);
-  AdmissionProposal stale =
-      manager.Propose(Request::Homogeneous(1, 4, 100, 50), alloc, snapshot);
-  ASSERT_TRUE(stale.ok);
-  EXPECT_EQ(stale.epoch, manager.epoch());
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(2, 4, 100, 50), alloc).ok());
-  EXPECT_NE(stale.epoch, manager.epoch());
-}
-
-// --- Snapshot capture fidelity ----------------------------------------------
-
-TEST(PipelineSnapshot, ProposalAgainstFreshSnapshotMatchesLiveBooks) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 6, 200, 90), alloc).ok());
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(2, 3, 300, 40), alloc).ok());
-
-  AdmissionSnapshot snapshot(topo, 0.05);
-  snapshot.Capture(manager);
-  EXPECT_EQ(snapshot.epoch(), manager.epoch());
-  EXPECT_EQ(snapshot.slots.total_free(), manager.slots().total_free());
-
-  const Request probe = Request::Homogeneous(3, 5, 250, 60);
-  const AdmissionProposal speculative = manager.Propose(probe, alloc, snapshot);
-  const auto live = alloc.Allocate(probe, manager.ledger(), manager.slots());
-  ASSERT_EQ(speculative.ok, live.ok());
-  ASSERT_TRUE(speculative.ok);
-  EXPECT_EQ(speculative.placement.vm_machine, live->vm_machine);
-  EXPECT_EQ(speculative.placement.max_occupancy, live->max_occupancy);
-}
-
-TEST(PipelineSnapshot, CaptureReusesStorageAcrossEpochs) {
-  const topology::Topology topo = TestTopo();
-  const HomogeneousDpAllocator alloc;
-  NetworkManager manager(topo, 0.05);
-  AdmissionSnapshot snapshot(topo, 0.05);
-  for (int64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(
-        manager.Admit(Request::Homogeneous(id, 2, 100, 20), alloc).ok());
-    snapshot.Capture(manager);
-    EXPECT_EQ(snapshot.epoch(), manager.epoch());
-    EXPECT_EQ(snapshot.slots.total_free(), manager.slots().total_free());
-  }
-}
-
-// --- Monotone-rejection declarations ----------------------------------------
+// --- Monotone declarations ----------------------------------------------------
 
 TEST(PipelineMonotone, CompleteSearchesDeclareMonotoneGreedyHeuristicsDoNot) {
   EXPECT_TRUE(HomogeneousDpAllocator().monotone_rejections());
@@ -319,249 +234,5 @@ TEST(PipelineMonotone, CompleteSearchesDeclareMonotoneGreedyHeuristicsDoNot) {
   EXPECT_FALSE(HeteroHeuristicAllocator().monotone_rejections());
 }
 
-// --- Bounded queue ----------------------------------------------------------
-
-TEST(PipelineQueue, FifoOrderAndTryPushBackpressure) {
-  util::BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // full
-  int out = 0;
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.TryPush(3));
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(queue.TryPop(out));  // empty, non-blocking
-}
-
-TEST(PipelineQueue, CloseDrainsThenReportsClosed) {
-  util::BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(3));  // closed: dropped
-  int out = 0;
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_FALSE(queue.Pop(out));  // drained + closed
-}
-
-TEST(PipelineQueue, PushBlocksUntilConsumerMakesRoom) {
-  util::BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.TryPush(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    queue.Push(2);  // blocks until the pop below
-    pushed.store(true);
-  });
-  int out = 0;
-  ASSERT_TRUE(queue.Pop(out));
-  EXPECT_EQ(out, 1);
-  ASSERT_TRUE(queue.Pop(out));  // waits for the producer if needed
-  EXPECT_EQ(out, 2);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(PipelineQueue, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kPerProducer = 200;
-  util::BoundedQueue<int> queue(8);
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) queue.Push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      int v = 0;
-      while (queue.Pop(v)) {
-        sum.fetch_add(v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  threads[0].join();
-  threads[1].join();
-  queue.Close();
-  threads[2].join();
-  threads[3].join();
-  EXPECT_EQ(popped.load(), 2 * kPerProducer);
-  const int64_t n = 2 * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-// An owning, move-only element through a ring that wraps several times:
-// every value arrives exactly once and in order, through Pop and TryPop,
-// and the items still queued when the queue dies are freed exactly once
-// (the sanitizer build reports a leak or a double free otherwise).
-TEST(PipelineQueue, MoveOnlyItemsArriveOnceInOrderAcrossWraps) {
-  util::BoundedQueue<std::unique_ptr<int>> queue(3);
-  int pushed = 0;
-  int expected = 0;
-  std::unique_ptr<int> out;
-  for (int round = 0; round < 5; ++round) {
-    while (queue.TryPush(std::make_unique<int>(pushed))) ++pushed;
-    ASSERT_EQ(queue.size(), 3u);
-    ASSERT_TRUE(queue.Pop(out));
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(*out, expected++);
-    ASSERT_TRUE(queue.TryPop(out));
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(*out, expected++);
-  }
-  EXPECT_EQ(pushed, 11);  // 3 + 2 per later round: the ring wrapped 3 times
-  ASSERT_TRUE(queue.Push(std::make_unique<int>(pushed++)));
-  ASSERT_EQ(queue.size(), 2u);  // left queued for the destructor
-}
-
 }  // namespace
 }  // namespace svc::core
-
-// --- Engine integration: bit-identical simulations for any worker count -----
-
-namespace svc::sim {
-namespace {
-
-workload::JobSpec MakeJob(int64_t id, int size, double compute,
-                          double rate_mean, double rate_stddev,
-                          double flow_mbits, double arrival = 0) {
-  workload::JobSpec job;
-  job.id = id;
-  job.size = size;
-  job.compute_time = compute;
-  job.rate_mean = rate_mean;
-  job.rate_stddev = rate_stddev;
-  job.flow_mbits = flow_mbits;
-  job.arrival_time = arrival;
-  return job;
-}
-
-std::vector<workload::JobSpec> PipelineJobs() {
-  std::vector<workload::JobSpec> jobs;
-  // Same-instant arrival groups so RunOnline hands the pipeline real
-  // batches; sizes chosen so the 16-slot star rejects some arrivals.
-  for (int j = 0; j < 12; ++j) {
-    jobs.push_back(MakeJob(j + 1, 2 + (j % 5), 20 + 3 * j, 100 + 10 * (j % 3),
-                           10 * (j % 4), 400, 50.0 * (j / 4)));
-  }
-  return jobs;
-}
-
-void ExpectSameEvents(const EventLog& a, const EventLog& b) {
-  ASSERT_EQ(a.events().size(), b.events().size());
-  for (size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_EQ(a.events()[i].time, b.events()[i].time) << i;
-    EXPECT_EQ(a.events()[i].kind, b.events()[i].kind) << i;
-    EXPECT_EQ(a.events()[i].job_id, b.events()[i].job_id) << i;
-  }
-}
-
-TEST(PipelineEngine, RunBatchBitIdenticalAcrossWorkerCounts) {
-  const topology::Topology topo = topology::BuildStar(8, 2, 2000);
-  const core::HomogeneousDpAllocator alloc;
-  auto run = [&](int workers, EventLog& events) {
-    SimConfig config;
-    config.abstraction = workload::Abstraction::kSvc;
-    config.allocator = &alloc;
-    config.seed = 7;
-    config.admission_workers = workers;
-    config.admission_window = 4;
-    config.events = &events;
-    Engine engine(topo, config);
-    return engine.RunBatch(PipelineJobs());
-  };
-  EventLog serial_events, piped_events;
-  const BatchResult serial = run(0, serial_events);
-  const BatchResult piped = run(4, piped_events);
-  ASSERT_EQ(piped.jobs.size(), serial.jobs.size());
-  for (size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(piped.jobs[i].id, serial.jobs[i].id);
-    EXPECT_EQ(piped.jobs[i].start_time, serial.jobs[i].start_time);
-    EXPECT_EQ(piped.jobs[i].finish_time, serial.jobs[i].finish_time);
-  }
-  EXPECT_EQ(piped.total_completion_time, serial.total_completion_time);
-  EXPECT_EQ(piped.placement_levels, serial.placement_levels);
-  EXPECT_EQ(piped.unallocatable_jobs, serial.unallocatable_jobs);
-  ExpectSameEvents(piped_events, serial_events);
-}
-
-TEST(PipelineEngine, RunOnlineBitIdenticalAcrossWorkerCounts) {
-  const topology::Topology topo = topology::BuildStar(8, 2, 2000);
-  const core::HomogeneousDpAllocator alloc;
-  auto run = [&](int workers, EventLog& events) {
-    SimConfig config;
-    config.abstraction = workload::Abstraction::kSvc;
-    config.allocator = &alloc;
-    config.seed = 9;
-    config.admission_workers = workers;
-    config.events = &events;
-    Engine engine(topo, config);
-    return engine.RunOnline(PipelineJobs());
-  };
-  EventLog serial_events, piped_events;
-  const OnlineResult serial = run(0, serial_events);
-  const OnlineResult piped = run(4, piped_events);
-  EXPECT_EQ(piped.accepted, serial.accepted);
-  EXPECT_EQ(piped.rejected, serial.rejected);
-  ASSERT_EQ(piped.jobs.size(), serial.jobs.size());
-  for (size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(piped.jobs[i].id, serial.jobs[i].id);
-    EXPECT_EQ(piped.jobs[i].start_time, serial.jobs[i].start_time);
-    EXPECT_EQ(piped.jobs[i].finish_time, serial.jobs[i].finish_time);
-  }
-  EXPECT_EQ(piped.concurrency_samples, serial.concurrency_samples);
-  EXPECT_EQ(piped.max_occupancy_samples, serial.max_occupancy_samples);
-  EXPECT_EQ(piped.placement_levels, serial.placement_levels);
-  ExpectSameEvents(piped_events, serial_events);
-}
-
-TEST(PipelineEngine, RunBatchScriptedFaultsBitIdenticalWithWorkers) {
-  // Satellite: scripted faults now fire inside RunBatch too, and the
-  // pipeline quiesces around them — the fault plane refuses while
-  // proposals are in flight, so the engine must drain the batch first.
-  const topology::Topology topo = topology::BuildStar(8, 2, 2000);
-  const core::HomogeneousDpAllocator alloc;
-  auto run = [&](int workers, EventLog& events) {
-    SimConfig config;
-    config.abstraction = workload::Abstraction::kSvc;
-    config.allocator = &alloc;
-    config.seed = 11;
-    config.admission_workers = workers;
-    config.admission_window = 4;
-    config.events = &events;
-    config.faults.policy = core::RecoveryPolicy::kReallocate;
-    config.faults.scripted.push_back(
-        {30.0, topo.machines()[0], core::FaultKind::kMachine, /*fail=*/true});
-    config.faults.scripted.push_back(
-        {90.0, topo.machines()[0], core::FaultKind::kMachine,
-         /*fail=*/false});
-    Engine engine(topo, config);
-    return engine.RunBatch(PipelineJobs());
-  };
-  EventLog serial_events, piped_events;
-  const BatchResult serial = run(0, serial_events);
-  const BatchResult piped = run(4, piped_events);
-  EXPECT_GT(serial.faults_injected, 0);
-  EXPECT_EQ(piped.faults_injected, serial.faults_injected);
-  EXPECT_EQ(piped.fault_recoveries, serial.fault_recoveries);
-  EXPECT_EQ(piped.tenants_affected, serial.tenants_affected);
-  EXPECT_EQ(piped.tenants_recovered, serial.tenants_recovered);
-  EXPECT_EQ(piped.tenants_evicted, serial.tenants_evicted);
-  ASSERT_EQ(piped.jobs.size(), serial.jobs.size());
-  for (size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(piped.jobs[i].id, serial.jobs[i].id);
-    EXPECT_EQ(piped.jobs[i].finish_time, serial.jobs[i].finish_time);
-  }
-  ExpectSameEvents(piped_events, serial_events);
-}
-
-}  // namespace
-}  // namespace svc::sim

@@ -183,7 +183,7 @@ TEST_F(InterpreterTest, TenantIdsBeyondSafeIntegersAreRefused) {
   bool ok = true;
   for (const char* line : {"admit 9007199254740992 homogeneous 2 100 40",
                            "admit -9007199254740992 deterministic 2 100",
-                           "batch 1 3 9007199254740990 homogeneous 2 100 40"}) {
+                           "batch 3 9007199254740990 homogeneous 2 100 40"}) {
     SCOPED_TRACE(line);
     EXPECT_NE(Exec(line, &ok).find("tenant ids must be integers in"),
               std::string::npos);
@@ -192,7 +192,7 @@ TEST_F(InterpreterTest, TenantIdsBeyondSafeIntegersAreRefused) {
   EXPECT_EQ(interpreter_.manager().live_count(), 0u);
   Exec("admit 9007199254740991 homogeneous 2 100 40", &ok);
   EXPECT_TRUE(ok);
-  Exec("batch 1 2 -9007199254740991 homogeneous 2 100 40", &ok);
+  Exec("batch 2 -9007199254740991 homogeneous 2 100 40", &ok);
   EXPECT_TRUE(ok);
   EXPECT_EQ(interpreter_.manager().live_count(), 3u);
 }
@@ -331,16 +331,16 @@ TEST_F(InterpreterTest, OutOfRangeIntegersChangeNothing) {
   const std::vector<std::string> lines = {
       "admit 2 homogeneous 4294967298 100 40",
       "admit 3 deterministic 4294967298 100",
-      "batch 1 2 10 homogeneous 4294967298 100 40",
-      "batch 1 2 20 deterministic 4294967298 100",
-      "batch 4294967297 2 30 homogeneous 2 100 40",
+      "batch 2 10 homogeneous 4294967298 100 40",
+      "batch 2 20 deterministic 4294967298 100",
+      "batch 4294967297 30 homogeneous 2 100 40",
       "fail link " + wrapped(machines[2]),
       "fail machine " + wrapped(machines[3]),
       "drain " + wrapped(machines[4]),
       "uncordon " + wrapped(machines[1]),
       "recover " + wrapped(machines[0]),
       "admit 4 homogeneous 2147483648 100 40",
-      "batch 1 1000000000000000 40 homogeneous 2 100 40",
+      "batch 1000000000000000 40 homogeneous 2 100 40",
   };
   for (const std::string& line : lines) {
     SCOPED_TRACE(line);
@@ -352,17 +352,14 @@ TEST_F(InterpreterTest, OutOfRangeIntegersChangeNothing) {
   }
 }
 
-// The batch caps refuse before any reserve or thread start, so the limit is
-// tested by its refusal alone.
+// The batch cap refuses before any reserve, so the limit is tested by its
+// refusal alone.
 TEST_F(InterpreterTest, BatchCapsAreRefusedBeforeAnythingStarts) {
   bool ok = true;
   const std::vector<std::string> lines = {
-      "batch " + std::to_string(Interpreter::kMaxBatchWorkers + 1) +
-          " 2 1 homogeneous 2 100 40",
-      "batch 1 " + std::to_string(Interpreter::kMaxBatchCount + 1) +
+      "batch " + std::to_string(Interpreter::kMaxBatchCount + 1) +
           " 1 homogeneous 2 100 40",
-      "batch 0 2 1 homogeneous 2 100 40",
-      "batch 1 0 1 homogeneous 2 100 40",
+      "batch 0 1 homogeneous 2 100 40",
   };
   for (const std::string& line : lines) {
     SCOPED_TRACE(line);
@@ -371,6 +368,39 @@ TEST_F(InterpreterTest, BatchCapsAreRefusedBeforeAnythingStarts) {
     EXPECT_FALSE(ok);
   }
   EXPECT_EQ(interpreter_.manager().live_count(), 0u);
+}
+
+// `batch <count> <first-id> <kind args>` admits the tenants one after
+// another and reports the tally.  The form with a leading worker count is
+// a usage error that changes nothing.
+TEST_F(InterpreterTest, BatchAdmitsConsecutiveIdsAndRefusesTheWorkerForm) {
+  const core::NetworkManager& manager = interpreter_.manager();
+  bool ok = false;
+  EXPECT_EQ(Exec("batch 3 10 homogeneous 4 100 20", &ok),
+            "batch: 3 admitted, 0 rejected\n");
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(Exec("batch 2 20 deterministic 2 100", &ok),
+            "batch: 2 admitted, 0 rejected\n");
+  EXPECT_TRUE(ok);
+  // More VMs than the fabric has slots: every tenant is rejected.
+  EXPECT_EQ(Exec("batch 2 30 homogeneous 100 100 20", &ok),
+            "batch: 0 admitted, 2 rejected\n");
+  EXPECT_TRUE(ok);
+  for (const core::RequestId id : {10, 11, 12, 20, 21}) {
+    EXPECT_TRUE(manager.IsLive(id)) << id;
+  }
+  EXPECT_EQ(manager.live_count(), 5u);
+
+  const int free = manager.slots().total_free();
+  for (const char* line : {"batch 4 3 40 homogeneous 4 100 20",
+                           "batch 4 3 40 deterministic 4 100"}) {
+    SCOPED_TRACE(line);
+    EXPECT_EQ(Exec(line, &ok).rfind("error: batch <count> <first-id> ", 0),
+              0u);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(manager.live_count(), 5u);
+    EXPECT_EQ(manager.slots().total_free(), free);
+  }
 }
 
 TEST_F(InterpreterTest, DrainMigratesAndUncordonReopens) {

@@ -239,7 +239,7 @@ TEST(Daemon, MalformedCheckpointIsRefused) {
        "checkpoint.failed[0].kind"},
       {"\"policy\":\"reallocate\"", "\"policy\":7", "checkpoint.policy"},
       {"\"survivable\":false", "\"survivable\":false,\"extra\":1",
-       "checkpoint: unknown key 'extra'"},
+       "checkpoint.extra: unknown key"},
       {"\"place\":[", "\"place\":[0,", "checkpoint.tenants[0].place[0]"},
       {"\"cordoned\":[]", "\"cordoned\":[-3]", "checkpoint.cordoned[0]"},
   };

@@ -116,8 +116,7 @@ TEST(ObsAllocOverhead, RecordDecisionStaysZeroAllocAfterWarmup) {
   obs::DecisionRecord rec;
   rec.tenant_id = 42;
   rec.outcome = obs::DecisionOutcome::kAdmit;
-  rec.path = obs::CommitPath::kShardDispatch;
-  rec.shard = 2;
+  rec.path = obs::CommitPath::kSerial;
   rec.set_allocator("svc-dp");
   rec.set_reason("ok");
   rec.AddBindingLink(3, 0.25);

@@ -138,26 +138,26 @@ TEST(ScenarioSerialization, TypeMismatchIsRejected) {
 // change would pass it; these literals would not.
 TEST(ScenarioIdentity, BuiltinConfigHashesArePinned) {
   const std::vector<std::pair<std::string, std::string>> pinned = {
-      {"fig5", "e62e707050a91a8d"},
-      {"fig6", "b95c1fd6e838a62c"},
-      {"fig7", "de5389a61ce8866c"},
-      {"fig8", "4dd498de5dbc62e8"},
-      {"fig9", "565294900e1abcc2"},
-      {"fig10", "f1e09afb895f6c31"},
-      {"guarantee_validation", "7cef8830c6731e7c"},
-      {"hetero_comparison", "df9f47f3df14cc35"},
-      {"ablation_locality", "22908b400a0d40f5"},
-      {"ablation_enforcement", "a29fb8fe7471abbe"},
-      {"ablation_distribution", "15e8046ca3baa6f7"},
-      {"ablation_ecmp", "04a49d7f58ed0395"},
-      {"ablation_percentile", "1ab8fdadc0879bca"},
-      {"fault_recovery", "dfe80a35bd675149"},
-      {"fault_correlated", "70993422cd79c3b5"},
-      {"fault_drill", "cfbab4d438f80ad5"},
-      {"work_conserving", "372ff2346f438b28"},
-      {"flash_crowd", "36eabd6f23ab9a5b"},
-      {"diurnal", "cb8eb68476c43c98"},
-      {"daemon_default", "7af75e94a86930cf"},
+      {"fig5", "c76dde654835c0e7"},
+      {"fig6", "5f938bad7accf0ba"},
+      {"fig7", "8e3d29ff544b7a82"},
+      {"fig8", "734df9ac89d381ba"},
+      {"fig9", "b6213be4ad39f1dc"},
+      {"fig10", "2b75595c5df3bd8f"},
+      {"guarantee_validation", "80953e1dc9153db6"},
+      {"hetero_comparison", "5ac67637532e000b"},
+      {"ablation_locality", "470ed22fb7f48bf7"},
+      {"ablation_enforcement", "0f0f52d1cbc96484"},
+      {"ablation_distribution", "4854cff0bef661d1"},
+      {"ablation_ecmp", "2f555c9cc8a44f83"},
+      {"ablation_percentile", "fb077fa16cd1d064"},
+      {"fault_recovery", "22768b0a74ebf9f7"},
+      {"fault_correlated", "c60d23e5b5a0ad4f"},
+      {"fault_drill", "016c2778e220bdbb"},
+      {"work_conserving", "06d49d0b9ff0e38e"},
+      {"flash_crowd", "2be61b75e6dda5f1"},
+      {"diurnal", "c1985f49a27a5e36"},
+      {"daemon_default", "64209bc27bac0cc5"},
   };
   ASSERT_EQ(pinned.size(), RegisteredScenarioNames().size());
   for (const auto& [name, hash] : pinned) {
@@ -192,8 +192,7 @@ TEST(ScenarioIdentity, CanonicalTextIsPinned) {
       R"("rate_mean":100,"rho":0,"flow_seconds":2000},)"
       R"("admission":{"abstraction":"svc","allocator":"",)"
       R"("epsilon":0.050000000000000003,"vc_quantile":0.94999999999999996,)"
-      R"("survivability":false,"workers":0,"shards":0,"window":128,)"
-      R"("lookahead":1},)"
+      R"("survivability":false},)"
       R"("enforcement":{"mode":"hard_cap","burst_seconds":5},)"
       R"("faults":{"machine_mtbf_seconds":0,"link_mtbf_seconds":0,)"
       R"("link_mtbf_factor":0,"mttr_seconds":0,"horizon_seconds":0,"seed":1,)"
@@ -208,7 +207,7 @@ TEST(ScenarioIdentity, CanonicalTextIsPinned) {
       R"("rate_distribution":"","policy":"","survivable":-1,"once":false}]})"
       "\n";
   EXPECT_EQ(SerializeScenario(scenario), expected);
-  EXPECT_EQ(ScenarioConfigHash(scenario), "9e1c5989d1899688");
+  EXPECT_EQ(ScenarioConfigHash(scenario), "5481d0abc3cb5796");
 }
 
 // Canonical text of registry entry `name` with the one occurrence of
@@ -242,15 +241,22 @@ TEST(ScenarioValidation, OversubscriptionBelowOneIsRejected) {
                    "scenario.topology.oversubscription");
 }
 
-// The admission section no longer has a worker-placement field: a file
-// written while it existed is refused at that section, naming the key.
+// Fields the admission section no longer has: a file written while they
+// existed is refused, naming the removed key's own path.
 TEST(ScenarioValidation, RemovedPlacementFieldIsRejected) {
-  const std::string text =
-      EditBuiltin("fig7", "\"lookahead\":1}",
-                  "\"lookahead\":1,\"placement\":\"none\"}");
-  ExpectRejectedAt(text, "scenario.admission");
-  EXPECT_EQ(ParseScenario(text).status().message(),
-            "scenario.admission: unknown key 'placement'");
+  const std::vector<std::pair<std::string, std::string>> removed = {
+      {"placement", "\"none\""}, {"workers", "0"}, {"shards", "0"},
+      {"window", "128"},         {"lookahead", "1"},
+  };
+  for (const auto& [key, value] : removed) {
+    SCOPED_TRACE(key);
+    const std::string text =
+        EditBuiltin("fig7", "\"survivability\":false}",
+                    "\"survivability\":false,\"" + key + "\":" + value + "}");
+    ExpectRejectedAt(text, "scenario.admission." + key);
+    EXPECT_EQ(ParseScenario(text).status().message(),
+              "scenario.admission." + key + ": unknown key");
+  }
 }
 
 TEST(ScenarioValidation, OversubSweepValueBelowOneIsRejected) {
@@ -365,7 +371,7 @@ TEST(ScenarioDocs, EveryCanonicalKeyHasASchemaRow) {
   ASSERT_TRUE(canonical);
   std::vector<std::string> keys;
   CollectKeys(*canonical, "", &keys);
-  EXPECT_EQ(keys.size(), 89u);  // 78 settable fields in 11 objects
+  EXPECT_EQ(keys.size(), 85u);  // 74 settable fields in 11 objects
 
   std::ifstream in(SVC_SCENARIOS_DOC);
   ASSERT_TRUE(in) << SVC_SCENARIOS_DOC;
@@ -461,8 +467,6 @@ TEST(ScenarioRun, Fig7DecisionStreamReplaysBitIdentically) {
     EXPECT_EQ(x.tenant_id, y.tenant_id);
     EXPECT_EQ(x.outcome, y.outcome);
     EXPECT_EQ(x.path, y.path);
-    EXPECT_EQ(x.shard, y.shard);
-    EXPECT_EQ(x.epoch_delta, y.epoch_delta);
     EXPECT_STREQ(x.allocator, y.allocator);
     EXPECT_STREQ(x.reason, y.reason);
     ASSERT_EQ(x.num_links, y.num_links);

@@ -131,7 +131,7 @@ TEST(Snapshot, MalformedInputRejectedAndRolledBack) {
   ExpectRefused({
       {"garbage\n", "json: "},
       // A member restore would ignore is refused, not skipped.
-      {"{\"tenants\":[],\"epsilon\":0.05}", "unknown key 'epsilon'"},
+      {"{\"tenants\":[],\"epsilon\":0.05}", "snapshot.epsilon: unknown key"},
       {OneTenant("{\"id\":1,\"mean\":\"bogus\",\"variance\":[1],"
                  "\"place\":[3,3]}"),
        "snapshot.tenants[0].mean: expected array"},
@@ -353,51 +353,19 @@ TEST(Snapshot, TighterEpsilonTargetMayReject) {
   EXPECT_EQ(tight.live_count(), 0u);
 }
 
-TEST(SnapshotPipeline, SaveAndRestoreRefuseWithProposalsInFlight) {
-  // A snapshot taken mid-speculation could capture books a pending
-  // CommitProposal is about to change; both directions demand quiescence.
-  const topology::Topology topo = TestTopo();
-  NetworkManager manager(topo, 0.05);
-  HomogeneousDpAllocator dp;
-  ASSERT_TRUE(manager.Admit(Request::Homogeneous(1, 4, 80, 30), dp).ok());
-
-  manager.BeginProposal();
-  std::stringstream buffer;
-  const util::Status saved = SaveSnapshot(manager, buffer);
-  ASSERT_FALSE(saved.ok());
-  EXPECT_EQ(saved.code(), util::ErrorCode::kFailedPrecondition);
-
-  NetworkManager target(topo, 0.05);
-  std::stringstream empty_snapshot;
-  {
-    NetworkManager empty(topo, 0.05);
-    ASSERT_TRUE(SaveSnapshot(empty, empty_snapshot).ok());
-  }
-  target.BeginProposal();
-  const util::Status restored = RestoreSnapshot(empty_snapshot, target);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.code(), util::ErrorCode::kFailedPrecondition);
-  target.EndProposal();
-  manager.EndProposal();
-}
-
 TEST(SnapshotPipeline, DrainedPipelineRoundTripsBitIdentically) {
-  // Run a real multi-worker batch, then save/restore: AdmitBatch returns
-  // drained (no in-flight proposals), so the snapshot must both succeed
-  // and reproduce the exact books the pipeline produced.
+  // Run a batch, then save/restore: the snapshot must reproduce the exact
+  // books the batch produced.
   const topology::Topology topo = TestTopo();
   NetworkManager manager(topo, 0.05);
   HomogeneousDpAllocator dp;
-  PipelineConfig config;
-  config.workers = 4;
-  AdmissionPipeline pipeline(manager, config);
+  AdmissionPipeline pipeline(manager);
   std::vector<Request> requests;
   for (int i = 0; i < 10; ++i) {
     requests.push_back(
         Request::Homogeneous(100 + i, 2 + i % 4, 100.0 + 50 * (i % 3), 40));
   }
   pipeline.AdmitBatch(requests, dp);
-  ASSERT_EQ(manager.InFlightProposals(), 0);
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveSnapshot(manager, buffer).ok());

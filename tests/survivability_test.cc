@@ -1,9 +1,8 @@
 // Survivable admission (docs/ROBUSTNESS.md "Survivability"): the ledger's
 // shared-backup demand class, backup planning, switchover recovery, planned
-// drains, fault-config validation, scripted-schedule ordering, the engine's
-// bit-identical replay of a survivable run through the concurrent admission
-// pipeline, and differential oracles for the factored backup search and the
-// Pareto-pruned worst-case kernels.
+// drains, fault-config validation, scripted-schedule ordering, and
+// differential oracles for the factored backup search and the Pareto-pruned
+// worst-case kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "net/admission.h"
 #include "net/link_ledger.h"
 #include "sim/engine.h"
-#include "sim/event_log.h"
 #include "sim/fault_injector.h"
 #include "stats/rng.h"
 #include "svc/homogeneous_search.h"
@@ -602,98 +600,6 @@ TEST(SurvivableEngine, PlannedDrainMigratesWithoutEviction) {
   EXPECT_TRUE(engine.manager().Faults().empty());
 }
 
-// --- Engine: switchover churn through the concurrent pipeline ---
-
-sim::OnlineResult RunSurvivableChurn(const topology::Topology& topo,
-                                     const core::Allocator& alloc, int workers,
-                                     int shards, sim::EventLog* events) {
-  sim::SimConfig config;
-  config.allocator = &alloc;
-  config.seed = 7;
-  config.max_seconds = 20000;
-  config.admission = Survivable();
-  config.admission_workers = workers;
-  config.admission_shards = shards;
-  config.events = events;
-  config.faults.machine_mtbf_seconds = 500;
-  config.faults.mttr_seconds = 80;
-  config.faults.horizon_seconds = 3000;
-  config.faults.seed = 11;
-  config.faults.policy = RecoveryPolicy::kSwitchover;
-  // Correlated mid-run events on top of the random churn: a rack power
-  // failure, a ToR loss, and a planned drain.
-  const std::vector<topology::VertexId>& racks = topo.vertices_at_level(1);
-  sim::AppendRackPowerEvent(topo, racks.front(), 400.0, 120.0,
-                            &config.faults.scripted);
-  sim::AppendTorLossEvent(racks.back(), 700.0, 120.0,
-                          &config.faults.scripted);
-  sim::AppendPlannedDrain(topo.machines().front(), 1000.0, 150.0,
-                          &config.faults.scripted);
-
-  workload::WorkloadConfig wl;
-  wl.num_jobs = 60;
-  wl.mean_job_size = 5;
-  wl.min_job_size = 2;
-  wl.max_job_size = 10;
-  wl.compute_time_lo = 50;
-  wl.compute_time_hi = 150;
-  wl.flow_time_lo = 20;
-  wl.flow_time_hi = 60;
-  workload::WorkloadGenerator gen(wl, 99);
-  std::vector<workload::JobSpec> jobs =
-      gen.GenerateOnline(0.7, topo.total_slots());
-
-  sim::Engine engine(topo, config);
-  sim::OnlineResult result = engine.RunOnline(std::move(jobs));
-  EXPECT_TRUE(engine.manager().StateValid());
-  return result;
-}
-
-TEST(SurvivableEngine, SwitchoverChurnBitIdenticalAcrossPipelineShapes) {
-  const topology::Topology topo = topology::BuildTwoTier(4, 4, 4, 2000, 2.0);
-  core::HomogeneousDpAllocator alloc;
-  sim::EventLog serial_events;
-  const sim::OnlineResult serial =
-      RunSurvivableChurn(topo, alloc, /*workers=*/0, /*shards=*/0,
-                         &serial_events);
-  ASSERT_GT(serial.faults_injected, 0);
-  EXPECT_GT(serial.tenants_switched, 0);
-  EXPECT_FALSE(serial.backup_share_samples.empty());
-
-  struct Shape {
-    int workers;
-    int shards;
-  };
-  for (const Shape shape : {Shape{1, 1}, Shape{1, 4}, Shape{4, 1},
-                            Shape{4, 4}}) {
-    sim::EventLog events;
-    const sim::OnlineResult run = RunSurvivableChurn(
-        topo, alloc, shape.workers, shape.shards, &events);
-    SCOPED_TRACE("workers=" + std::to_string(shape.workers) +
-                 " shards=" + std::to_string(shape.shards));
-    EXPECT_EQ(run.accepted, serial.accepted);
-    EXPECT_EQ(run.rejected, serial.rejected);
-    EXPECT_EQ(run.faults_injected, serial.faults_injected);
-    EXPECT_EQ(run.fault_recoveries, serial.fault_recoveries);
-    EXPECT_EQ(run.tenants_affected, serial.tenants_affected);
-    EXPECT_EQ(run.tenants_recovered, serial.tenants_recovered);
-    EXPECT_EQ(run.tenants_switched, serial.tenants_switched);
-    EXPECT_EQ(run.tenants_evicted, serial.tenants_evicted);
-    EXPECT_EQ(run.planned_drains, serial.planned_drains);
-    EXPECT_EQ(run.tenants_migrated, serial.tenants_migrated);
-    EXPECT_EQ(run.outage.outage_link_seconds,
-              serial.outage.outage_link_seconds);
-    EXPECT_EQ(run.outage.busy_link_seconds, serial.outage.busy_link_seconds);
-    EXPECT_EQ(run.failure_outage.outage_link_seconds,
-              serial.failure_outage.outage_link_seconds);
-    EXPECT_EQ(run.failure_outage.busy_link_seconds,
-              serial.failure_outage.busy_link_seconds);
-    EXPECT_EQ(run.max_occupancy_samples, serial.max_occupancy_samples);
-    EXPECT_EQ(run.backup_share_samples, serial.backup_share_samples);
-    EXPECT_EQ(events.ToCsv(), serial_events.ToCsv());
-  }
-}
-
 // --- svcctl drill subcommand ---
 
 TEST(SurvivableCli, DrillRackReportsSwitchoverOutcome) {
@@ -871,22 +777,19 @@ int BruteFrontier(const net::LinkLedger& truth, topology::VertexId v,
   return lo;
 }
 
-// Checks every worst-case kernel of `ledger` on `links` against the
-// brute-force maximum over every domain state of `truth` (the same ledger,
-// or the one it captured), bit for bit, for random candidates scaled to
-// each link's headroom so both verdicts occur.
-void ExpectKernelsMatchBruteForce(
-    const net::LinkLedger& ledger, const net::LinkLedger& truth,
-    const std::vector<topology::VertexId>& links, stats::Rng& rng) {
+// Checks every worst-case kernel of `ledger` on every link against the
+// brute-force maximum over every domain state, bit for bit, for random
+// candidates scaled to each link's headroom so both verdicts occur.
+void ExpectKernelsMatchBruteForce(const net::LinkLedger& ledger,
+                                  stats::Rng& rng) {
   constexpr int kCandidates = 12;
-  for (topology::VertexId v : links) {
+  for (topology::VertexId v = 1; v < ledger.topo().num_vertices(); ++v) {
     SCOPED_TRACE("link " + std::to_string(v));
-    const net::LinkState& s = truth.link(v);
+    const net::LinkState& s = ledger.link(v);
     // The pruned set's invariant: its members are domain states, and every
     // domain state has a member at least as large in every moment — with
     // zero variance only if the domain state has zero variance too.
-    const std::vector<net::BackupDomainSums>& pareto =
-        ledger.link(v).backup_pareto;
+    const std::vector<net::BackupDomainSums>& pareto = s.backup_pareto;
     for (const net::BackupDomainSums& g : s.backup_domains) {
       EXPECT_TRUE(std::any_of(
           pareto.begin(), pareto.end(), [&](const net::BackupDomainSums& p) {
@@ -915,11 +818,11 @@ void ExpectKernelsMatchBruteForce(
     double out[kCandidates];
     ledger.OccupancyWithBatch(v, mean, var, det, kCandidates, out);
     for (int i = 0; i < kCandidates; ++i) {
-      const double want = BruteOccupancyWith(truth, v, mean[i], var[i], det[i]);
+      const double want = BruteOccupancyWith(ledger, v, mean[i], var[i], det[i]);
       EXPECT_EQ(ledger.OccupancyWith(v, mean[i], var[i], det[i]), want) << i;
       EXPECT_EQ(out[i], want) << i;
       EXPECT_EQ(ledger.ValidWith(v, mean[i], var[i], det[i]),
-                BruteValidWith(truth, v, mean[i], var[i], det[i]))
+                BruteValidWith(ledger, v, mean[i], var[i], det[i]))
           << i;
     }
     // Frontier searches over jointly monotone candidates.
@@ -927,44 +830,25 @@ void ExpectKernelsMatchBruteForce(
     std::sort(var, var + kCandidates);
     std::sort(det, det + kCandidates);
     EXPECT_EQ(ledger.FeasibleFrontier(v, mean, var, det, 0, kCandidates - 1),
-              BruteFrontier(truth, v, mean, var, det, kCandidates, false));
+              BruteFrontier(ledger, v, mean, var, det, kCandidates, false));
     std::reverse(mean, mean + kCandidates);
     std::reverse(var, var + kCandidates);
     std::reverse(det, det + kCandidates);
     EXPECT_EQ(ledger.FeasibleFrontierDescending(v, mean, var, det, 0,
                                                 kCandidates - 1),
-              BruteFrontier(truth, v, mean, var, det, kCandidates, true));
+              BruteFrontier(ledger, v, mean, var, det, kCandidates, true));
 
-    const double worst = BruteWorstOccupancy(truth, v);
+    const double worst = BruteWorstOccupancy(ledger, v);
     EXPECT_EQ(ledger.Slack(v), std::max(-1.0, 1.0 - worst));
     double share = 0;
     const double base = net::OccupancyRatio(
-        s.capacity, s.deterministic, s.mean_sum, s.var_sum, truth.quantile());
+        s.capacity, s.deterministic, s.mean_sum, s.var_sum, ledger.quantile());
     if (!s.backup_domains.empty() && s.capacity > 0 && std::isfinite(worst) &&
         std::isfinite(base)) {
       share = std::clamp(worst - base, 0.0, 1.0);
     }
     EXPECT_EQ(ledger.BackupShare(v), share);
   }
-}
-
-// The kernels of `ledger` itself, of a full capture of it, and of a partial
-// capture of a random half of its links.
-void ExpectKernelsAndCapturesMatch(const net::LinkLedger& ledger,
-                                   stats::Rng& rng) {
-  const topology::Topology& topo = ledger.topo();
-  std::vector<topology::VertexId> links, half;
-  for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
-    links.push_back(v);
-    if (rng.UniformInt(0, 1) == 1) half.push_back(v);
-  }
-  ExpectKernelsMatchBruteForce(ledger, ledger, links, rng);
-  net::LinkLedger full(topo, ledger.epsilon());
-  full.AssignAggregatesFrom(ledger);
-  ExpectKernelsMatchBruteForce(full, ledger, links, rng);
-  net::LinkLedger partial(topo, ledger.epsilon());
-  partial.AssignAggregatesFromLinks(ledger, half);
-  ExpectKernelsMatchBruteForce(partial, ledger, half, rng);
 }
 
 TEST(SurvivableOracle, ZeroVarianceStateIsOnlyPrunedByZeroVarianceState) {
@@ -1004,7 +888,7 @@ TEST(SurvivableOracle, ZeroVarianceStateIsOnlyPrunedByZeroVarianceState) {
     EXPECT_FALSE(ledger.ValidWith(v, 0, 0, 0));
     EXPECT_EQ(ledger.OccupancyWith(v, 0, 0, 0), kInf);
     stats::Rng rng(7);
-    ExpectKernelsAndCapturesMatch(ledger, rng);
+    ExpectKernelsMatchBruteForce(ledger, rng);
   }
 }
 
@@ -1084,7 +968,6 @@ TEST(SurvivableOracle, PlanBackupMatchesBruteForceSearch) {
     for (const topology::Topology& topo : OracleFabrics(fabric_rng)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", " + topo.Describe());
       core::HomogeneousDpAllocator alloc;
-      net::LinkLedger view(topo, 0.05);
       RunSurvivableOracleChurn(
           topo, seed, 60, [&](const NetworkManager& manager, stats::Rng& rng) {
             // The allocator's primary for a fresh tenant, and a random
@@ -1110,25 +993,23 @@ TEST(SurvivableOracle, PlanBackupMatchesBruteForceSearch) {
             cases.emplace_back(Request::Heterogeneous(1000001, demands),
                                random);
 
-            view.AssignAggregatesFrom(manager.ledger());
-            const net::LinkLedger* ledgers[] = {&manager.ledger(), &view};
             for (const auto& [request, placement] : cases) {
-              for (const net::LinkLedger* books : ledgers) {
-                const auto got = core::PlanBackup(topo, request, placement,
-                                                  *books, manager.slots());
-                const auto want = OraclePlanBackup(topo, request, placement,
-                                                   *books, manager.slots());
-                ASSERT_EQ(got.ok(), want.ok());
-                if (!got.ok()) {
-                  EXPECT_EQ(got.status().code(), want.status().code());
-                  ++infeasible;
-                  continue;
-                }
-                ++planned;
-                EXPECT_EQ(got->backup_machine, want->backup_machine);
-                EXPECT_EQ(got->backup_slots, want->backup_slots);
-                EXPECT_EQ(got->vm_machine, placement.vm_machine);
+              const auto got = core::PlanBackup(topo, request, placement,
+                                                manager.ledger(),
+                                                manager.slots());
+              const auto want = OraclePlanBackup(topo, request, placement,
+                                                 manager.ledger(),
+                                                 manager.slots());
+              ASSERT_EQ(got.ok(), want.ok());
+              if (!got.ok()) {
+                EXPECT_EQ(got.status().code(), want.status().code());
+                ++infeasible;
+                continue;
               }
+              ++planned;
+              EXPECT_EQ(got->backup_machine, want->backup_machine);
+              EXPECT_EQ(got->backup_slots, want->backup_slots);
+              EXPECT_EQ(got->vm_machine, placement.vm_machine);
             }
           });
     }
@@ -1146,7 +1027,7 @@ TEST(SurvivableOracle, KernelsMatchBruteForceUnderSurvivableChurn) {
       RunSurvivableOracleChurn(
           topo, seed + 100, 40,
           [&](const NetworkManager& manager, stats::Rng& rng) {
-            ExpectKernelsAndCapturesMatch(manager.ledger(), rng);
+            ExpectKernelsMatchBruteForce(manager.ledger(), rng);
             bool valid = true;
             for (topology::VertexId v = 1; v < topo.num_vertices(); ++v) {
               valid = valid && BruteValidWith(manager.ledger(), v, 0, 0, 0);
@@ -1216,7 +1097,7 @@ TEST(SurvivableOracle, KernelsMatchBruteForceUnderDirectLedgerChurn) {
       } else {
         ledger.RebuildSums(v);
       }
-      if (step % 8 == 0) ExpectKernelsAndCapturesMatch(ledger, rng);
+      if (step % 8 == 0) ExpectKernelsMatchBruteForce(ledger, rng);
     }
   }
 }
