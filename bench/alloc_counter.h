@@ -2,10 +2,10 @@
 //
 // alloc_counter.cc replaces the global operator new/delete with counting
 // wrappers around malloc/free.  Linking it into a binary (alloc_microbench
-// and perf_suite only — never the library or the figure benches) lets a
-// benchmark assert hot-path properties like "Allocate() performs zero heap
-// allocations after warm-up" by differencing AllocationCount() around the
-// measured call.
+// and tests/obs_alloc_overhead_test only — never the library or the figure
+// benches) lets a benchmark assert hot-path properties like "Allocate()
+// performs zero heap allocations after warm-up" by differencing
+// AllocationCount() around the measured call.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // quantifies the cost of the min-max optimization vs the TIVC baseline.
 //
 // Run with --json[=path] to also write the results as JSON (default path
-// BENCH_ALLOC.json; same record shape as perf_suite's BENCH_PERF.json).
+// BENCH_ALLOC.json) for tools/bench_diff.py.
 #include <benchmark/benchmark.h>
 
 #include <cstring>

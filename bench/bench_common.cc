@@ -9,15 +9,14 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "svc/homogeneous_search.h"
 #include "util/strings.h"
 
 namespace svc::bench {
 namespace {
 
-// Sink of the live ObsScope, attached to every engine RunBatch/RunOnline
+// Sink of the live ObsScope, attached to every engine RunScenarioOrDie
 // constructs while the scope exists.  Benches are single-ObsScope programs;
-// concurrent sweep replicas share the sink (it is internally locked).
+// concurrent sweep cells share the sink (it is internally locked).
 obs::TimeSeriesSink* g_active_series = nullptr;
 double g_active_series_period = 100.0;
 
@@ -94,47 +93,6 @@ workload::WorkloadConfig CommonOptions::WorkloadConfig() const {
   config.max_job_size = static_cast<int>(max_job_size_);
   config.rate_means = util::ParseDoubleList(rate_menu_);
   return config;
-}
-
-const core::Allocator& AllocatorFor(workload::Abstraction abstraction) {
-  static const core::HomogeneousDpAllocator svc_dp;
-  static const core::OktopusAllocator oktopus;
-  return abstraction == workload::Abstraction::kSvc
-             ? static_cast<const core::Allocator&>(svc_dp)
-             : oktopus;
-}
-
-sim::BatchResult RunBatch(const topology::Topology& topo,
-                          const std::vector<workload::JobSpec>& jobs,
-                          workload::Abstraction abstraction,
-                          const core::Allocator& allocator, double epsilon,
-                          uint64_t seed) {
-  sim::SimConfig config;
-  config.abstraction = abstraction;
-  config.allocator = &allocator;
-  config.epsilon = epsilon;
-  config.seed = seed;
-  config.sample_occupancy = false;
-  config.series = g_active_series;
-  config.series_period = g_active_series_period;
-  sim::Engine engine(topo, config);
-  return engine.RunBatch(jobs);
-}
-
-sim::OnlineResult RunOnline(const topology::Topology& topo,
-                            std::vector<workload::JobSpec> jobs,
-                            workload::Abstraction abstraction,
-                            const core::Allocator& allocator, double epsilon,
-                            uint64_t seed) {
-  sim::SimConfig config;
-  config.abstraction = abstraction;
-  config.allocator = &allocator;
-  config.epsilon = epsilon;
-  config.seed = seed;
-  config.series = g_active_series;
-  config.series_period = g_active_series_period;
-  sim::Engine engine(topo, config);
-  return engine.RunOnline(std::move(jobs));
 }
 
 namespace {
@@ -237,12 +195,6 @@ sim::ScenarioRunResult RunScenarioOrDie(const sim::Scenario& scenario,
     std::exit(1);
   }
   return std::move(*result);
-}
-
-std::vector<double> RunCells(int threads,
-                             std::vector<std::function<double()>> cells) {
-  sim::SweepRunner runner(threads);
-  return runner.Run(std::move(cells));
 }
 
 void EmitTable(const std::string& title, const util::Table& table, bool csv) {

@@ -7,15 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/time_series.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sim/sweep_runner.h"
-#include "svc/allocator.h"
 #include "topology/builders.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -86,7 +83,7 @@ struct ObsOptions {
 // --trace-out.  Construct once in main() right after Parse(); when the
 // scope destructs it writes:
 //   metrics_out: JSONL — the engine time-series samples collected through
-//                this scope's sink (RunBatch/RunOnline attach it while the
+//                this scope's sink (RunScenarioOrDie attaches it while the
 //                scope is alive) followed by a full metrics-registry
 //                snapshot (counters, gauges, histogram quantiles).
 //   trace_out:   Chrome trace-event JSON (load in Perfetto / about:tracing)
@@ -101,7 +98,7 @@ struct ObsOptions {
 // When no flag is set construction is a no-op and the instrumented
 // hot paths keep their disabled-branch cost.  Serialization happens in the
 // destructor, after the sweeps' worker threads have quiesced (SweepRunner
-// joins its pool before returning), satisfying the trace reader contract.
+// joins them before returning), satisfying the trace reader contract.
 class ObsScope {
  public:
   explicit ObsScope(const CommonOptions& options);
@@ -119,25 +116,6 @@ class ObsScope {
   obs::TimeSeriesSink sink_;
 };
 
-// Builds the allocator appropriate for the abstraction: the paper's
-// Algorithm 1 for SVC requests, the Oktopus-style deterministic allocator
-// for mean-VC / percentile-VC.
-const core::Allocator& AllocatorFor(workload::Abstraction abstraction);
-
-// Runs one batch-scenario simulation.
-sim::BatchResult RunBatch(const topology::Topology& topo,
-                          const std::vector<workload::JobSpec>& jobs,
-                          workload::Abstraction abstraction,
-                          const core::Allocator& allocator, double epsilon,
-                          uint64_t seed);
-
-// Runs one online-scenario simulation.
-sim::OnlineResult RunOnline(const topology::Topology& topo,
-                            std::vector<workload::JobSpec> jobs,
-                            workload::Abstraction abstraction,
-                            const core::Allocator& allocator, double epsilon,
-                            uint64_t seed);
-
 // Copies the shared fabric/workload/seed flags onto a registry scenario —
 // the shim pattern: registry defaults first, command line wins.  Does not
 // touch epsilon (the figures pin their epsilons in their variants); shims
@@ -152,19 +130,12 @@ sim::ScenarioRunResult RunScenarioOrDie(const sim::Scenario& scenario,
 sim::ScenarioRunResult RunScenarioOrDie(const sim::Scenario& scenario,
                                         int threads);
 
-// Runs independent simulation cells across `threads` workers via
-// sim::SweepRunner and returns the values by cell index — the output is
-// bit-identical to running the cells serially, in any thread count (every
-// cell builds its own generator/engine from fixed seeds).
-std::vector<double> RunCells(int threads,
-                             std::vector<std::function<double()>> cells);
-
 // Prints the table plus a trailing blank line; also echoes CSV when
 // --csv is set by the bench (pass the flag value through).
 void EmitTable(const std::string& title, const util::Table& table, bool csv);
 
-// One timed benchmark result for the JSON emitters (perf_suite's
-// BENCH_PERF.json and alloc_microbench --json share this shape).
+// One timed benchmark result for the JSON emitters (alloc_microbench
+// --json and fault_recovery's BENCH_FAULT.json share this shape).
 struct BenchRecord {
   std::string name;
   int64_t iterations = 0;

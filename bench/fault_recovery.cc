@@ -30,9 +30,9 @@
 // failure all live in the registry; this binary applies overrides,
 // formats the report, and runs the --check assertions.
 //
-// Writes BENCH_FAULT.json (override with --out) in the BENCH_PERF.json
-// schema (plus the scenario name/config-hash header), so two snapshots
-// diff with tools/bench_diff.py.
+// Writes BENCH_FAULT.json (override with --out): the `benchmarks` records
+// alloc_microbench --json also writes, plus the scenario name/config-hash
+// header, so two snapshots diff with tools/bench_diff.py.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -41,8 +41,8 @@
 
 #include "bench_common.h"
 #include "obs/metrics.h"
+#include "sim/sweep_runner.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   w.Member("name", scenario.name);
   w.Member("config_hash", sim::ScenarioConfigHash(scenario));
   w.EndObject();
-  w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
+  w.Member("hardware_threads", sim::HardwareThreads());
   w.Member("threads", common.threads());
   w.Member("seed", static_cast<int64_t>(common.seed()));
   w.Member("epsilon", common.epsilon());

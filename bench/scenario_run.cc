@@ -28,8 +28,8 @@
 
 #include "bench_common.h"
 #include "obs/metrics.h"
+#include "sim/sweep_runner.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
 
   util::JsonWriter w;
   w.BeginObject();
-  w.Member("hardware_threads", util::ThreadPool::HardwareThreads());
+  w.Member("hardware_threads", sim::HardwareThreads());
   w.Key("scenarios");
   w.BeginArray();
   for (const sim::Scenario& s : selected) {

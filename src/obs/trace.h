@@ -6,7 +6,7 @@
 //     SVC_TRACE_SPAN("maxmin/solve");   // B event now, E event at scope end
 //     ...
 //   }
-//   SVC_TRACE_COUNTER("threadpool/queue_depth", depth);  // counter track
+//   SVC_TRACE_COUNTER("engine/flows", flows);  // counter track
 //
 // Recording writes one 32-byte event (a pointer, a timestamp, a phase tag)
 // into the calling thread's pre-sized ring buffer — no locks, no heap after
@@ -22,7 +22,7 @@
 //
 // Serialization (SerializeChromeTrace / CollectTraceEvents) is a read of
 // buffers owned by other threads: call it only when recording threads are
-// quiescent — after ThreadPool::Wait(), thread joins, or at process end.
+// quiescent — after the recording threads are joined, or at process end.
 // That is the single-consumer contract the whole layer is built on; the
 // serializer takes no locks against writers.
 #pragma once

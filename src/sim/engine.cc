@@ -17,6 +17,14 @@
 
 namespace svc::sim {
 
+namespace {
+
+// Simulated seconds per tick: the paper redraws every flow's rate once a
+// second.
+constexpr double kTimeStep = 1.0;
+
+}  // namespace
+
 Engine::Engine(const topology::Topology& topo, SimConfig config)
     : topo_(&topo),
       config_(config),
@@ -25,7 +33,6 @@ Engine::Engine(const topology::Topology& topo, SimConfig config)
       scratch_(topo.directed_cable_slots()),
       rng_(config.seed) {
   assert(config_.allocator != nullptr && "SimConfig.allocator is required");
-  assert(config_.time_step > 0);
   manager_.set_admission_options(config_.admission);
   empty_manager_.set_admission_options(config_.admission);
   // Full-duplex links, one capacity slot per cable and direction; on
@@ -191,7 +198,7 @@ void Engine::AppendSeriesSample(double now) {
 
 void Engine::Step(double now, std::vector<int64_t>& completed) {
   SVC_TRACE_SPAN("engine/step");
-  const double dt = config_.time_step;
+  const double dt = kTimeStep;
   const double end = now + dt;
 
   // Redraw per-source generation rates and apply hypervisor rate limiting.
@@ -501,7 +508,7 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
     }
     completed.clear();
     Step(now, completed);
-    now += config_.time_step;
+    now += kTimeStep;
     const bool capacity_changed = ApplyFaultEvents(now);
     if (!completed.empty()) {
       for (int64_t id : completed) {
@@ -586,12 +593,10 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
       }
       result.concurrency_samples.push_back(
           static_cast<int>(active_.size()));
-      if (config_.sample_occupancy) {
-        result.max_occupancy_samples.push_back(manager_.MaxOccupancy());
-        if (config_.admission.survivability) {
-          result.backup_share_samples.push_back(
-              manager_.ledger().MaxBackupShare());
-        }
+      result.max_occupancy_samples.push_back(manager_.MaxOccupancy());
+      if (config_.admission.survivability) {
+        result.backup_share_samples.push_back(
+            manager_.ledger().MaxBackupShare());
       }
     }
     // The admission group settled, so a latched SLO breach or
@@ -608,7 +613,7 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
     }
     completed.clear();
     Step(now, completed);
-    now += config_.time_step;
+    now += kTimeStep;
     for (int64_t id : completed) {
       manager_.Release(id);
       JobRecord record;

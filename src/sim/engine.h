@@ -66,10 +66,8 @@ struct SimConfig {
   // Admission-wide policy knobs installed on the manager (survivable
   // admission etc., see core::AdmissionOptions).
   core::AdmissionOptions admission;
-  double time_step = 1.0;          // seconds; the paper redraws rates at 1 s
   double max_seconds = 2e6;        // safety stop, flagged in the result log
   uint64_t seed = 1;
-  bool sample_occupancy = true;    // record MaxOccupancy at arrivals
   FlowPattern flow_pattern = FlowPattern::kRandomPermutation;
   // Count bandwidth outages: (link, second) pairs where offered demand
   // exceeded capacity, over (link, second) pairs carrying any demand.

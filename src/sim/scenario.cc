@@ -281,7 +281,7 @@ struct ResolvedVariant {
 
 // The allocator name a variant resolves to: explicit wins, otherwise the
 // abstraction's default (the paper's Algorithm 1 for SVC, Oktopus for the
-// deterministic VCs) — the AllocatorFor() rule the benches used.
+// deterministic VCs).
 std::string DefaultAllocatorName(workload::Abstraction abstraction) {
   return abstraction == workload::Abstraction::kSvc ? "svc-dp" : "oktopus";
 }
@@ -533,7 +533,6 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   config.seed = s.seed + 1;
   config.max_seconds = s.max_seconds;
   config.admission.survivability = resolved.survivable;
-  config.sample_occupancy = online;
   config.enforcement = resolved.enforcement;
   config.burst_seconds = s.enforcement.burst_seconds;
   config.series = options.series;

@@ -1,9 +1,9 @@
 #include "sim/sweep_runner.h"
 
-#include <condition_variable>
-#include <mutex>
-
-#include "obs/metrics.h"
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 namespace svc::sim {
 
@@ -19,48 +19,44 @@ uint64_t ReplicaSeed(uint64_t base, uint64_t index) {
   return mix(mix(base) + index);
 }
 
-SweepRunner::SweepRunner(int threads)
-    : threads_(threads == 0 ? util::ThreadPool::HardwareThreads()
-                            : threads) {
-  if (threads_ < 1) threads_ = 1;
+int HardwareThreads() {
+  // hardware_concurrency() may report 0 when the count is unknown.
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-SweepRunner::~SweepRunner() = default;
+SweepRunner::SweepRunner(int threads)
+    : threads_(std::max(1, threads == 0 ? HardwareThreads() : threads)) {}
 
 void SweepRunner::RunAll(const std::vector<std::function<void()>>& tasks) {
-  if (threads_ == 1) {
+  const size_t workers =
+      std::min(static_cast<size_t>(threads_), tasks.size());
+  if (workers <= 1) {
     for (const auto& task : tasks) task();
     return;
   }
-  if (pool_ == nullptr) pool_ = std::make_unique<util::ThreadPool>(threads_);
-  // Submission backpressure, sized off the pool's own queue-depth signal
-  // (the one the threadpool/queue_depth gauge exports): keep at most a few
-  // tasks queued per worker instead of flooding the pool with the whole
-  // grid.  A 100k-replica sweep then holds ~4*threads closures in flight
-  // rather than 100k, and the gauge stays a meaningful saturation signal.
-  // Pacing cannot change outputs: results are slot-indexed and every
-  // replica's seed is position-derived.
-  const int64_t max_depth = static_cast<int64_t>(threads_) * 4;
-  std::mutex mu;
-  std::condition_variable drained;
-  for (const auto& task : tasks) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      if (pool_->queue_depth() >= max_depth) {
-        SVC_METRIC_INC("sweep/throttled");
-        // Safe to wait: >= 4*threads tasks are queued, so completions (and
-        // their notifies) keep coming until the depth falls below the cap.
-        drained.wait(lock,
-                     [&] { return pool_->queue_depth() < max_depth; });
+  // A worker stops at the first task that throws; once every thread has
+  // joined, RunAll rethrows one of those exceptions, as a serial run would.
+  std::atomic<size_t> next{0};
+  std::vector<std::exception_ptr> errors(workers);
+  auto work = [&tasks, &next, &errors](size_t worker) {
+    try {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < tasks.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+        tasks[i]();
       }
+    } catch (...) {
+      errors[worker] = std::current_exception();
     }
-    pool_->Submit([&task, &mu, &drained] {
-      task();
-      { std::lock_guard<std::mutex> lock(mu); }
-      drained.notify_one();
-    });
+  };
+  {
+    std::vector<std::jthread> threads;  // each joins when destroyed
+    threads.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w) threads.emplace_back(work, w);
+    work(0);
   }
-  pool_->Wait();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace svc::sim

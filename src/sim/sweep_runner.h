@@ -1,46 +1,46 @@
-// Parallel replica runner for simulation sweeps.
+// Parallel cell runner for simulation sweeps.
 //
 // The paper's evaluation (Figs. 5-10) is a grid of independent
-// (parameter, seed) simulation runs; SweepRunner fans that grid across a
-// work-stealing thread pool while keeping the output *bit-identical* to a
-// serial run:
+// (parameter, seed) simulation cells; SweepRunner fans that grid across
+// plain threads while keeping the output *bit-identical* to a serial run:
 //
-//   * every replica owns its Engine, NetworkManager, and Rng, so there is
+//   * every cell owns its Engine, NetworkManager, and Rng, so there is
 //     no shared mutable state between tasks (allocators are const and use
 //     thread-local scratch);
+//   * every cell seeds itself from fixed values (RunScenario's cells use
+//     the scenario's `seed` and `seed + 1`), never from scheduling;
 //   * results land in a slot indexed by the task's position, so the caller
-//     sees them in submission order regardless of completion order;
-//   * per-replica seeds come from ReplicaSeed(), a SplitMix64 derivation,
-//     so replica k's RNG stream is a pure function of (base seed, k) and
-//     never depends on scheduling.
+//     sees them in submission order regardless of completion order.
 //
 // threads == 1 runs the tasks inline on the calling thread (the serial
-// baseline); threads == 0 uses every hardware thread.  Submission is
-// throttled off ThreadPool::queue_depth() (the threadpool/queue_depth
-// gauge): at most ~4 queued tasks per worker, so huge grids don't sit
-// materialized in the pool's queues.
+// baseline); threads == 0 uses every hardware thread.  Otherwise RunAll
+// runs min(threads, tasks) workers, the caller among them, and each
+// claims the next task index from one shared atomic counter until the
+// list runs out.  A sweep is short (at most tens of cells) and coarse
+// (milliseconds to seconds per cell), so one shared index balances it
+// as well as work stealing would.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
-
-#include "util/thread_pool.h"
 
 namespace svc::sim {
 
 // Seed for replica `index` of a sweep keyed by `base`: two rounds of
 // SplitMix64 so that adjacent indices (and adjacent bases) give
-// uncorrelated, platform-independent streams.
+// uncorrelated, platform-independent streams.  The fault plane seeds each
+// element's failure schedule with it (sim/fault_injector.h).
 uint64_t ReplicaSeed(uint64_t base, uint64_t index);
+
+// std::thread::hardware_concurrency with a floor of 1.
+int HardwareThreads();
 
 class SweepRunner {
  public:
   explicit SweepRunner(int threads = 0);
-  ~SweepRunner();
 
-  // Worker count actually in use (1 when running inline).
+  // Worker count in use, at least 1 (1 runs every task inline).
   int num_threads() const { return threads_; }
 
   // Runs every task and returns results in input order.  T must be
@@ -57,12 +57,13 @@ class SweepRunner {
     return results;
   }
 
-  // Runs every closure; blocks until all have finished.
+  // Runs every closure; returns once all have finished and every thread
+  // it started has been joined.  If a closure throws, its worker runs no
+  // more of them, and RunAll rethrows after the join.
   void RunAll(const std::vector<std::function<void()>>& tasks);
 
  private:
   int threads_;
-  std::unique_ptr<util::ThreadPool> pool_;  // created on first parallel run
 };
 
 }  // namespace svc::sim

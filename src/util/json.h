@@ -1,5 +1,5 @@
-// Minimal streaming JSON writer for bench output (BENCH_PERF.json and the
-// micro-bench --json mode).
+// Minimal streaming JSON writer for bench output (scenario_run's and
+// fault_recovery's snapshots and the micro-bench --json mode).
 //
 // Emits compact, valid JSON with keys in insertion order; commas and
 // nesting are handled by the writer so call sites read like the document.

@@ -1,7 +1,7 @@
 // Regression gate for the observability overhead budget: with the metrics
 // registry and tracing armed, the allocators' Allocate() hot paths must
 // stay heap-allocation-free after warm-up (the same guarantee
-// bench/alloc_microbench and perf_suite measure).  The test links the
+// bench/alloc_microbench measures).  The test links the
 // global operator-new counter from bench/alloc_counter.cc.
 //
 // Covered paths:

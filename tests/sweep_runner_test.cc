@@ -1,20 +1,22 @@
 // Parallel sweep determinism: an N-thread SweepRunner must return results
 // bit-identical to the serial (threads == 1) run, because every replica
 // owns its engine and derives its seed from ReplicaSeed(base, index) alone.
-// Also smoke-tests the underlying work-stealing ThreadPool.
+// Also checks the fan-out itself: every task runs once, on at most
+// num_threads() threads, with results in input order.
 #include "sim/sweep_runner.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.h"
 #include "svc/homogeneous_search.h"
 #include "topology/builders.h"
-#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace svc::sim {
@@ -32,47 +34,72 @@ TEST(ReplicaSeed, DeterministicAndDistinct) {
   EXPECT_EQ(seen.size(), 3u * 64u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+TEST(SweepRunner, ZeroOrNegativeThreadsClampToAtLeastOne) {
+  // 0 means "size to the host"; even when hardware_concurrency() reports 0
+  // (unknown), the runner must still have a worker, and so must a negative
+  // count.
+  for (const int threads : {0, -3}) {
+    SweepRunner runner(threads);
+    EXPECT_GE(runner.num_threads(), 1) << "threads " << threads;
+    std::atomic<int> count{0};
+    std::vector<std::function<void()>> tasks(
+        32, [&count] { count.fetch_add(1); });
+    runner.RunAll(tasks);
+    EXPECT_EQ(count.load(), 32) << "threads " << threads;
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1000);
-  // The pool is reusable after Wait().
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1010);
 }
 
-TEST(ThreadPool, ZeroThreadsClampsToAtLeastOne) {
-  // ThreadPool(0) means "size to the host"; even when
-  // hardware_concurrency() reports 0 (unknown), the pool must still have a
-  // worker — an empty pool would deadlock the first Submit+Wait.
-  util::ThreadPool pool(0);
-  EXPECT_GE(pool.num_threads(), 1);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPool, SubmitFromWorkerIsAllowed) {
-  util::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&pool, &count] {
-      pool.Submit([&count] { count.fetch_add(1); });
+// Tasks of uneven length, as a sweep's cells are: each runs exactly once,
+// no more than num_threads() run at a time, and results still land in
+// input order.
+TEST(SweepRunner, UnevenTasksRunOnceInInputOrderOnAtMostFourThreads) {
+  constexpr int kTasks = 64;
+  SweepRunner runner(4);
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::vector<std::function<int()>> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.push_back([&, i] {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = max_in_flight.load();
+      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      runs[i].fetch_add(1);
+      // 0 to 0.7 ms by index, so tasks finish out of index order.
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(100 * (i % 8));
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      in_flight.fetch_sub(1);
+      return i * i;
     });
   }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 16);
+  const std::vector<int> results = runner.Run(tasks);
+  ASSERT_EQ(results.size(), static_cast<size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+    EXPECT_EQ(results[i], i * i) << "task " << i;
+  }
+  EXPECT_GE(max_in_flight.load(), 1);
+  EXPECT_LE(max_in_flight.load(), 4);
+  EXPECT_EQ(in_flight.load(), 0);
+}
+
+// A throwing cell reaches the caller, at any thread count, and only after
+// every thread has joined.
+TEST(SweepRunner, TaskExceptionReachesTheCaller) {
+  for (const int threads : {1, 4}) {
+    SweepRunner runner(threads);
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 16; ++i) {
+      tasks.push_back([i] {
+        if (i == 5) throw std::runtime_error("cell 5");
+      });
+    }
+    EXPECT_THROW(runner.RunAll(tasks), std::runtime_error)
+        << "threads " << threads;
+  }
 }
 
 TEST(SweepRunner, ResultsArriveInSubmissionOrder) {

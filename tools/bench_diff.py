@@ -1,22 +1,29 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_PERF.json snapshots produced by bench/perf_suite.
+"""Diff two benchmark snapshots: bench JSON before and after a change.
 
-Also diffs scenario_run JSON output (any snapshot with a ``scenarios``
+Reads the ``benchmarks`` records that ``bench/alloc_microbench --json``
+(BENCH_ALLOC.json) and ``bench/fault_recovery`` (BENCH_FAULT.json) write,
+and ``bench/scenario_run`` output (any snapshot with a ``scenarios``
 list; see below).
 
-Compares the benchmark throughput rates (``*_per_sec``) and the metrics
-counters of a *before* and an *after* snapshot, prints a delta table, and
-exits non-zero when any benchmark regressed by more than the allowed
-threshold — which is what lets CI run it as a perf-smoke gate:
+Compares each benchmark's throughput and the metrics counters of a
+*before* and an *after* snapshot, prints a delta table, and exits non-zero
+when any benchmark regressed by more than the allowed threshold — which is
+what lets CI run it as a perf-smoke gate:
 
-    build/bench/perf_suite BEFORE.json
+    build/bench/alloc_microbench --benchmark_filter=SteadyAllocs --json=BEFORE.json
     ... apply change, rebuild ...
-    build/bench/perf_suite AFTER.json
+    build/bench/alloc_microbench --benchmark_filter=SteadyAllocs --json=AFTER.json
     tools/bench_diff.py BEFORE.json AFTER.json --max-regression 20
+
+A record's throughput is whatever key ends in ``_per_sec``; a record
+without one (google-benchmark's, from alloc_microbench) is rated at
+1e9 / ``real_ns_per_iter`` iterations per second.  A record with neither
+(fault_recovery's, which time nothing) has no rate to diff.
 
 ``--require-speedup NAME:FACTOR`` additionally fails unless the named
 benchmark got at least FACTOR times faster — used to assert headline
-improvements (e.g. ``--require-speedup allocate_steady:2.0``).
+improvements (e.g. ``--require-speedup BM_HomogeneousDpSteadyAllocs:2.0``).
 
 ``--require-zero NAME:METRIC`` fails unless benchmark NAME in the *after*
 snapshot carries METRIC with the exact value 0 — used to gate hard
@@ -28,12 +35,6 @@ steady-epoch outage).
 The allocs_per_call field, when present on both sides, is a hard gate:
 any increase fails regardless of the threshold (the zero-allocation
 steady state is a correctness property, not a throughput number).
-
-Latency histograms (every ``metrics.histograms`` entry whose name ends in
-``_latency_us``) are diffed at p50/p99 for the eye — informational only,
-never a failure condition: tail latency at bench scale is too noisy to
-gate on, and adding a gate here would change the tool's exit-code
-contract.
 
 Scenario runs (``bench/scenario_run --out``) carry a ``scenarios`` list
 whose entries hold a ``wall_s`` and a ``cells`` list with one ``wall_s``
@@ -48,13 +49,12 @@ are informational, because the cells of one sweep run concurrently and
 their wall-clock depends on scheduling.  A scenario whose ``config_hash``
 differs between the snapshots is a warning, not a failure.
 
-Every snapshot records its host CPU count as a top-level
-``hardware_threads``.  Two snapshots whose counts differ get a warning,
-not a failure: their parallel numbers are not comparable.
+scenario_run and fault_recovery snapshots record their host CPU count as
+a top-level ``hardware_threads``.  Two snapshots whose counts differ get a
+warning, not a failure: their parallel numbers are not comparable.
 
-``--list`` prints the benchmark, scenario and latency-histogram names a
-snapshot carries (useful for picking --require-speedup targets) and
-exits 0.
+``--list`` prints the benchmark and scenario names a snapshot carries
+(useful for picking --require-speedup targets) and exits 0.
 """
 
 import argparse
@@ -68,25 +68,19 @@ def load(path):
 
 
 def rate_of(bench):
-    """The benchmark's throughput field (whatever key ends in _per_sec)."""
+    """(key, rate): the field ending in _per_sec, else iterations per second
+    from real_ns_per_iter, else (None, None)."""
     for key, value in bench.items():
         if key.endswith("_per_sec"):
             return key, value
+    ns = bench.get("real_ns_per_iter")
+    if ns:
+        return "iters_per_sec", 1e9 / ns
     return None, None
 
 
 def fmt_rate(value):
     return f"{value:,.0f}" if value is not None else "-"
-
-
-def latency_histograms(snapshot):
-    """name -> histogram dict for the *_latency_us metrics histograms."""
-    histograms = snapshot.get("metrics", {}).get("histograms", {})
-    return {
-        name: h
-        for name, h in histograms.items()
-        if name.endswith("_latency_us")
-    }
 
 
 def unique_key(table, key):
@@ -175,22 +169,17 @@ def list_snapshot(path, snapshot):
             f"  cells={len(scenario.get('cells', []))}"
             f"  config_hash={scenario.get('config_hash', '?')}"
         )
-    for name, h in sorted(latency_histograms(snapshot).items()):
-        print(
-            f"  histogram  {name}  count={h.get('count', 0)}  "
-            f"p50={h.get('p50', 0):.1f}us  p99={h.get('p99', 0):.1f}us"
-        )
     if not benches and not scenarios:
         print("  (no benchmarks)")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", help="baseline BENCH_PERF.json")
+    parser.add_argument("before", help="baseline snapshot (JSON)")
     parser.add_argument(
         "after",
         nargs="?",
-        help="candidate BENCH_PERF.json (optional with --list)",
+        help="candidate snapshot (JSON; optional with --list)",
     )
     parser.add_argument(
         "--max-regression",
@@ -223,8 +212,7 @@ def main():
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list the benchmarks and latency histograms in the snapshot(s) "
-        "and exit",
+        help="list the benchmarks and scenarios in the snapshot(s) and exit",
     )
     args = parser.parse_args()
 
@@ -262,7 +250,7 @@ def main():
             file=sys.stderr,
         )
 
-    # Parallel numbers (speedups, sharded throughput) are only comparable
+    # Parallel numbers (scenario wall_s under --threads) are only comparable
     # between hosts with the same CPU count; a mismatch is a warning for
     # the same reason.
     b_hw = before.get("hardware_threads")
@@ -303,6 +291,12 @@ def main():
         if b is None or a is None:
             rows.append((name, rate_of(b or {})[1], rate_of(a or {})[1], None))
             continue
+        b_allocs = b.get("allocs_per_call")
+        a_allocs = a.get("allocs_per_call")
+        if b_allocs is not None and a_allocs is not None and a_allocs > b_allocs:
+            failures.append(
+                f"{name}: allocs_per_call grew {b_allocs} -> {a_allocs}"
+            )
         _, b_rate = rate_of(b)
         _, a_rate = rate_of(a)
         if not b_rate or a_rate is None:
@@ -318,12 +312,6 @@ def main():
             failures.append(
                 f"{name}: speedup {speedup:.2f}x below required "
                 f"{required[name]:.2f}x"
-            )
-        b_allocs = b.get("allocs_per_call")
-        a_allocs = a.get("allocs_per_call")
-        if b_allocs is not None and a_allocs is not None and a_allocs > b_allocs:
-            failures.append(
-                f"{name}: allocs_per_call grew {b_allocs} -> {a_allocs}"
             )
     for name in required:
         if name not in before_benches or name not in after_benches:
@@ -369,24 +357,6 @@ def main():
         cell_rows = wall_rows(b_cells, a_cells)
         if cell_rows:
             print_wall_table("cell", cell_rows, b_cells, a_cells)
-
-    b_hists = latency_histograms(before)
-    a_hists = latency_histograms(after)
-    shared_hists = sorted(b_hists.keys() & a_hists.keys())
-    if shared_hists:
-        hwidth = max(len(n) for n in shared_hists)
-        print(
-            f"\n{'latency histogram':<{hwidth}}  "
-            f"{'p50 before':>10}  {'p50 after':>10}  "
-            f"{'p99 before':>10}  {'p99 after':>10}"
-        )
-        for name in shared_hists:
-            b_h, a_h = b_hists[name], a_hists[name]
-            print(
-                f"{name:<{hwidth}}  "
-                f"{b_h.get('p50', 0):>9.1f}u  {a_h.get('p50', 0):>9.1f}u  "
-                f"{b_h.get('p99', 0):>9.1f}u  {a_h.get('p99', 0):>9.1f}u"
-            )
 
     if args.show_metrics:
         # Keys present on only one side (e.g. a counter family introduced by
