@@ -24,11 +24,12 @@
 // --correlated adds scripted multi-element groups (rack power, ToR loss,
 // planned drain) to every cell.
 //
-// Thin shim over the "fault_recovery" / "fault_correlated" /
-// "fault_drill" registry scenarios (sim/scenario.h): the cell grid, the
-// correlated-event schedule, and the drill's scripted auto-targeted
-// failure all live in the registry; this binary applies overrides,
-// formats the report, and runs the --check assertions.
+// Runs the "fault_recovery" / "fault_correlated" / "fault_drill" registry
+// scenarios (sim/scenario.h): the cell grid, the correlated-event
+// schedule, and the drill's scripted auto-targeted failure all live in the
+// registry; this binary applies its flags, formats the report, and runs the
+// --check assertions.  Other scenario fields (fabric, workload mix) are
+// changed through scenario_run --print and --file.
 //
 // Writes BENCH_FAULT.json (override with --out): the `benchmarks` records
 // alloc_microbench --json also writes, plus the scenario name/config-hash
@@ -75,7 +76,15 @@ int main(int argc, char** argv) {
   util::FlagSet flags(
       "fault_recovery: failure churn vs recovery policy "
       "(writes BENCH_FAULT.json)");
-  bench::CommonOptions common(flags);
+  int64_t& jobs =
+      flags.Int("jobs", 300, "tenant jobs per simulation (paper uses 500)");
+  int64_t& seed_flag = flags.Int("seed", 42, "workload / simulation seed");
+  double& epsilon = flags.Double("epsilon", 0.05, "SVC risk factor epsilon");
+  int64_t& threads =
+      flags.Int("threads", 0,
+                "sweep worker threads (0 = all cores, 1 = serial); results "
+                "are identical for every value");
+  const bench::ObsFlags obs_flags(flags);
   double& load = flags.Double("load", 0.7, "datacenter load");
   std::string& mtbfs =
       flags.String("mtbfs", "300,900,2700", "machine MTBF values (seconds)");
@@ -96,21 +105,23 @@ int main(int argc, char** argv) {
   bool& csv = flags.Bool("csv", false, "also print CSV");
   std::string& out = flags.String("out", "BENCH_FAULT.json", "output path");
   flags.Parse(argc, argv);
-  bench::ObsScope obs(common);
+  bench::ObsScope obs(obs_flags);
+  const uint64_t seed = static_cast<uint64_t>(seed_flag);
 
   sim::Scenario scenario =
       *sim::FindScenario(correlated ? "fault_correlated" : "fault_recovery");
-  bench::ApplyCommonOverrides(common, &scenario);
+  scenario.workload.num_jobs = static_cast<int>(jobs);
+  scenario.seed = seed;
   scenario.arrivals.load = load;
-  scenario.admission.epsilon = common.epsilon();
+  scenario.admission.epsilon = epsilon;
   scenario.max_seconds = 4 * horizon;
   scenario.faults.link_mtbf_factor = link_mtbf_factor;
   scenario.faults.mttr_seconds = mttr;
   scenario.faults.horizon_seconds = horizon;
-  scenario.faults.seed = common.seed() + 2;
+  scenario.faults.seed = seed + 2;
   scenario.sweep.values = util::ParseDoubleList(mtbfs);
   const sim::ScenarioRunResult result =
-      bench::RunScenarioOrDie(scenario, common);
+      bench::RunScenarioOrDie(scenario, static_cast<int>(threads));
 
   // Report rows in the legacy policy-major order; the grid itself ran
   // axis-major (cells are independent, values identical either way).
@@ -154,7 +165,7 @@ int main(int argc, char** argv) {
           r.tenants_affected > 0
               ? static_cast<double>(r.tenants_switched) / r.tenants_affected
               : 0.0;
-      if (steady_rate > common.epsilon()) steady_ok = false;
+      if (steady_rate > epsilon) steady_ok = false;
       table.AddRow({family.policy, family.survivable ? "on" : "off",
                     util::Table::Num(mtbf, 0),
                     std::to_string(r.faults_injected),
@@ -205,11 +216,11 @@ int main(int argc, char** argv) {
   bool drill_ok = true;
   {
     sim::Scenario drill = *sim::FindScenario("fault_drill");
-    drill.seed = common.seed();
-    drill.admission.epsilon = common.epsilon();
+    drill.seed = seed;
+    drill.admission.epsilon = epsilon;
     drill.faults.scripted[1].time = drill.faults.scripted[0].time + mttr;
     const sim::ScenarioRunResult drill_result =
-        bench::RunScenarioOrDie(drill, common);
+        bench::RunScenarioOrDie(drill, static_cast<int>(threads));
     const sim::OnlineResult& r =
         sim::FindCell(drill_result, "default", -1)->online_result;
     const double steady_rate = r.steady_outage().OutageRate();
@@ -240,9 +251,9 @@ int main(int argc, char** argv) {
   w.Member("config_hash", sim::ScenarioConfigHash(scenario));
   w.EndObject();
   w.Member("hardware_threads", sim::HardwareThreads());
-  w.Member("threads", common.threads());
-  w.Member("seed", static_cast<int64_t>(common.seed()));
-  w.Member("epsilon", common.epsilon());
+  w.Member("threads", threads);
+  w.Member("seed", seed_flag);
+  w.Member("epsilon", epsilon);
   w.Member("mttr_seconds", mttr);
   w.Member("horizon_seconds", horizon);
   bench::AddBenchmarksMember(w, records);
@@ -265,7 +276,7 @@ int main(int argc, char** argv) {
   if (check && !steady_ok) {
     std::fprintf(stderr,
                  "FAIL: steady-epoch outage rate exceeded epsilon %.4g\n",
-                 common.epsilon());
+                 epsilon);
     return 1;
   }
   if (check && !drill_ok) {

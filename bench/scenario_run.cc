@@ -1,9 +1,9 @@
-// scenario_run: the generic driver for the declarative scenario layer
-// (sim/scenario.h).  Every experiment the figure benches hard-code is a
-// named registry entry; this binary runs any of them — or a scenario JSON
-// file — with the same observability plumbing the benches get from
-// ObsScope, and writes a machine-readable BENCH_SCENARIO.json summary
-// keyed by the scenario's config hash.
+// scenario_run: the one experiment front end.  Every figure, ablation and
+// fault scenario is a named registry entry (sim/scenario.h); this binary
+// runs any of them, or a scenario JSON file, with the shared observability
+// flags, prints each scenario's generic cell table and then its figure or
+// ablation report (bench/scenario_reports.h), and writes a machine-readable
+// BENCH_SCENARIO.json summary keyed by the scenario's config hash.
 //
 //   scenario_run --list                      # registry inventory
 //   scenario_run --scenario fig7             # run one registry entry
@@ -13,7 +13,9 @@
 //   scenario_run --all --smoke               # CI: every entry, shrunk
 //
 // --jobs / --seed / --max-seconds override the scenario's declared values
-// when set; --smoke shrinks every selected scenario (job count, sweep
+// when set; every other field (fabric, rate menu, sweep values, epsilon,
+// load) is changed by editing the --print output and running it with
+// --file.  --smoke shrinks every selected scenario (job count, sweep
 // width, horizon) so the full registry sweeps in CI time.  Overrides are
 // applied BEFORE hashing, so the emitted config_hash identifies the
 // configuration that actually ran.  Each scenario and each cell also
@@ -28,6 +30,7 @@
 
 #include "bench_common.h"
 #include "obs/metrics.h"
+#include "scenario_reports.h"
 #include "sim/sweep_runner.h"
 #include "util/strings.h"
 
@@ -85,20 +88,7 @@ int main(int argc, char** argv) {
   std::string& out =
       flags.String("out", "BENCH_SCENARIO.json", "summary path ('' = skip)");
   bool& csv = flags.Bool("csv", false, "also print CSV");
-  std::string& metrics_out = flags.String(
-      "metrics-out", "", "write engine time-series + metrics JSONL here");
-  std::string& trace_out =
-      flags.String("trace-out", "", "write Chrome trace-event JSON here");
-  double& series_period = flags.Double(
-      "series-period", 100.0, "time-series sample period (simulated seconds)");
-  std::string& decisions_out = flags.String(
-      "decisions-out", "", "write admission decision provenance JSONL here");
-  std::string& flight_dir = flags.String(
-      "flight-dir", "", "arm the flight recorder; postmortems dump here");
-  double& flight_admit_slo_us = flags.Double(
-      "flight-admit-slo-us", 0, "admit latency SLO for the flight recorder");
-  double& flight_reject_rate = flags.Double(
-      "flight-reject-rate", 0, "rejection-rate SLO for the flight recorder");
+  const bench::ObsFlags obs_flags(flags);
   flags.Parse(argc, argv);
 
   if (list) {
@@ -160,15 +150,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  bench::ObsOptions obs_options;
-  obs_options.metrics_out = metrics_out;
-  obs_options.trace_out = trace_out;
-  obs_options.series_period = series_period;
-  obs_options.decisions_out = decisions_out;
-  obs_options.flight_dir = flight_dir;
-  obs_options.flight_admit_slo_us = flight_admit_slo_us;
-  obs_options.flight_reject_rate = flight_reject_rate;
-  bench::ObsScope obs(obs_options);
+  bench::ObsScope obs(obs_flags);
 
   util::JsonWriter w;
   w.BeginObject();
@@ -227,6 +209,16 @@ int main(int argc, char** argv) {
     w.EndObject();
     bench::EmitTable("Scenario " + s.name + " (" + s.description + ")", table,
                      csv);
+    const util::Result<std::vector<bench::ReportTable>> report =
+        bench::BuildReport(s, result);
+    if (!report) {
+      std::fprintf(stderr, "scenario '%s': report skipped: %s\n",
+                   s.name.c_str(), report.status().ToText().c_str());
+    } else {
+      for (const bench::ReportTable& t : *report) {
+        bench::EmitTable(t.title, t.table, csv);
+      }
+    }
   }
   w.EndArray();
   const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -19,7 +18,7 @@ void SetTraceEnabled(bool enabled) {
 
 namespace {
 
-// Events kept per thread: 64K x 32 B = 2 MiB.  Wrapping keeps the most
+// Events kept per thread: 64K x 24 B = 1.5 MiB.  Wrapping keeps the most
 // recent window.
 constexpr size_t kRingCapacity = 1u << 16;
 
@@ -40,14 +39,13 @@ struct Ring {
     slots.resize(kRingCapacity);
   }
 
-  void Push(const char* name, char phase, double value) {
+  void Push(const char* name, char phase) {
     const uint64_t h = head.load(std::memory_order_relaxed);
     TraceEvent& slot = slots[h % kRingCapacity];
     slot.name = name;
     slot.phase = phase;
     slot.tid = tid;
     slot.ts_ns = NowNs();
-    slot.value = value;
     head.store(h + 1, std::memory_order_release);
   }
 
@@ -97,15 +95,10 @@ void AppendJsonName(std::string& out, const char* name) {
 
 void TraceBegin(const char* name) {
   if (!TraceEnabled()) return;
-  LocalRing().Push(name, 'B', 0);
+  LocalRing().Push(name, 'B');
 }
 
-void TraceEnd(const char* name) { LocalRing().Push(name, 'E', 0); }
-
-void TraceCounter(const char* name, double value) {
-  if (!TraceEnabled()) return;
-  LocalRing().Push(name, 'C', value);
-}
+void TraceEnd(const char* name) { LocalRing().Push(name, 'E'); }
 
 std::vector<TraceEvent> CollectTraceEvents() {
   std::vector<TraceEvent> events;
@@ -185,11 +178,6 @@ std::string SerializeChromeTrace() {
                   "\"ts\":%.3f",
                   e.phase, e.tid, static_cast<double>(e.ts_ns) / 1000.0);
     out += buf;
-    if (e.phase == 'C') {
-      const double v = std::isfinite(e.value) ? e.value : 0.0;
-      std::snprintf(buf, sizeof buf, ",\"args\":{\"value\":%.17g}", v);
-      out += buf;
-    }
     out += "}";
   }
   out += "]}\n";

@@ -1,14 +1,13 @@
-// Low-overhead tracing: RAII scoped spans and counter tracks recorded into
-// per-thread ring buffers, serialized as Chrome trace-event JSON that loads
-// directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// Low-overhead tracing: RAII scoped spans recorded into per-thread ring
+// buffers, serialized as Chrome trace-event JSON that loads directly in
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 //   {
 //     SVC_TRACE_SPAN("maxmin/solve");   // B event now, E event at scope end
 //     ...
 //   }
-//   SVC_TRACE_COUNTER("engine/flows", flows);  // counter track
 //
-// Recording writes one 32-byte event (a pointer, a timestamp, a phase tag)
+// Recording writes one 24-byte event (a pointer, a timestamp, a phase tag)
 // into the calling thread's pre-sized ring buffer — no locks, no heap after
 // the thread's first event.  When the ring wraps, the oldest events are
 // overwritten: a long run keeps a recent window, which is what one loads a
@@ -44,21 +43,18 @@ inline bool TraceEnabled() {
 }
 void SetTraceEnabled(bool enabled);
 
-// One recorded event.  phase is Chrome's tag: 'B' begin, 'E' end,
-// 'C' counter (value carries the sample).
+// One recorded event.  phase is Chrome's tag: 'B' begin, 'E' end.
 struct TraceEvent {
   const char* name = nullptr;
   char phase = 0;
   uint32_t tid = 0;
   uint64_t ts_ns = 0;  // nanoseconds since process trace epoch
-  double value = 0;    // counter samples only
 };
 
 // Raw recording entry points (prefer the macros).  No-ops when tracing is
 // disabled at runtime.
 void TraceBegin(const char* name);
 void TraceEnd(const char* name);
-void TraceCounter(const char* name, double value);
 
 // All buffered events across threads in timestamp order.  Quiesced-threads
 // contract above.
@@ -68,7 +64,7 @@ std::vector<TraceEvent> CollectTraceEvents();
 // last 64K events, so anything older has been overwritten.  Derived from
 // the ring heads (no extra work on the record path); resets with
 // ClearTrace().  Quiesced-threads contract above.  Surfaced as the
-// `obs/trace_dropped` gauge and as per-thread counter-track markers in
+// `obs/trace_dropped` gauge and as per-thread drop markers in
 // SerializeChromeTrace(), so a truncated postmortem bundle is detectable.
 uint64_t TraceDroppedTotal();
 
@@ -110,21 +106,10 @@ class ScopedSpan {
 #define SVC_TRACE_SPAN(name) \
   ::svc::obs::ScopedSpan SVC_OBS_CONCAT(svc_trace_span_, __LINE__)(name)
 
-#define SVC_TRACE_COUNTER(name, value)                     \
-  do {                                                     \
-    if (::svc::obs::TraceEnabled()) {                      \
-      ::svc::obs::TraceCounter(name,                       \
-                               static_cast<double>(value)); \
-    }                                                      \
-  } while (0)
-
 #else  // !SVC_METRICS_ENABLED
 
 #define SVC_TRACE_SPAN(name) \
   do {                       \
-  } while (0)
-#define SVC_TRACE_COUNTER(name, value) \
-  do {                                 \
   } while (0)
 
 #endif  // SVC_METRICS_ENABLED

@@ -38,7 +38,7 @@ struct Event {
 // Single-owner container: an EventLog belongs to the one engine (and thus
 // the one thread) it is attached to.  Record() is not synchronized — when
 // sweeps run replica engines concurrently, each replica gets its own log
-// (see bench/sweep_runner) rather than sharing one.  A debug-build assert
+// (see sim/sweep_runner.h) rather than sharing one.  A debug-build assert
 // pins the first recording thread and trips if another thread records.
 class EventLog {
  public:

@@ -4,10 +4,21 @@
 #include <cassert>
 #include <string>
 
-#include "sim/sweep_runner.h"
 #include "stats/rng.h"
 
 namespace svc::sim {
+
+uint64_t ReplicaSeed(uint64_t base, uint64_t index) {
+  // SplitMix64 finalizer (Steele, Lea & Flood), applied to base + index and
+  // then once more so sequential indices diverge in every bit.
+  auto mix = [](uint64_t z) {
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  return mix(mix(base) + index);
+}
 
 namespace {
 

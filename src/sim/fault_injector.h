@@ -52,6 +52,12 @@ struct FaultConfig {
   }
 };
 
+// Seed for element `index` of a schedule keyed by `base`: two rounds of
+// SplitMix64 so that adjacent indices (and adjacent bases) give
+// uncorrelated, platform-independent streams.  BuildFaultSchedule seeds
+// each element's renewal process with ReplicaSeed(config.seed, vertex).
+uint64_t ReplicaSeed(uint64_t base, uint64_t index);
+
 // Validates a FaultConfig against a topology.  Errors (with messages naming
 // the offending field/event) instead of silent misbehavior for: an MTBF set
 // with mttr_seconds <= 0; negative rates or horizon; scripted events naming

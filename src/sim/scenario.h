@@ -5,11 +5,10 @@
 // regime, the admission discipline (abstraction, allocator, epsilon,
 // survivability), the enforcement discipline, the fault schedule (random
 // churn, scripted one-shots, correlated groups), one optional sweep axis,
-// and the variant columns that share it.  The
-// figure benches are thin shims over RunScenario: each fetches its
-// registry entry, applies its command-line overrides, runs, and formats
-// the table — so a figure is reproducible from one JSON file instead of
-// bespoke setup code.
+// and the variant columns that share it.  Every
+// paper figure and ablation is a registry entry that scenario_run runs and
+// reports (bench/scenario_reports.h), so a figure is reproducible from one
+// JSON file instead of bespoke setup code.
 //
 // Serialization is canonical: SerializeScenario always writes every field
 // in a fixed order, so parse(serialize(s)) == s and serialize(parse(text))

@@ -1,8 +1,8 @@
 // Built-in scenarios: every figure and ablation the benches used to
-// hand-assemble, as registry entries the shims (and scenario_run, and the
-// daemon) load by name.  The parameter values here are the bench defaults
-// verbatim — a registered scenario run with --threads 1 reproduces the
-// legacy bench's decision stream bit for bit.
+// hand-assemble, as registry entries scenario_run (and fault_recovery, and
+// the daemon) load by name.  The parameter values here are the legacy
+// bench defaults verbatim — a registered scenario run with --threads 1
+// reproduces the legacy bench's decision stream bit for bit.
 #include <mutex>
 
 #include "sim/scenario.h"
@@ -10,9 +10,10 @@
 namespace svc::sim {
 namespace {
 
-// The bench_common defaults every figure started from: the paper's 50-rack
+// The defaults every figure starts from: the paper's 50-rack
 // three-tier fabric (ThreeTierConfig defaults) and the calibrated tenant
-// mix (300 jobs, mean size 49, rate menu 50..250 Mbps).
+// mix (300 jobs, mean size 49, rate menu 50..250 Mbps: the paper's
+// 100..500 halved, see EXPERIMENTS.md deviation 2).
 Scenario Base(const std::string& name, const std::string& description) {
   Scenario s;
   s.name = name;

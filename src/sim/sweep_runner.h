@@ -27,12 +27,6 @@
 
 namespace svc::sim {
 
-// Seed for replica `index` of a sweep keyed by `base`: two rounds of
-// SplitMix64 so that adjacent indices (and adjacent bases) give
-// uncorrelated, platform-independent streams.  The fault plane seeds each
-// element's failure schedule with it (sim/fault_injector.h).
-uint64_t ReplicaSeed(uint64_t base, uint64_t index);
-
 // std::thread::hardware_concurrency with a floor of 1.
 int HardwareThreads();
 

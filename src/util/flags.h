@@ -14,7 +14,7 @@
 // Response files expand exactly one level (a token starting with '@' inside
 // a response file is an error, not a nested include).
 //
-//   util::FlagSet flags("fig5_oversubscription");
+//   util::FlagSet flags("scenario_run");
 //   int& jobs = flags.Int("jobs", 300, "number of tenant jobs");
 //   double& eps = flags.Double("epsilon", 0.05, "risk factor");
 //   flags.Parse(argc, argv);   // exits with usage on error / --help

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "net/link_ledger.h"
@@ -285,6 +286,18 @@ TEST(FaultManager, ReleaseUnknownBumpsCounter) {
 }
 
 // --- Schedule generator ---
+
+TEST(ReplicaSeed, DeterministicAndDistinct) {
+  EXPECT_EQ(sim::ReplicaSeed(42, 0), sim::ReplicaSeed(42, 0));
+  std::set<uint64_t> seen;
+  for (uint64_t base : {0ull, 1ull, 42ull}) {
+    for (uint64_t index = 0; index < 64; ++index) {
+      seen.insert(sim::ReplicaSeed(base, index));
+    }
+  }
+  // 3 bases x 64 indices, no collisions.
+  EXPECT_EQ(seen.size(), 3u * 64u);
+}
 
 TEST(FaultSchedule, SameSeedSameBytesDifferentSeedDiffers) {
   const topology::Topology topo = topology::BuildTwoTier(4, 4, 4, 1000, 2.0);

@@ -1,5 +1,6 @@
 // Tests for the obs tracing layer: span balance per thread, Chrome
-// trace-event JSON structure, counter tracks, and ring clearing.  Threads
+// trace-event JSON structure, ring wraparound accounting, and ring
+// clearing.  Threads
 // are always joined before CollectTraceEvents/SerializeChromeTrace per the
 // quiesced-threads contract in obs/trace.h.
 #include "obs/trace.h"
@@ -114,10 +115,7 @@ TEST(Trace, SpanClosedEvenWhenDisabledMidScope) {
 
 TEST(Trace, SerializesStructurallyValidChromeJson) {
   TraceOn on;
-  {
-    SVC_TRACE_SPAN("test/solve \"quoted\\name\"");
-    SVC_TRACE_COUNTER("test/depth", 3);
-  }
+  { SVC_TRACE_SPAN("test/solve \"quoted\\name\""); }
   std::thread worker([] { SVC_TRACE_SPAN("test/worker"); });
   worker.join();
 
@@ -126,8 +124,6 @@ TEST(Trace, SerializesStructurallyValidChromeJson) {
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"value\":3}"), std::string::npos);
   // Two distinct tids must appear (main + worker).
   const size_t first_tid = json.find("\"tid\":");
   ASSERT_NE(first_tid, std::string::npos);
@@ -159,10 +155,7 @@ TEST(Trace, EventsComeBackInTimestampOrder) {
 TEST(Trace, DisabledRecordsNothingAndClearDrops) {
   TraceOn on;
   SetTraceEnabled(false);
-  {
-    SVC_TRACE_SPAN("test/should_not_appear");
-    SVC_TRACE_COUNTER("test/should_not_appear", 1);
-  }
+  { SVC_TRACE_SPAN("test/should_not_appear"); }
   EXPECT_TRUE(CollectTraceEvents().empty());
 
   SetTraceEnabled(true);
@@ -175,13 +168,14 @@ TEST(Trace, DisabledRecordsNothingAndClearDrops) {
 TEST(Trace, WraparoundIsCountedAndMarkedInSerialization) {
   TraceOn on;
   EXPECT_EQ(TraceDroppedTotal(), 0u);
-  // Overrun this thread's 64K-event ring; the overwritten prefix must be
-  // accounted (so a truncated postmortem bundle is detectable), and the
-  // Chrome serialization must carry the drop marker counter track.
+  // Overrun this thread's 64K-event ring with spans (two events each); the
+  // overwritten prefix must be accounted (so a truncated postmortem bundle
+  // is detectable), and the Chrome serialization must carry the drop
+  // marker.
   constexpr uint64_t kOverflow = 1000;
   constexpr uint64_t kTotal = (1u << 16) + kOverflow;
-  for (uint64_t i = 0; i < kTotal; ++i) {
-    TraceCounter("test/wrap_filler", static_cast<double>(i));
+  for (uint64_t i = 0; i < kTotal / 2; ++i) {
+    SVC_TRACE_SPAN("test/wrap_filler");
   }
   EXPECT_EQ(TraceDroppedTotal(), kOverflow);
   const std::string json = SerializeChromeTrace();

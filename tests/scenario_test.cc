@@ -2,8 +2,8 @@
 // round-trips, every registry entry validates, the strict parser rejects
 // unknown keys, and RunScenario replays bit-identically — across repeated
 // runs (decision-stream identity) and across sweep thread counts
-// (result-level identity), which is what makes the figure benches safe as
-// thin shims.
+// (result-level identity), so scenario_run's --threads changes nothing but
+// wall time.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
