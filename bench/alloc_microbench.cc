@@ -14,6 +14,7 @@
 
 #include "alloc_counter.h"
 #include "bench_common.h"
+#include "obs/core.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/rng.h"
@@ -293,7 +294,7 @@ int main(int argc, char** argv) {
     w.BeginObject();
     svc::bench::AddBenchmarksMember(w, reporter.records());
     w.EndObject();
-    if (!svc::bench::WriteFile(json_path, w.str() + "\n")) return 1;
+    if (!svc::obs::WriteFile(json_path, w.str() + "\n")) return 1;
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "obs/core.h"
 #include "obs/decision_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -40,16 +41,8 @@ ObsFlags::ObsFlags(util::FlagSet& flags)
       flight_dir_(flags.String(
           "flight-dir", "",
           "arm the flight recorder: postmortem bundles (decision ring + "
-          "metrics + trace) are dumped into this directory on faults, "
-          "invariant failures, and SLO breaches")),
-      flight_admit_slo_us_(flags.Double(
-          "flight-admit-slo-us", 0.0,
-          "mean admit latency (us) per SLO window that latches a "
-          "flight-recorder dump (0 = off; needs --flight-dir)")),
-      flight_reject_rate_(flags.Double(
-          "flight-reject-rate", 0.0,
-          "rejection rate per SLO window that latches a flight-recorder "
-          "dump (0 = off; needs --flight-dir)")) {}
+          "metrics + trace) are dumped into this directory on faults and "
+          "invariant failures")) {}
 
 ObsScope::ObsScope(const ObsFlags& flags)
     : metrics_out_(flags.metrics_out_),
@@ -63,25 +56,22 @@ ObsScope::ObsScope(const ObsFlags& flags)
   }
   if (!trace_out_.empty()) obs::SetTraceEnabled(true);
   if (!decisions_out_.empty()) obs::SetDecisionsEnabled(true);
-  if (flight_) {
-    obs::FlightRecorderConfig flight;
-    flight.dir = flags.flight_dir_;
-    flight.admit_latency_slo_us = flags.flight_admit_slo_us_;
-    flight.rejection_rate_slo = flags.flight_reject_rate_;
-    obs::FlightRecorder::Global().Configure(flight);
-  }
+  if (flight_) obs::FlightRecorder::Global().Configure(flags.flight_dir_);
 }
 
-ObsScope::~ObsScope() {
+bool ObsScope::Finish() {
+  bool ok = true;
   if (!metrics_out_.empty()) {
     g_active_series = nullptr;
     std::string out = sink_.ToJsonl();
     if (!out.empty() && out.back() != '\n') out.push_back('\n');
     out += obs::Registry::Global().Collect().ToJsonl();
-    WriteFile(metrics_out_, out);
+    ok = obs::WriteFile(metrics_out_, out) && ok;
+    metrics_out_.clear();
   }
   if (!trace_out_.empty()) {
-    WriteFile(trace_out_, obs::SerializeChromeTrace());
+    ok = obs::WriteFile(trace_out_, obs::SerializeChromeTrace()) && ok;
+    trace_out_.clear();
   }
   if (!decisions_out_.empty()) {
     std::string out;
@@ -89,14 +79,17 @@ ObsScope::~ObsScope() {
       obs::AppendDecisionJson(out, rec);
       out.push_back('\n');
     }
-    WriteFile(decisions_out_, out);
+    ok = obs::WriteFile(decisions_out_, out) && ok;
+    decisions_out_.clear();
   }
   if (flight_) {
-    // Flush an SLO breach latched in the run's tail, then disarm so a later
+    // Flush a trigger latched in the run's tail, then disarm so a later
     // scope (or test) starts from a clean recorder.
     obs::FlightRecorder::Global().MaybeTriggerPending();
     obs::FlightRecorder::Global().Reset();
+    flight_ = false;
   }
+  return ok;
 }
 
 sim::ScenarioRunResult RunScenarioOrDie(const sim::Scenario& scenario,
@@ -134,17 +127,6 @@ void AddBenchmarksMember(util::JsonWriter& w,
     w.EndObject();
   }
   w.EndArray();
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return written == content.size();
 }
 
 }  // namespace svc::bench

@@ -17,10 +17,10 @@
 
 namespace svc::bench {
 
-// The seven observability flags (--metrics-out, --trace-out,
-// --series-period, --decisions-out, --flight-dir, --flight-admit-slo-us,
-// --flight-reject-rate), declared once for every binary that arms an
-// ObsScope.  Empty paths disable the corresponding output.
+// The five observability flags (--metrics-out, --trace-out,
+// --series-period, --decisions-out, --flight-dir), declared once for every
+// binary that arms an ObsScope.  Empty paths disable the corresponding
+// output.
 class ObsFlags {
  public:
   explicit ObsFlags(util::FlagSet& flags);
@@ -32,13 +32,11 @@ class ObsFlags {
   double& series_period_;
   std::string& decisions_out_;
   std::string& flight_dir_;
-  double& flight_admit_slo_us_;
-  double& flight_reject_rate_;
 };
 
 // Arms the observability layer for one run, driven by the ObsFlags.
-// Construct once in main() right after Parse(); when the scope destructs it
-// writes:
+// Construct once in main() right after Parse(); Finish() (or, failing
+// that, the destructor) writes:
 //   metrics_out: JSONL — the engine time-series samples collected through
 //                this scope's sink (RunScenarioOrDie attaches it while the
 //                scope is alive) followed by a full metrics-registry
@@ -48,21 +46,26 @@ class ObsFlags {
 //                final ring-buffer window.
 // --decisions-out additionally enables decision provenance and writes the
 // surviving ring contents (seq-ordered JSONL, one record per admission
-// outcome) on destruction.  --flight-dir arms the flight recorder for the
-// run: faults, invariant failures, and SLO breaches (--flight-admit-slo-us /
-// --flight-reject-rate) dump postmortem bundles there; any breach still
-// latched at scope exit is flushed before the recorder is disarmed.
+// outcome).  --flight-dir arms the flight recorder for the run: faults and
+// invariant failures dump postmortem bundles there; a trigger still
+// latched at Finish() is flushed before the recorder is disarmed.
 // When no flag is set construction is a no-op and the instrumented
-// hot paths keep their disabled-branch cost.  Serialization happens in the
-// destructor, after the sweeps' worker threads have quiesced (SweepRunner
-// joins them before returning), satisfying the trace reader contract.
+// hot paths keep their disabled-branch cost.  Serialization happens after
+// the sweeps' worker threads have quiesced (SweepRunner joins them before
+// returning), satisfying the rings' reader contract.
 class ObsScope {
  public:
   explicit ObsScope(const ObsFlags& flags);
-  ~ObsScope();
+  ~ObsScope() { Finish(); }
 
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
+
+  // Writes every requested output once, detaches the series sink and
+  // disarms the flight recorder.  Returns false if any write failed
+  // (obs::WriteFile names the path on stderr), and the program then exits
+  // non-zero.  Later calls write nothing.
+  bool Finish();
 
  private:
   std::string metrics_out_;
@@ -94,9 +97,5 @@ struct BenchRecord {
 // Appends a "benchmarks": [...] member to the currently open JSON object.
 void AddBenchmarksMember(util::JsonWriter& w,
                          const std::vector<BenchRecord>& records);
-
-// Writes `content` to `path`; returns false (with a message on stderr) on
-// I/O failure.
-bool WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace svc::bench

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/core.h"
 #include "obs/metrics.h"
 #include "sim/sweep_runner.h"
 #include "util/strings.h"
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
   bool& csv = flags.Bool("csv", false, "also print CSV");
   std::string& out = flags.String("out", "BENCH_FAULT.json", "output path");
   flags.Parse(argc, argv);
-  bench::ObsScope obs(obs_flags);
+  bench::ObsScope obs_scope(obs_flags);
   const uint64_t seed = static_cast<uint64_t>(seed_flag);
 
   sim::Scenario scenario =
@@ -270,8 +271,9 @@ int main(int argc, char** argv) {
   w.EndObject();
   w.EndObject();
   w.EndObject();
-  if (!bench::WriteFile(out, w.str() + "\n")) return 1;
+  if (!obs::WriteFile(out, w.str() + "\n")) return 1;
   std::printf("wrote %s\n", out.c_str());
+  if (!obs_scope.Finish()) return 1;
 
   if (check && !steady_ok) {
     std::fprintf(stderr,

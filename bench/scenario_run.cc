@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/core.h"
 #include "obs/metrics.h"
 #include "scenario_reports.h"
 #include "sim/sweep_runner.h"
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  bench::ObsScope obs(obs_flags);
+  bench::ObsScope obs_scope(obs_flags);
 
   util::JsonWriter w;
   w.BeginObject();
@@ -235,8 +236,8 @@ int main(int argc, char** argv) {
   w.EndObject();
   w.EndObject();
   if (!out.empty()) {
-    if (!bench::WriteFile(out, w.str() + "\n")) return 1;
+    if (!obs::WriteFile(out, w.str() + "\n")) return 1;
     std::printf("wrote %s\n", out.c_str());
   }
-  return 0;
+  return obs_scope.Finish() ? 0 : 1;
 }

@@ -61,11 +61,7 @@ int main(int argc, char** argv) {
   // the session did.
   obs::SetMetricsEnabled(true);
   obs::SetDecisionsEnabled(true);
-  if (!flight_dir.empty()) {
-    obs::FlightRecorderConfig flight;
-    flight.dir = flight_dir;
-    obs::FlightRecorder::Global().Configure(flight);
-  }
+  obs::FlightRecorder::Global().Configure(flight_dir);
 
   topology::ThreeTierConfig config;
   config.racks = static_cast<int>(racks);

@@ -61,11 +61,7 @@ int main(int argc, char** argv) {
   // everything the daemon did.
   obs::SetMetricsEnabled(true);
   obs::SetDecisionsEnabled(true);
-  if (!flight_dir.empty()) {
-    obs::FlightRecorderConfig flight;
-    flight.dir = flight_dir;
-    obs::FlightRecorder::Global().Configure(flight);
-  }
+  obs::FlightRecorder::Global().Configure(flight_dir);
 
   cli::DaemonConfig config;
   if (!scenario_file.empty()) {

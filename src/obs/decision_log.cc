@@ -1,11 +1,10 @@
 #include "obs/decision_log.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <mutex>
+
+#include "obs/core.h"
 
 namespace svc::obs {
 
@@ -49,69 +48,9 @@ void CopyBounded(char* dst, size_t cap, std::string_view src) {
 
 // Records kept per thread: 4K x ~160 B.  Wrapping keeps the most recent
 // window — the postmortem regime the flight recorder dumps.
-constexpr size_t kRingCapacity = 1u << 12;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Per-thread ring, same publication protocol as the trace rings: the
-// writer fills the slot then release-stores head; a quiesced-thread reader
-// acquires head and walks the last min(head, capacity) slots.
-struct Ring {
-  Ring() { slots.resize(kRingCapacity); }
-
-  void Push(const DecisionRecord& record) {
-    const uint64_t h = head.load(std::memory_order_relaxed);
-    slots[h % kRingCapacity] = record;
-    head.store(h + 1, std::memory_order_release);
-  }
-
-  std::vector<DecisionRecord> slots;
-  std::atomic<uint64_t> head{0};
-};
+using DecisionRing = ThreadRing<DecisionRecord, 1u << 12>;
 
 std::atomic<uint64_t> g_decision_seq{0};
-
-// Rings are owned by this global list (never freed) so records survive the
-// recording thread's exit; the thread_local below is a cached pointer.
-std::mutex g_rings_mu;
-std::vector<std::unique_ptr<Ring>>& GlobalRings() {
-  static auto* rings = new std::vector<std::unique_ptr<Ring>>();
-  return *rings;
-}
-
-Ring& LocalRing() {
-  thread_local Ring* ring = [] {
-    auto owned = std::make_unique<Ring>();
-    Ring* raw = owned.get();
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    GlobalRings().push_back(std::move(owned));
-    return raw;
-  }();
-  return *ring;
-}
-
-void AppendJsonEscaped(std::string& out, const char* s) {
-  out.push_back('"');
-  for (const char* p = s; *p; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 }  // namespace
 
@@ -142,34 +81,24 @@ void DecisionRecord::AddBindingLink(int32_t link, double slack) {
 
 void RecordDecision(const DecisionRecord& record) {
   if (!DecisionsEnabled()) return;
-  Ring& ring = LocalRing();
-  const uint64_t h = ring.head.load(std::memory_order_relaxed);
-  DecisionRecord& slot = ring.slots[h % kRingCapacity];
-  slot = record;
-  slot.seq = g_decision_seq.fetch_add(1, std::memory_order_relaxed);
-  slot.ts_ns = NowNs();
-  slot.worker_tid = ThreadId();
-  ring.head.store(h + 1, std::memory_order_release);
+  DecisionRing::Push([&record](DecisionRecord& slot) {
+    slot = record;
+    slot.seq = g_decision_seq.fetch_add(1, std::memory_order_relaxed);
+    slot.ts_ns = NowNs();
+    slot.worker_tid = ThreadId();
+  });
 }
 
 uint64_t DecisionCount() {
   return g_decision_seq.load(std::memory_order_relaxed);
 }
 
-size_t DecisionRingCapacity() { return kRingCapacity; }
+size_t DecisionRingCapacity() { return DecisionRing::capacity(); }
 
 std::vector<DecisionRecord> CollectDecisions() {
   std::vector<DecisionRecord> records;
-  {
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    for (const auto& ring : GlobalRings()) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t count = std::min<uint64_t>(head, kRingCapacity);
-      for (uint64_t i = head - count; i < head; ++i) {
-        records.push_back(ring->slots[i % kRingCapacity]);
-      }
-    }
-  }
+  DecisionRing::ForEach(
+      [&records](const DecisionRecord& r) { records.push_back(r); });
   std::sort(records.begin(), records.end(),
             [](const DecisionRecord& a, const DecisionRecord& b) {
               return a.seq < b.seq;
@@ -179,28 +108,16 @@ std::vector<DecisionRecord> CollectDecisions() {
 
 bool FindDecision(int64_t tenant_id, DecisionRecord* out) {
   bool found = false;
-  std::lock_guard<std::mutex> lock(g_rings_mu);
-  for (const auto& ring : GlobalRings()) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t count = std::min<uint64_t>(head, kRingCapacity);
-    for (uint64_t i = head - count; i < head; ++i) {
-      const DecisionRecord& r = ring->slots[i % kRingCapacity];
-      if (r.tenant_id != tenant_id) continue;
-      if (!found || r.seq > out->seq) {
-        *out = r;
-        found = true;
-      }
+  DecisionRing::ForEach([&](const DecisionRecord& r) {
+    if (r.tenant_id == tenant_id && (!found || r.seq > out->seq)) {
+      *out = r;
+      found = true;
     }
-  }
+  });
   return found;
 }
 
-void ClearDecisions() {
-  std::lock_guard<std::mutex> lock(g_rings_mu);
-  for (const auto& ring : GlobalRings()) {
-    ring->head.store(0, std::memory_order_release);
-  }
-}
+void ClearDecisions() { DecisionRing::Clear(); }
 
 void AppendDecisionJson(std::string& out, const DecisionRecord& r) {
   char buf[192];
@@ -212,9 +129,9 @@ void AppendDecisionJson(std::string& out, const DecisionRecord& r) {
                 ToString(r.path));
   out += buf;
   out += "\"allocator\":";
-  AppendJsonEscaped(out, r.allocator);
+  AppendJsonString(out, r.allocator);
   out += ",\"reason\":";
-  AppendJsonEscaped(out, r.reason);
+  AppendJsonString(out, r.reason);
   std::snprintf(buf, sizeof buf,
                 ",\"worker\":%u,\"ts_ns\":%llu,\"links\":[",
                 r.worker_tid,

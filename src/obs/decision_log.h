@@ -9,41 +9,32 @@
 // links with their condition-(4) occupancy slack at commit time, and the
 // decision's allocator and apply latencies.
 //
-// Design mirrors the metrics/trace layers (docs/OBSERVABILITY.md):
+// Design (docs/OBSERVABILITY.md):
 //
-//   * Write path: RecordDecision() copies one POD record into the calling
-//     thread's pre-sized ring — no locks, no heap after the thread's first
+//   * Write path: RecordDecision() fills one POD record in the calling
+//     thread's 4K-record ring (obs::ThreadRing in obs/core.h, the ring the
+//     trace spans use too): no locks, no heap after the thread's first
 //     record.  When the ring wraps, the oldest records are overwritten:
 //     the log keeps the most recent window, which is what a postmortem
 //     needs.  A global relaxed fetch_add stamps each record with a
 //     publication sequence number so readers can merge rings into the true
 //     decision order.
 //   * Disabled cost: call sites check DecisionsEnabled() first — a relaxed
-//     atomic-bool load and one predicted branch.  Compiling with
-//     -DSVC_DECISIONS_ENABLED=0 makes DecisionsEnabled() constexpr false,
-//     so every recording block compiles out (same switch design as
-//     SVC_METRICS_ENABLED).
-//   * Read path (CollectDecisions / FindDecision): reads rings owned by
-//     other threads without locking against writers — call only when
-//     recording threads are quiescent (between admissions, after joins,
-//     at scope exit), the same single-consumer contract as the trace
-//     rings.
+//     atomic-bool load and one predicted branch.
+//   * Read path (CollectDecisions / FindDecision): the ring's
+//     single-consumer contract — call only when recording threads are
+//     quiescent (between admissions, after joins, at scope exit).
 //
 // This header intentionally depends on nothing outside the standard
 // library (records carry plain integer link ids, not topology
 // types) so every layer can link it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "obs/metrics.h"  // SVC_METRICS_ENABLED-style switch + ThreadId()
-
-#ifndef SVC_DECISIONS_ENABLED
-#define SVC_DECISIONS_ENABLED 1
-#endif
 
 namespace svc::obs {
 
@@ -51,16 +42,11 @@ namespace internal {
 extern std::atomic<bool> g_decisions_enabled;
 }  // namespace internal
 
-#if SVC_DECISIONS_ENABLED
 // Runtime switch; defaults to off so instrumented admission paths cost one
 // predicted branch unless a tool/bench/test opts in.
 inline bool DecisionsEnabled() {
   return internal::g_decisions_enabled.load(std::memory_order_relaxed);
 }
-#else
-// Compiled out: every `if (DecisionsEnabled()) { ... }` block is dead code.
-inline constexpr bool DecisionsEnabled() { return false; }
-#endif
 void SetDecisionsEnabled(bool enabled);
 
 enum class DecisionOutcome : uint8_t {
@@ -102,7 +88,7 @@ struct DecisionRecord {
 
   int64_t tenant_id = 0;
   uint64_t seq = 0;    // global publication order; stamped by RecordDecision
-  uint64_t ts_ns = 0;  // steady-clock ns; stamped by RecordDecision
+  uint64_t ts_ns = 0;  // obs::NowNs(); stamped by RecordDecision
   DecisionOutcome outcome = DecisionOutcome::kReject;
   CommitPath path = CommitPath::kSerial;
   uint8_t num_links = 0;

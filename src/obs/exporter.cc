@@ -1,8 +1,6 @@
 #include "obs/exporter.h"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/core.h"
 #include "obs/decision_log.h"
 #include "obs/trace.h"
 
@@ -23,31 +22,6 @@ void AppendSanitized(std::string& out, std::string_view name) {
                     (c >= '0' && c <= '9') || c == '_';
     out.push_back(ok ? c : '_');
   }
-}
-
-void AppendJsonString(std::string& out, const char* s) {
-  out.push_back('"');
-  for (const char* p = s; *p; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -113,31 +87,18 @@ namespace {
 // facade over the process-wide instance, like Registry::Global()).
 struct RecorderState {
   std::mutex mu;
-  FlightRecorderConfig config;        // guarded by mu
-  std::atomic<bool> enabled{false};   // mirrors !config.dir.empty()
-  std::atomic<bool> pending{false};   // latched SLO breach awaiting dump
+  std::string dir;                    // guarded by mu
+  std::atomic<bool> enabled{false};   // mirrors !dir.empty()
+  std::atomic<bool> pending{false};   // latched trigger awaiting dump
   char pending_cause[32] = {};        // guarded by mu
   char pending_detail[96] = {};       // guarded by mu
   int64_t bundle_seq = 0;             // guarded by mu
   std::atomic<int64_t> bundles{0};
-  // Sliding SLO window, guarded by mu.
-  size_t window_n = 0;
-  size_t window_rejected = 0;
-  double window_latency_sum = 0;
 };
 
 RecorderState& State() {
   static auto* state = new RecorderState();
   return *state;
-}
-
-bool WriteWholeFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = written == content.size() && std::fclose(f) == 0;
-  if (!ok && written != content.size()) std::fclose(f);
-  return ok;
 }
 
 }  // namespace
@@ -147,15 +108,12 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-void FlightRecorder::Configure(FlightRecorderConfig config) {
+void FlightRecorder::Configure(std::string dir) {
   RecorderState& s = State();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.config = std::move(config);
-  s.window_n = 0;
-  s.window_rejected = 0;
-  s.window_latency_sum = 0;
+  s.dir = std::move(dir);
   s.pending.store(false, std::memory_order_relaxed);
-  s.enabled.store(!s.config.dir.empty(), std::memory_order_relaxed);
+  s.enabled.store(!s.dir.empty(), std::memory_order_relaxed);
 }
 
 bool FlightRecorder::enabled() const {
@@ -166,9 +124,9 @@ std::string FlightRecorder::Trigger(const char* cause, const char* detail) {
   RecorderState& s = State();
   if (!s.enabled.load(std::memory_order_relaxed)) return "";
   std::lock_guard<std::mutex> lock(s.mu);
-  if (s.config.dir.empty()) return "";
+  if (s.dir.empty()) return "";
   std::error_code ec;
-  std::filesystem::create_directories(s.config.dir, ec);
+  std::filesystem::create_directories(s.dir, ec);
 
   // Filename-safe cause tag.
   char tag[32] = {};
@@ -183,7 +141,7 @@ std::string FlightRecorder::Trigger(const char* cause, const char* detail) {
   char stem[64];
   std::snprintf(stem, sizeof stem, "flight-%lld-%s",
                 static_cast<long long>(seq), tag[0] ? tag : "manual");
-  const std::string base = s.config.dir + "/" + stem;
+  const std::string base = s.dir + "/" + stem;
 
   std::string body;
   body.reserve(1u << 16);
@@ -203,10 +161,11 @@ std::string FlightRecorder::Trigger(const char* cause, const char* detail) {
                 static_cast<unsigned long long>(TraceDroppedTotal()));
   body += buf;
 
-  // Last max_records decisions, oldest first (publication order).
+  // The newest kBundleDecisions decisions, oldest first (publication
+  // order).
   const std::vector<DecisionRecord> decisions = CollectDecisions();
-  const size_t start = decisions.size() > s.config.max_records
-                           ? decisions.size() - s.config.max_records
+  const size_t start = decisions.size() > kBundleDecisions
+                           ? decisions.size() - kBundleDecisions
                            : 0;
   for (size_t i = start; i < decisions.size(); ++i) {
     AppendDecisionJson(body, decisions[i]);
@@ -215,10 +174,8 @@ std::string FlightRecorder::Trigger(const char* cause, const char* detail) {
   body += Registry::Global().Collect().ToJsonl();
 
   const std::string path = base + ".jsonl";
-  if (!WriteWholeFile(path, body)) return "";
-  if (s.config.include_trace) {
-    WriteWholeFile(base + ".trace.json", SerializeChromeTrace());
-  }
+  if (!WriteFile(path, body)) return "";
+  WriteFile(base + ".trace.json", SerializeChromeTrace());
   s.bundles.fetch_add(1, std::memory_order_relaxed);
   if (MetricsEnabled()) {
     Registry::Global().GetCounter("obs/flight_bundles").Increment();
@@ -227,38 +184,6 @@ std::string FlightRecorder::Trigger(const char* cause, const char* detail) {
         .Set(static_cast<double>(TraceDroppedTotal()));
   }
   return path;
-}
-
-void FlightRecorder::ObserveAdmission(bool admitted, double latency_us) {
-  RecorderState& s = State();
-  if (!s.enabled.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(s.mu);
-  const FlightRecorderConfig& c = s.config;
-  if (c.admit_latency_slo_us <= 0 && c.rejection_rate_slo <= 0) return;
-  ++s.window_n;
-  if (!admitted) ++s.window_rejected;
-  s.window_latency_sum += latency_us;
-  const size_t window = std::max<size_t>(1, c.slo_window);
-  if (s.window_n < window) return;
-  const double mean_latency = s.window_latency_sum / s.window_n;
-  const double reject_rate =
-      static_cast<double>(s.window_rejected) / s.window_n;
-  const bool latency_breach =
-      c.admit_latency_slo_us > 0 && mean_latency > c.admit_latency_slo_us;
-  const bool reject_breach =
-      c.rejection_rate_slo > 0 && reject_rate > c.rejection_rate_slo;
-  if ((latency_breach || reject_breach) &&
-      !s.pending.load(std::memory_order_relaxed)) {
-    std::snprintf(s.pending_cause, sizeof s.pending_cause, "slo-%s",
-                  latency_breach ? "latency" : "rejection");
-    std::snprintf(s.pending_detail, sizeof s.pending_detail,
-                  "window=%zu mean_latency_us=%.1f reject_rate=%.3f",
-                  s.window_n, mean_latency, reject_rate);
-    s.pending.store(true, std::memory_order_relaxed);
-  }
-  s.window_n = 0;
-  s.window_rejected = 0;
-  s.window_latency_sum = 0;
 }
 
 void FlightRecorder::LatchTrigger(const char* cause, const char* detail) {
@@ -294,14 +219,11 @@ int64_t FlightRecorder::bundles_written() const {
 void FlightRecorder::Reset() {
   RecorderState& s = State();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.config = FlightRecorderConfig{};
+  s.dir.clear();
   s.enabled.store(false, std::memory_order_relaxed);
   s.pending.store(false, std::memory_order_relaxed);
   s.bundle_seq = 0;
   s.bundles.store(0, std::memory_order_relaxed);
-  s.window_n = 0;
-  s.window_rejected = 0;
-  s.window_latency_sum = 0;
 }
 
 }  // namespace svc::obs

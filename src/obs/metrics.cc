@@ -9,15 +9,7 @@
 namespace svc::obs {
 
 namespace internal {
-
 std::atomic<bool> g_metrics_enabled{false};
-
-uint32_t ThreadId() {
-  static std::atomic<uint32_t> next{0};
-  thread_local const uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 }  // namespace internal
 
 void SetMetricsEnabled(bool enabled) {
@@ -28,34 +20,6 @@ void SetMetricsEnabled(bool enabled) {
 
 void Counter::Reset() {
   for (CounterShard& s : shards_) s.value.store(0, std::memory_order_relaxed);
-}
-
-// --- Gauge -----------------------------------------------------------------
-
-void Gauge::Set(double value) {
-  base_.store(value, std::memory_order_relaxed);
-  for (Shard& s : shards_) s.delta.store(0, std::memory_order_relaxed);
-}
-
-void Gauge::Add(double delta) {
-  Shard& shard = shards_[internal::ThreadId() % kShards];
-  double current = shard.delta.load(std::memory_order_relaxed);
-  while (!shard.delta.compare_exchange_weak(current, current + delta,
-                                            std::memory_order_relaxed)) {
-  }
-}
-
-double Gauge::Value() const {
-  double total = base_.load(std::memory_order_relaxed);
-  for (const Shard& s : shards_) {
-    total += s.delta.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Gauge::Reset() {
-  base_.store(0, std::memory_order_relaxed);
-  for (Shard& s : shards_) s.delta.store(0, std::memory_order_relaxed);
 }
 
 // --- Histogram -------------------------------------------------------------
@@ -175,30 +139,6 @@ void Histogram::Reset() {
 
 namespace {
 
-// Minimal JSON string escape; metric names are plain identifiers but the
-// emitter must stay valid for any input.
-void AppendEscaped(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void AppendDouble(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";  // JSON cannot represent inf/nan
@@ -215,19 +155,19 @@ std::string MetricsSnapshot::ToJsonl() const {
   std::string out;
   for (const CounterValue& c : counters) {
     out += "{\"type\":\"counter\",\"name\":";
-    AppendEscaped(out, c.name);
+    AppendJsonString(out, c.name);
     out += ",\"value\":" + std::to_string(c.value) + "}\n";
   }
   for (const GaugeValue& g : gauges) {
     out += "{\"type\":\"gauge\",\"name\":";
-    AppendEscaped(out, g.name);
+    AppendJsonString(out, g.name);
     out += ",\"value\":";
     AppendDouble(out, g.value);
     out += "}\n";
   }
   for (const HistogramValue& h : histograms) {
     out += "{\"type\":\"histogram\",\"name\":";
-    AppendEscaped(out, h.name);
+    AppendJsonString(out, h.name);
     out += ",\"count\":" + std::to_string(h.count) + ",\"sum\":";
     AppendDouble(out, h.sum);
     out += ",\"max\":";

@@ -3,14 +3,14 @@
 //
 // Design (see docs/OBSERVABILITY.md for the full story):
 //
-//   * Write path: plain relaxed-atomic increments into cache-line-padded
-//     shards indexed by a per-thread shard id — no locks, no heap, and no
-//     cross-core cache-line ping-pong under the sweep runner's concurrency.
+//   * Write path: counters and histograms make plain relaxed-atomic
+//     increments into cache-line-padded shards indexed by a per-thread
+//     shard id — no locks, no heap, and no cross-core cache-line ping-pong
+//     under the sweep runner's concurrency; a gauge is one relaxed store.
 //     Aggregation across shards happens only at scrape time (Collect()).
 //   * Disabled cost: every macro checks MetricsEnabled() first — a relaxed
-//     atomic-bool load and one predicted branch.  Compiling with
-//     -DSVC_METRICS_ENABLED=0 removes even that (the macros expand to
-//     nothing); the default is compiled-in but runtime-disabled.
+//     atomic-bool load and one predicted branch; the registry is off until
+//     a bench, test or tool turns it on.
 //   * Registration: Registry::Global() interns metrics by name under a
 //     shared_mutex (exclusive only on first registration).  Returned
 //     references are stable for the process lifetime, so hot call sites
@@ -46,18 +46,12 @@
 #include <string_view>
 #include <vector>
 
-#ifndef SVC_METRICS_ENABLED
-#define SVC_METRICS_ENABLED 1
-#endif
+#include "obs/core.h"
 
 namespace svc::obs {
 
 namespace internal {
 extern std::atomic<bool> g_metrics_enabled;
-// Small dense per-thread id (0, 1, 2, ...), assigned on first use.  Shared
-// with the tracing layer and the logger so one id names a thread
-// everywhere.
-uint32_t ThreadId();
 }  // namespace internal
 
 // Runtime switch; defaults to off so instrumented hot paths cost one
@@ -67,11 +61,7 @@ inline bool MetricsEnabled() {
 }
 void SetMetricsEnabled(bool enabled);
 
-// Stable small integer id of the calling thread (also used as the trace
-// tid and the log-line thread tag).
-inline uint32_t ThreadId() { return internal::ThreadId(); }
-
-// Number of write shards per metric.  A power of two; threads map to
+// Write shards per counter and histogram.  A power of two; threads map to
 // shards by ThreadId() % kShards, so up to kShards writers proceed with no
 // shared cache lines at all and larger fleets degrade gracefully.
 inline constexpr uint32_t kShards = 16;
@@ -84,7 +74,7 @@ struct alignas(64) CounterShard {
 class Counter {
  public:
   void Increment(int64_t delta = 1) {
-    shards_[internal::ThreadId() % kShards].value.fetch_add(
+    shards_[ThreadId() % kShards].value.fetch_add(
         delta, std::memory_order_relaxed);
   }
 
@@ -109,30 +99,21 @@ class Counter {
   std::array<CounterShard, kShards> shards_;
 };
 
-// Last-write-wins instantaneous value; Add() is sharded like a counter so
-// concurrent deltas don't contend.  Set() is authoritative: it also clears
-// any accumulated deltas.
+// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void Set(double value);
-  void Add(double delta);
-
-  double Value() const;
+  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  double Value() const { return value_.load(std::memory_order_relaxed); }
 
   const std::string& name() const { return name_; }
-  void Reset();
+  void Reset() { Set(0); }
 
  private:
   friend class Registry;
   explicit Gauge(std::string name) : name_(std::move(name)) {}
 
-  struct alignas(64) Shard {
-    std::atomic<double> delta{0};
-  };
-
   std::string name_;
-  std::atomic<double> base_{0};
-  std::array<Shard, kShards> shards_;
+  std::atomic<double> value_{0};
 };
 
 // One aggregated histogram bucket: count of samples in [lower, upper).
@@ -157,7 +138,7 @@ class Histogram {
 
   void Record(double value) {
     const int b = BucketOf(value);
-    auto& shard = shards_[internal::ThreadId() % kShards];
+    auto& shard = shards_[ThreadId() % kShards];
     shard.buckets[b].fetch_add(1, std::memory_order_relaxed);
     // Relaxed CAS loop; uncontended within a shard.
     double sum = shard.sum.load(std::memory_order_relaxed);
@@ -230,8 +211,8 @@ struct MetricsSnapshot {
 
   // One JSON object per line: {"type":"counter","name":...,"value":...},
   // {"type":"gauge",...}, {"type":"histogram",...,"buckets":[[lo,hi,n]...]}.
-  // The same line-oriented format as sim::EventLog::ToJsonl and the
-  // engine's time-series sink, so every emitter shares one consumer.
+  // The same line-oriented format as the engine's time-series sink and the
+  // decision records, so every emitter shares one consumer.
   std::string ToJsonl() const;
 };
 
@@ -265,8 +246,6 @@ class Registry {
 
 }  // namespace svc::obs
 
-#if SVC_METRICS_ENABLED
-
 #define SVC_METRIC_ADD(name, delta)                            \
   do {                                                         \
     if (::svc::obs::MetricsEnabled()) {                        \
@@ -295,20 +274,3 @@ class Registry {
       svc_metric_gauge_.Set(value);                            \
     }                                                          \
   } while (0)
-
-#else  // !SVC_METRICS_ENABLED
-
-#define SVC_METRIC_ADD(name, delta) \
-  do {                              \
-  } while (0)
-#define SVC_METRIC_INC(name) \
-  do {                       \
-  } while (0)
-#define SVC_METRIC_HIST(name, value) \
-  do {                               \
-  } while (0)
-#define SVC_METRIC_GAUGE_SET(name, value) \
-  do {                                    \
-  } while (0)
-
-#endif  // SVC_METRICS_ENABLED

@@ -8,29 +8,26 @@
 //   }
 //
 // Recording writes one 24-byte event (a pointer, a timestamp, a phase tag)
-// into the calling thread's pre-sized ring buffer — no locks, no heap after
-// the thread's first event.  When the ring wraps, the oldest events are
-// overwritten: a long run keeps a recent window, which is what one loads a
-// trace viewer for.  Span names must be string literals (or otherwise
-// outlive serialization); only the pointer is stored.
+// into the calling thread's 64K-event ring (obs::ThreadRing in
+// obs/core.h): no locks, no heap after the thread's first event.  When the
+// ring wraps, the oldest events are overwritten: a long run keeps a recent
+// window, which is what one loads a trace viewer for.  Span names must be
+// string literals (or otherwise outlive serialization); only the pointer
+// is stored.
 //
 // The runtime switch (SetTraceEnabled) defaults to off; a disabled span
-// costs one predicted branch.  Compiling with -DSVC_METRICS_ENABLED=0
-// compiles the macros out entirely (one switch for the whole observability
-// layer).
+// costs one predicted branch.
 //
 // Serialization (SerializeChromeTrace / CollectTraceEvents) is a read of
 // buffers owned by other threads: call it only when recording threads are
-// quiescent — after the recording threads are joined, or at process end.
-// That is the single-consumer contract the whole layer is built on; the
-// serializer takes no locks against writers.
+// quiescent — after the recording threads are joined, or at process end
+// (the ring's single-consumer contract).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"  // SVC_METRICS_ENABLED default + ThreadId()
 
 namespace svc::obs {
 
@@ -98,18 +95,8 @@ class ScopedSpan {
 
 }  // namespace svc::obs
 
-#if SVC_METRICS_ENABLED
-
 #define SVC_OBS_CONCAT_INNER(a, b) a##b
 #define SVC_OBS_CONCAT(a, b) SVC_OBS_CONCAT_INNER(a, b)
 
 #define SVC_TRACE_SPAN(name) \
   ::svc::obs::ScopedSpan SVC_OBS_CONCAT(svc_trace_span_, __LINE__)(name)
-
-#else  // !SVC_METRICS_ENABLED
-
-#define SVC_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-
-#endif  // SVC_METRICS_ENABLED

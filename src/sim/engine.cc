@@ -156,9 +156,6 @@ bool Engine::TryStart(const workload::JobSpec& spec, double now) {
   // The manager keeps its own copy of the placement; hand this one's
   // buffer back to the allocator's recycling pool.
   core::RecycleVmBuffer(std::move(placement.vm_machine));
-  if (config_.events != nullptr) {
-    config_.events->Record(now, EventKind::kAdmit, spec.id);
-  }
   return true;
 }
 
@@ -290,10 +287,6 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
       ActiveJob& job = active_.at(meta_[f].job_id);
       --job.flows_left;
       job.last_flow_finish = end;
-      if (job.flows_left == 0 && config_.events != nullptr) {
-        config_.events->Record(end, EventKind::kNetworkDone,
-                               meta_[f].job_id);
-      }
       flows_[f] = std::move(flows_.back());
       flows_.pop_back();
       meta_[f] = meta_.back();
@@ -309,9 +302,6 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     const ActiveJob& job = it->second;
     if (job.flows_left == 0 && end >= job.compute_done - 1e-9) {
       completed.push_back(it->first);
-      if (config_.events != nullptr) {
-        config_.events->Record(end, EventKind::kComplete, it->first);
-      }
       it = active_.erase(it);
     } else {
       ++it;
@@ -328,7 +318,7 @@ void Engine::SetUplinkCables(topology::VertexId vertex, bool up) {
   }
 }
 
-void Engine::EvictJob(int64_t job_id, double now) {
+void Engine::EvictJob(int64_t job_id) {
   for (size_t f = 0; f < flows_.size();) {
     if (meta_[f].job_id == job_id) {
       flows_[f] = std::move(flows_.back());
@@ -340,9 +330,6 @@ void Engine::EvictJob(int64_t job_id, double now) {
     }
   }
   active_.erase(job_id);
-  if (config_.events != nullptr) {
-    config_.events->Record(now, EventKind::kEvict, job_id);
-  }
 }
 
 void Engine::RepathJob(int64_t job_id) {
@@ -405,9 +392,6 @@ bool Engine::ApplyFaultEvents(double now) {
       ++faults_injected_;
       tenants_affected_ += static_cast<int64_t>(outcome->tenants.size());
       SetUplinkCables(event.vertex, false);
-      if (config_.events != nullptr) {
-        config_.events->Record(now, EventKind::kFault, event.vertex);
-      }
       for (const core::TenantOutcome& tenant : outcome->tenants) {
         if (tenant.recovered) {
           ++tenants_recovered_;
@@ -415,7 +399,7 @@ bool Engine::ApplyFaultEvents(double now) {
           RepathJob(tenant.id);
         } else {
           ++tenants_evicted_;
-          EvictJob(tenant.id, now);
+          EvictJob(tenant.id);
         }
       }
     } else {
@@ -427,9 +411,6 @@ bool Engine::ApplyFaultEvents(double now) {
       }
       ++fault_recoveries_;
       SetUplinkCables(event.vertex, true);
-      if (config_.events != nullptr) {
-        config_.events->Record(now, EventKind::kRecover, event.vertex);
-      }
     }
     // Any applied event changes link capacities: invalidate the cached
     // max-min solution (the steady fast path must not replay stale rates)
@@ -466,10 +447,6 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
         continue;
       }
       if (UnallocatableEvenEmpty(queue.front())) {
-        if (config_.events != nullptr) {
-          config_.events->Record(now, EventKind::kSkipUnallocatable,
-                                 queue.front().id);
-        }
         // The head job cannot fit even in an empty datacenter; skip it
         // immediately so it neither deadlocks the batch nor stalls the
         // FIFO queue until the fabric drains.
@@ -486,7 +463,7 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
   // Faults precede admissions at the same instant, as in RunOnline.
   ApplyFaultEvents(now);
   admit_fifo();
-  // Quiesced here and at every loop bottom: an SLO breach latched during
+  // Quiesced here and at every loop bottom: a trigger latched during
   // admission dumps between admissions.
   obs::FlightRecorder::Global().MaybeTriggerPending();
   std::vector<int64_t> completed;
@@ -577,19 +554,12 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
     // then the samples the paper takes at every arrival.
     for (; next < jobs.size() && jobs[next].arrival_time <= now; ++next) {
       const workload::JobSpec& spec = jobs[next];
-      if (config_.events != nullptr) {
-        config_.events->Record(spec.arrival_time, EventKind::kArrival,
-                               spec.id);
-      }
       if (TryStart(spec, now)) {
         ++result.accepted;
         start_times[spec.id] = now;
         arrival_times[spec.id] = spec.arrival_time;
       } else {
         ++result.rejected;
-        if (config_.events != nullptr) {
-          config_.events->Record(now, EventKind::kReject, spec.id);
-        }
       }
       result.concurrency_samples.push_back(
           static_cast<int>(active_.size()));
@@ -599,8 +569,8 @@ OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
             manager_.ledger().MaxBackupShare());
       }
     }
-    // The admission group settled, so a latched SLO breach or
-    // inconsistency dumps here between admissions.
+    // The admission group settled, so a latched inconsistency dumps here
+    // between admissions.
     obs::FlightRecorder::Global().MaybeTriggerPending();
     if (active_.empty()) {
       // Idle period: jump to the next arrival instead of stepping through

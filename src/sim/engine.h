@@ -23,7 +23,6 @@
 
 #include "enforce/token_bucket.h"
 #include "obs/time_series.h"
-#include "sim/event_log.h"
 #include "sim/fault_injector.h"
 #include "sim/max_min.h"
 #include "sim/metrics.h"
@@ -84,8 +83,6 @@ struct SimConfig {
   // mark the flow set dirty, so the steady-tick fast path never replays
   // stale rates across a capacity change.
   FaultConfig faults;
-  // Optional structured event log (borrowed; must outlive the run).
-  EventLog* events = nullptr;
   // Optional JSONL time-series sink (borrowed; must outlive the run).  Every
   // `series_period` simulated seconds the engine appends one sample line
   // with the active-job/flow counts, busy/outage link counts, the mean and
@@ -182,7 +179,7 @@ class Engine {
   void SetUplinkCables(topology::VertexId vertex, bool up);
 
   // Removes all sim-side state of an evicted job (flows, active record).
-  void EvictJob(int64_t job_id, double now);
+  void EvictJob(int64_t job_id);
 
   const topology::Topology* topo_;
   SimConfig config_;

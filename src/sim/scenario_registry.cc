@@ -220,7 +220,7 @@ std::vector<Scenario> BuildRegistry() {
     s.arrivals.mode = "poisson";
     s.arrivals.load = 0.7;
     s.sweep.parameter = "quantile";
-    s.sweep.values = {0.5, 0.7, 0.8, 0.9, 0.95, 0.99};
+    s.sweep.values = {0.7, 0.8, 0.9, 0.95, 0.99};
     s.variants.push_back(Variant("q-VC", "percentile_vc"));
     VariantConfig mean = Variant("mean-VC", "mean_vc");
     mean.vc_quantile = 0.5;

@@ -262,15 +262,14 @@ util::Result<Placement> NetworkManager::Admit(const Request& request,
   SVC_TRACE_SPAN("manager/admit");
   const bool metrics = obs::MetricsEnabled();
   const bool decisions = obs::DecisionsEnabled();
-  const bool flight = obs::FlightRecorder::Global().enabled();
-  const bool timed = metrics || decisions || flight;
+  const bool timed = metrics || decisions;
   std::chrono::steady_clock::time_point start;
   if (metrics) BumpAllocatorCounter(allocator.name(), "attempt");
   if (timed) start = std::chrono::steady_clock::now();
   double alloc_us = 0;  // Allocate share of the end-to-end latency.
   // Records the outcome counter plus the allocation-latency histogram (the
-  // paper's allocation-time comparison, measured end to end per Admit),
-  // the decision-provenance record, and the flight recorder's SLO window.
+  // paper's allocation-time comparison, measured end to end per Admit) and
+  // the decision-provenance record.
   auto finish = [&](const char* outcome, bool admitted, const char* reason,
                     const std::vector<LinkDemand>* demands) {
     double micros = 0;
@@ -289,9 +288,6 @@ util::Result<Placement> NetworkManager::Admit(const Request& request,
       stages.apply_us = static_cast<float>(micros - alloc_us);
       RecordAdmissionDecision(request, allocator.name(), admitted, reason,
                               obs::CommitPath::kSerial, demands, stages);
-    }
-    if (flight) {
-      obs::FlightRecorder::Global().ObserveAdmission(admitted, micros);
     }
   };
   if (live_.count(request.id())) {

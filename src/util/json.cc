@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "obs/core.h"
+
 namespace svc::util {
 
 void JsonWriter::Separate() {
@@ -44,7 +46,7 @@ void JsonWriter::Key(const std::string& key) {
     if (has_element_.back()) out_ += ',';
     has_element_.back() = true;
   }
-  out_ += Escape(key);
+  obs::AppendJsonString(out_, key);
   out_ += ':';
   pending_key_ = true;
 }
@@ -77,35 +79,12 @@ void JsonWriter::Value(bool v) {
 
 void JsonWriter::Value(const std::string& v) {
   Separate();
-  out_ += Escape(v);
+  obs::AppendJsonString(out_, v);
 }
 
 void JsonWriter::Null() {
   Separate();
   out_ += "null";
-}
-
-std::string JsonWriter::Escape(const std::string& text) {
-  std::string result = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': result += "\\\""; break;
-      case '\\': result += "\\\\"; break;
-      case '\n': result += "\\n"; break;
-      case '\r': result += "\\r"; break;
-      case '\t': result += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          result += buffer;
-        } else {
-          result += c;
-        }
-    }
-  }
-  result += '"';
-  return result;
 }
 
 }  // namespace svc::util

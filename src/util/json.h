@@ -3,8 +3,10 @@
 //
 // Emits compact, valid JSON with keys in insertion order; commas and
 // nesting are handled by the writer so call sites read like the document.
-// Doubles are printed with enough digits to round-trip (%.17g) and
-// non-finite values — which JSON cannot represent — degrade to null.
+// Strings go through obs::AppendJsonString, the one escaper every JSON
+// emitter shares.  Doubles are printed with enough digits to round-trip
+// (%.17g) and non-finite values — which JSON cannot represent — degrade to
+// null.
 //
 //   util::JsonWriter w;
 //   w.BeginObject();
@@ -48,9 +50,6 @@ class JsonWriter {
 
   // The document so far.  Well-formed once every Begin* has been closed.
   const std::string& str() const { return out_; }
-
-  // Escapes `text` as a JSON string literal (with quotes).
-  static std::string Escape(const std::string& text);
 
  private:
   void Separate();  // emits the comma before a sibling element

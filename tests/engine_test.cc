@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "svc/homogeneous_search.h"
 #include "topology/builders.h"
@@ -116,6 +117,60 @@ TEST(Engine, UnallocatableJobSkippedNotDeadlocked) {
   EXPECT_EQ(result.unallocatable_jobs, 1);
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].id, 2);
+}
+
+TEST(Engine, BatchSkipRecordsOnlyTheFittingJob) {
+  // One machine of two slots: job 1 (50 VMs) is skipped as unallocatable,
+  // and job 2 is the one and only completion.
+  const topology::Topology topo = topology::BuildStar(1, 2, 1000);
+  core::HomogeneousDpAllocator alloc;
+  SimConfig config;
+  config.abstraction = workload::Abstraction::kSvc;
+  config.allocator = &alloc;
+  config.seed = 5;
+  Engine engine(topo, config);
+  const auto result = engine.RunBatch(
+      {MakeJob(1, 50, 20, 100, 20, 1000), MakeJob(2, 2, 20, 100, 20, 1000)});
+  EXPECT_EQ(result.unallocatable_jobs, 1);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].id, 2);
+  // Skipped at once: job 2 starts at t = 0, not after the fabric drains.
+  EXPECT_EQ(result.jobs[0].start_time, 0);
+  EXPECT_GE(result.jobs[0].running_time(), 20 - 1e-9);
+}
+
+TEST(Engine, OnlineJobRecordsAreConsistent) {
+  const topology::Topology topo = topology::BuildTwoTier(2, 2, 4, 1000, 2.0);
+  core::HomogeneousDpAllocator alloc;
+  SimConfig config;
+  config.abstraction = workload::Abstraction::kSvc;
+  config.allocator = &alloc;
+  config.seed = 4;
+  Engine engine(topo, config);
+  std::vector<workload::JobSpec> jobs;
+  for (int j = 0; j < 6; ++j) {
+    jobs.push_back(MakeJob(j + 1, 4, 20, 100, 20, 1000, j * 5.0));
+  }
+  const auto result = engine.RunOnline(jobs);
+
+  // Every job is admitted or rejected exactly once, and every admitted job
+  // completes exactly once.
+  EXPECT_EQ(result.accepted + result.rejected, 6);
+  EXPECT_GT(result.accepted, 0);
+  ASSERT_EQ(result.jobs.size(), static_cast<size_t>(result.accepted));
+  std::set<int64_t> ids;
+  for (const JobRecord& job : result.jobs) {
+    EXPECT_TRUE(ids.insert(job.id).second) << "job " << job.id;
+    // Online admission happens at the arrival tick, and a job runs at
+    // least its compute time.
+    EXPECT_GE(job.start_time, job.arrival_time);
+    EXPECT_LT(job.start_time - job.arrival_time, 1.0);
+    EXPECT_GE(job.running_time(), 20 - 1e-9);
+  }
+  // Records are appended in completion order.
+  for (size_t i = 1; i < result.jobs.size(); ++i) {
+    EXPECT_GE(result.jobs[i].finish_time, result.jobs[i - 1].finish_time);
+  }
 }
 
 TEST(Engine, OnlineRejectsWhenFull) {

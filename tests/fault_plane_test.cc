@@ -7,12 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/link_ledger.h"
+#include "obs/decision_log.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
-#include "sim/event_log.h"
 #include "sim/fault_injector.h"
 #include "svc/homogeneous_search.h"
 #include "svc/manager.h"
@@ -332,15 +333,17 @@ TEST(FaultSchedule, SameSeedSameBytesDifferentSeedDiffers) {
 
 // --- End-to-end engine replay ---
 
+// One fault-churn run; `decisions` receives its decision stream (every
+// admit, reject and eviction, in publication order).
 sim::OnlineResult RunChurn(const topology::Topology& topo,
                            const core::Allocator& alloc,
-                           RecoveryPolicy policy, sim::EventLog* events) {
+                           RecoveryPolicy policy,
+                           std::vector<obs::DecisionRecord>* decisions) {
   sim::SimConfig config;
   config.abstraction = workload::Abstraction::kSvc;
   config.allocator = &alloc;
   config.seed = 7;
   config.max_seconds = 20000;
-  config.events = events;
   config.faults.machine_mtbf_seconds = 400;
   config.faults.link_mtbf_seconds = 900;
   config.faults.mttr_seconds = 80;
@@ -361,8 +364,12 @@ sim::OnlineResult RunChurn(const topology::Topology& topo,
   std::vector<workload::JobSpec> jobs =
       gen.GenerateOnline(0.7, topo.total_slots());
 
+  obs::SetDecisionsEnabled(true);
+  obs::ClearDecisions();
   sim::Engine engine(topo, config);
   sim::OnlineResult result = engine.RunOnline(std::move(jobs));
+  *decisions = obs::CollectDecisions();
+  obs::SetDecisionsEnabled(false);
   EXPECT_TRUE(engine.manager().StateValid());
   return result;
 }
@@ -373,9 +380,9 @@ TEST(FaultEngine, FixedSeedReplaysBitIdentically) {
   for (const RecoveryPolicy policy :
        {RecoveryPolicy::kReallocate, RecoveryPolicy::kPatch,
         RecoveryPolicy::kEvict}) {
-    sim::EventLog events_a, events_b;
-    const sim::OnlineResult a = RunChurn(topo, alloc, policy, &events_a);
-    const sim::OnlineResult b = RunChurn(topo, alloc, policy, &events_b);
+    std::vector<obs::DecisionRecord> decisions_a, decisions_b;
+    const sim::OnlineResult a = RunChurn(topo, alloc, policy, &decisions_a);
+    const sim::OnlineResult b = RunChurn(topo, alloc, policy, &decisions_b);
     EXPECT_GT(a.faults_injected, 0) << "churn run injected no faults";
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_EQ(a.rejected, b.rejected);
@@ -390,9 +397,35 @@ TEST(FaultEngine, FixedSeedReplaysBitIdentically) {
               b.failure_outage.outage_link_seconds);
     EXPECT_EQ(a.failure_outage.busy_link_seconds,
               b.failure_outage.busy_link_seconds);
-    // The full event stream — every admit, reject, fault, evict, recover,
-    // completion, with timestamps — must match byte for byte.
-    EXPECT_EQ(events_a.ToCsv(), events_b.ToCsv());
+    // Every completed job's record — arrival, start and finish times —
+    // must match bit for bit, in completion order...
+    ASSERT_EQ(a.jobs.size(), b.jobs.size());
+    for (size_t i = 0; i < a.jobs.size(); ++i) {
+      SCOPED_TRACE("job record " + std::to_string(i));
+      EXPECT_EQ(a.jobs[i].id, b.jobs[i].id);
+      EXPECT_EQ(a.jobs[i].arrival_time, b.jobs[i].arrival_time);
+      EXPECT_EQ(a.jobs[i].start_time, b.jobs[i].start_time);
+      EXPECT_EQ(a.jobs[i].finish_time, b.jobs[i].finish_time);
+    }
+    // ...and so must the decision stream: every admit, reject and fault
+    // eviction, with its reason and binding links.
+    ASSERT_EQ(decisions_a.size(), decisions_b.size());
+    EXPECT_GE(decisions_a.size(),
+              static_cast<size_t>(a.accepted + a.rejected));
+    for (size_t i = 0; i < decisions_a.size(); ++i) {
+      SCOPED_TRACE("decision " + std::to_string(i));
+      const obs::DecisionRecord& x = decisions_a[i];
+      const obs::DecisionRecord& y = decisions_b[i];
+      EXPECT_EQ(x.tenant_id, y.tenant_id);
+      EXPECT_EQ(x.outcome, y.outcome);
+      EXPECT_EQ(x.path, y.path);
+      EXPECT_STREQ(x.reason, y.reason);
+      ASSERT_EQ(x.num_links, y.num_links);
+      for (int l = 0; l < x.num_links; ++l) {
+        EXPECT_EQ(x.links[l].link, y.links[l].link);
+        EXPECT_EQ(x.links[l].slack, y.links[l].slack);
+      }
+    }
     // recovery_latency_us is wall clock (explicitly nondeterministic), but
     // its cardinality is one entry per handled fault.
     EXPECT_EQ(a.recovery_latency_us.size(), b.recovery_latency_us.size());
@@ -410,12 +443,10 @@ TEST(FaultEngine, RunBatchAppliesScriptedFaults) {
   // lets the FIFO continue.  Accounting mirrors RunOnline's.
   const topology::Topology topo = topology::BuildStar(4, 4, 10000);
   core::HomogeneousDpAllocator alloc;
-  sim::EventLog events;
   sim::SimConfig config;
   config.allocator = &alloc;
   config.seed = 5;
   config.max_seconds = 5000;
-  config.events = &events;
   config.faults.policy = RecoveryPolicy::kEvict;
   // Job 1 occupies the whole fabric with long flows; job 2 queues behind
   // it and can only start once job 1 is evicted by the fault.
@@ -444,9 +475,6 @@ TEST(FaultEngine, RunBatchAppliesScriptedFaults) {
   EXPECT_EQ(result.fault_recoveries, 1);
   EXPECT_EQ(result.tenants_affected, 1);
   EXPECT_EQ(result.tenants_evicted, 1);
-  EXPECT_EQ(events.Filter(sim::EventKind::kFault).size(), 1u);
-  EXPECT_EQ(events.Filter(sim::EventKind::kRecover).size(), 1u);
-  EXPECT_EQ(events.Filter(sim::EventKind::kEvict).size(), 1u);
   // Job 2 completed after the fault freed the fabric.
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].id, 2);
@@ -458,12 +486,10 @@ TEST(FaultEngine, RunBatchAppliesScriptedFaults) {
 TEST(FaultEngine, ScriptedFaultEvictsAndRecovers) {
   const topology::Topology topo = topology::BuildStar(4, 4, 10000);
   core::HomogeneousDpAllocator alloc;
-  sim::EventLog events;
   sim::SimConfig config;
   config.allocator = &alloc;
   config.seed = 3;
   config.max_seconds = 5000;
-  config.events = &events;
   config.faults.policy = RecoveryPolicy::kEvict;
 
   workload::JobSpec job;
@@ -498,9 +524,6 @@ TEST(FaultEngine, ScriptedFaultEvictsAndRecovers) {
   EXPECT_EQ(result.tenants_evicted, 1);
   EXPECT_TRUE(engine2.manager().StateValid());
   EXPECT_TRUE(engine2.manager().Faults().empty());
-  EXPECT_EQ(events.Filter(sim::EventKind::kFault).size(), 4u);
-  EXPECT_EQ(events.Filter(sim::EventKind::kRecover).size(), 4u);
-  EXPECT_EQ(events.Filter(sim::EventKind::kEvict).size(), 1u);
 }
 
 }  // namespace

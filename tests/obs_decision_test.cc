@@ -1,9 +1,10 @@
 // Decision provenance + flight recorder: the per-thread decision rings
-// (wraparound, cross-thread seq merge, JSON schema), the admission paths
-// that populate them (serial Admit and the fault plane), the Prometheus
-// exposition, and the postmortem bundle contract — a fault-triggered
-// bundle must replay: parsing it back yields the evicting decision records
-// with their binding links.
+// (wraparound, cross-thread seq merge, JSON schema), the one JSON escaper
+// and the checked file writer every emitter shares, the admission paths
+// that populate the rings (serial Admit and the fault plane), the
+// Prometheus exposition, and the postmortem bundle contract — a
+// fault-triggered bundle must replay: parsing it back yields the evicting
+// decision records with their binding links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include "net/admission.h"
 #include "net/link_ledger.h"
+#include "obs/core.h"
 #include "obs/decision_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
@@ -24,6 +26,7 @@
 #include "svc/homogeneous_search.h"
 #include "svc/manager.h"
 #include "topology/builders.h"
+#include "util/json.h"
 
 namespace svc {
 namespace {
@@ -122,6 +125,55 @@ TEST(DecisionRecord, JsonSchemaIsStable) {
   EXPECT_NE(text.find("tenant 77"), std::string::npos) << text;
   EXPECT_NE(text.find("reject"), std::string::npos) << text;
   EXPECT_NE(text.find("fault-evict"), std::string::npos) << text;
+}
+
+// --- The one JSON escaper ------------------------------------------------
+
+TEST(JsonEscape, WriterAndDecisionJsonShareOneEscaper) {
+  struct Case {
+    std::string raw;
+    std::string escaped;  // without the surrounding quotes
+  };
+  const std::vector<Case> cases = {
+      {"a\"b", "a\\\"b"},
+      {"a\\b", "a\\\\b"},
+      {"a\nb", "a\\nb"},
+      {"a\rb", "a\\rb"},
+      {"a\tb", "a\\tb"},
+      {"a\x01z", "a\\u0001z"},
+      {"svc-dp", "svc-dp"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.escaped);
+    util::JsonWriter w;
+    w.Value(c.raw);
+    EXPECT_EQ(w.str(), "\"" + c.escaped + "\"");
+    obs::DecisionRecord rec;
+    rec.set_allocator(c.raw);
+    rec.set_reason(c.raw);
+    std::string json;
+    obs::AppendDecisionJson(json, rec);
+    EXPECT_NE(json.find("\"allocator\":\"" + c.escaped + "\","),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"reason\":\"" + c.escaped + "\","),
+              std::string::npos)
+        << json;
+  }
+}
+
+// --- Checked file writes --------------------------------------------------
+
+TEST(WriteFile, FullDeviceReturnsFalse) {
+  // /dev/full accepts the buffered write and fails the flush at close.
+  EXPECT_FALSE(obs::WriteFile("/dev/full", "{}\n"));
+  const std::filesystem::path ok =
+      std::filesystem::path(::testing::TempDir()) / "svc_write_file_ok.txt";
+  ASSERT_TRUE(obs::WriteFile(ok.string(), "{}\n"));
+  std::ifstream in(ok);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), "{}\n");
 }
 
 // --- Ring wraparound ------------------------------------------------------
@@ -309,10 +361,7 @@ TEST(FlightRecorder, FaultTriggeredBundleReplaysEvictingDecisions) {
   DecisionScope scope;
   obs::ClearDecisions();
   const std::filesystem::path dir = FreshFlightDir("svc_flight_fault");
-  obs::FlightRecorderConfig config;
-  config.dir = dir.string();
-  config.include_trace = false;
-  obs::FlightRecorder::Global().Configure(config);
+  obs::FlightRecorder::Global().Configure(dir.string());
 
   const topology::Topology topo = topology::BuildStar(4, 4, 10000);
   NetworkManager manager(topo, 0.05);
@@ -360,27 +409,50 @@ TEST(FlightRecorder, FaultTriggeredBundleReplaysEvictingDecisions) {
   obs::FlightRecorder::Global().Reset();
 }
 
-TEST(FlightRecorder, SloBreachLatchesOneDumpFromQuiescedPoint) {
+TEST(FlightRecorder, LatchTriggerDumpsOnceFromQuiescedPoint) {
   DecisionScope scope;
   obs::ClearDecisions();
-  const std::filesystem::path dir = FreshFlightDir("svc_flight_slo");
-  obs::FlightRecorderConfig config;
-  config.dir = dir.string();
-  config.include_trace = false;
-  config.rejection_rate_slo = 0.5;
-  config.slo_window = 8;
-  obs::FlightRecorder::Global().Configure(config);
-  // 8 observed admissions, 7 rejected: 87% > the 50% SLO — latched, not
-  // dumped (the dump waits for a quiesced point).
-  for (int i = 0; i < 8; ++i) {
-    obs::FlightRecorder::Global().ObserveAdmission(i == 0, 5.0);
+  const std::filesystem::path dir = FreshFlightDir("svc_flight_latch");
+  obs::FlightRecorder::Global().Configure(dir.string());
+  const size_t total = obs::FlightRecorder::kBundleDecisions + 88;
+  obs::DecisionRecord rec;
+  for (size_t i = 0; i < total; ++i) {
+    rec.tenant_id = static_cast<int64_t>(i);
+    obs::RecordDecision(rec);
   }
+  // A latch only records the trigger (its caller may be mid-admission);
+  // the first latch wins until it is dumped.
+  obs::FlightRecorder::Global().LatchTrigger("admission-inconsistency",
+                                             "job=7");
+  obs::FlightRecorder::Global().LatchTrigger("second", "ignored");
   EXPECT_EQ(obs::FlightRecorder::Global().bundles_written(), 0);
-  // The quiesced point drains the latch exactly once.
+  // The quiesced point drains the latch exactly once, into a bundle and
+  // its trace file.
   const std::string path = obs::FlightRecorder::Global().MaybeTriggerPending();
   ASSERT_FALSE(path.empty());
-  EXPECT_NE(path.find("slo-rejection"), std::string::npos);
+  EXPECT_NE(path.find("admission-inconsistency"), std::string::npos);
   EXPECT_TRUE(std::filesystem::exists(path));
+  const std::string trace =
+      path.substr(0, path.size() - std::string(".jsonl").size()) +
+      ".trace.json";
+  EXPECT_TRUE(std::filesystem::exists(trace)) << trace;
+  // The bundle keeps the newest kBundleDecisions records, oldest first.
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::vector<std::string> decisions;
+  for (const std::string& line : Lines(buffer.str())) {
+    if (line.find("\"type\":\"decision\"") != std::string::npos) {
+      decisions.push_back(line);
+    }
+  }
+  ASSERT_EQ(decisions.size(), obs::FlightRecorder::kBundleDecisions);
+  EXPECT_NE(decisions.front().find("\"tenant\":88,"), std::string::npos)
+      << decisions.front();
+  EXPECT_NE(decisions.back().find(
+                "\"tenant\":" + std::to_string(total - 1) + ","),
+            std::string::npos)
+      << decisions.back();
   EXPECT_EQ(obs::FlightRecorder::Global().MaybeTriggerPending(), "");
   EXPECT_EQ(obs::FlightRecorder::Global().bundles_written(), 1);
   obs::FlightRecorder::Global().Reset();

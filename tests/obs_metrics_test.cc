@@ -121,17 +121,17 @@ TEST(Histogram, AggregatesAcrossThreads) {
   EXPECT_DOUBLE_EQ(hist.Max(), 103.0);
 }
 
-TEST(Gauge, SetWinsAndAddAccumulates) {
+TEST(Gauge, SetIsLastWriteWins) {
   MetricsOn on;
   Gauge& gauge = Registry::Global().GetGauge("test/gauge");
   gauge.Reset();
+  EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
   gauge.Set(42.0);
   EXPECT_DOUBLE_EQ(gauge.Value(), 42.0);
-  gauge.Add(3.0);
-  gauge.Add(-1.0);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 44.0);
-  gauge.Set(7.0);  // Set() resets the accumulated deltas
+  gauge.Set(7.0);
   EXPECT_DOUBLE_EQ(gauge.Value(), 7.0);
+  gauge.Reset();
+  EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
 }
 
 TEST(Registry, InternsByNameAndCollectsSorted) {
