@@ -129,4 +129,19 @@ void AddBenchmarksMember(util::JsonWriter& w,
   w.EndArray();
 }
 
+void AddMetricsMember(util::JsonWriter& w) {
+  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
+  w.Key("metrics");
+  w.BeginObject();
+  w.Key("counters");
+  w.BeginObject();
+  for (const auto& c : snapshot.counters) w.Member(c.name, c.value);
+  w.EndObject();
+  w.Key("gauges");
+  w.BeginObject();
+  for (const auto& g : snapshot.gauges) w.Member(g.name, g.value);
+  w.EndObject();
+  w.EndObject();
+}
+
 }  // namespace svc::bench

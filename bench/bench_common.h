@@ -98,4 +98,8 @@ struct BenchRecord {
 void AddBenchmarksMember(util::JsonWriter& w,
                          const std::vector<BenchRecord>& records);
 
+// Appends a "metrics": {"counters": {...}, "gauges": {...}} member, a
+// snapshot of the metrics registry, to the currently open JSON object.
+void AddMetricsMember(util::JsonWriter& w);
+
 }  // namespace svc::bench

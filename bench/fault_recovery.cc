@@ -42,7 +42,6 @@
 
 #include "bench_common.h"
 #include "obs/core.h"
-#include "obs/metrics.h"
 #include "sim/sweep_runner.h"
 #include "util/strings.h"
 
@@ -146,9 +145,8 @@ int main(int argc, char** argv) {
   for (const auto& family : kFamilies) {
     for (size_t m = 0; m < scenario.sweep.values.size(); ++m) {
       const double mtbf = scenario.sweep.values[m];
-      const sim::OnlineResult& r =
-          sim::FindCell(result, family.label, static_cast<int>(m))
-              ->online_result;
+      const sim::RunResult& r =
+          sim::FindCell(result, family.label, static_cast<int>(m))->result;
       const sim::OutageStats steady = r.steady_outage();
       const double steady_rate = steady.OutageRate();
       const double failure_rate = r.failure_outage.OutageRate();
@@ -222,8 +220,8 @@ int main(int argc, char** argv) {
     drill.faults.scripted[1].time = drill.faults.scripted[0].time + mttr;
     const sim::ScenarioRunResult drill_result =
         bench::RunScenarioOrDie(drill, static_cast<int>(threads));
-    const sim::OnlineResult& r =
-        sim::FindCell(drill_result, "default", -1)->online_result;
+    const sim::RunResult& r =
+        sim::FindCell(drill_result, "default", -1)->result;
     const double steady_rate = r.steady_outage().OutageRate();
     drill_ok = steady_rate == 0.0 && r.tenants_switched > 0 &&
                r.tenants_evicted == 0 &&
@@ -258,18 +256,7 @@ int main(int argc, char** argv) {
   w.Member("mttr_seconds", mttr);
   w.Member("horizon_seconds", horizon);
   bench::AddBenchmarksMember(w, records);
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
-  w.Key("metrics");
-  w.BeginObject();
-  w.Key("counters");
-  w.BeginObject();
-  for (const auto& c : snapshot.counters) w.Member(c.name, c.value);
-  w.EndObject();
-  w.Key("gauges");
-  w.BeginObject();
-  for (const auto& g : snapshot.gauges) w.Member(g.name, g.value);
-  w.EndObject();
-  w.EndObject();
+  bench::AddMetricsMember(w);
   w.EndObject();
   if (!obs::WriteFile(out, w.str() + "\n")) return 1;
   std::printf("wrote %s\n", out.c_str());

@@ -52,8 +52,8 @@ std::string SvcLabel(const sim::Scenario& s) {
 // The quantiles `qs` of two cells' max-occupancy samples, side by side.
 Table OccupancyQuantiles(std::vector<std::string> header,
                          const std::vector<double>& qs,
-                         const sim::OnlineResult& a,
-                         const sim::OnlineResult& b) {
+                         const sim::RunResult& a,
+                         const sim::RunResult& b) {
   const stats::EmpiricalCdf a_cdf(a.max_occupancy_samples);
   const stats::EmpiricalCdf b_cdf(b.max_occupancy_samples);
   Table table(std::move(header));
@@ -79,13 +79,13 @@ std::vector<Column> AbstractionPanel() {
 }
 
 double Makespan(const sim::ScenarioCell& c) {
-  return c.batch.total_completion_time;
+  return c.result.total_completion_time;
 }
 double BatchRunningTime(const sim::ScenarioCell& c) {
-  return c.batch.MeanRunningTime();
+  return c.result.MeanRunningTime();
 }
 double RejectionPercent(const sim::ScenarioCell& c) {
-  return 100.0 * c.online_result.RejectionRate();
+  return 100.0 * c.result.RejectionRate();
 }
 
 // One row per sweep value, one column per variant, one metric per cell.
@@ -126,8 +126,8 @@ util::Result<Tables> Fig8(const sim::Scenario& s,
   const sim::ScenarioCell* svc_cell = find("SVC", 0);
   const sim::ScenarioCell* pct_cell = find("percentile-VC", 0);
   if (!find.status().ok()) return find.status();
-  const sim::OnlineResult& svc = svc_cell->online_result;
-  const sim::OnlineResult& pct = pct_cell->online_result;
+  const sim::RunResult& svc = svc_cell->result;
+  const sim::RunResult& pct = pct_cell->result;
   const std::string svc_label = SvcLabel(s);
 
   // Concurrency sampled at every arrival, downsampled to 12 points.
@@ -173,7 +173,7 @@ util::Result<Tables> Fig9(const sim::Scenario& s,
          OccupancyQuantiles(
              {"cdf", "SVC max-occupancy", "TIVC max-occupancy"},
              {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99},
-             cells[p].first->online_result, cells[p].second->online_result)});
+             cells[p].first->result, cells[p].second->result)});
   }
   return tables;
 }
@@ -189,8 +189,8 @@ util::Result<Tables> HeteroComparison(const sim::Scenario& s,
   if (!find.status().ok()) return find.status();
   Tables tables;
   for (int p = 0; p < Axes(s); ++p) {
-    const sim::OnlineResult& h = cells[p].first->online_result;
-    const sim::OnlineResult& f = cells[p].second->online_result;
+    const sim::RunResult& h = cells[p].first->result;
+    const sim::RunResult& f = cells[p].second->result;
     const std::string load = Percent(s.sweep.values[p]);
     tables.push_back(
         {"Hetero: max occupancy quantiles, load " + load + "%",
@@ -219,17 +219,17 @@ util::Result<Tables> GuaranteeValidation(
   Table table({"abstraction", "epsilon", "measured outage rate",
                "busy link-seconds", "rejection %"});
   auto add_row = [&table](const std::string& name, const std::string& epsilon,
-                          const sim::OnlineResult& cell) {
+                          const sim::RunResult& cell) {
     table.AddRow({name, epsilon, Table::Num(cell.outage.OutageRate(), 5),
                   std::to_string(cell.outage.busy_link_seconds),
                   Table::Num(100 * cell.RejectionRate(), 2)});
   };
   for (int p = 0; p < Axes(s); ++p) {
-    add_row("SVC", Table::Num(s.sweep.values[p], 2), svc[p]->online_result);
+    add_row("SVC", Table::Num(s.sweep.values[p], 2), svc[p]->result);
   }
   // Deterministic baselines: rate limiting makes outages impossible.
-  add_row("mean-VC", "-", mean->online_result);
-  add_row("percentile-VC", "-", pct->online_result);
+  add_row("mean-VC", "-", mean->result);
+  add_row("percentile-VC", "-", pct->result);
   return Tables{
       {"Guarantee validation: measured outage probability vs epsilon",
        std::move(table)}};
@@ -253,7 +253,7 @@ util::Result<Tables> AblationLocality(const sim::Scenario& s,
     Table table({"allocator", "rejection %", "mean placement level",
                  "median max-occ", "p95 max-occ"});
     for (const char* name : kAllocators) {
-      const sim::OnlineResult& r = (*cell++)->online_result;
+      const sim::RunResult& r = (*cell++)->result;
       const stats::EmpiricalCdf cdf(r.max_occupancy_samples);
       table.AddRow({name, Table::Num(100 * r.RejectionRate(), 2),
                     Table::Num(r.MeanPlacementLevel(), 2),
@@ -288,7 +288,7 @@ util::Result<Tables> AblationEnforcement(
                "makespan (s)", "outage rate"});
   auto cell = cells.begin();
   for (const auto& row : kRows) {
-    const sim::BatchResult& r = (*cell++)->batch;
+    const sim::RunResult& r = (*cell++)->result;
     table.AddRow({row.abstraction, row.enforcement,
                   Table::Num(r.MeanRunningTime(), 1),
                   Table::Num(r.total_completion_time, 0),
@@ -313,7 +313,7 @@ util::Result<Tables> AblationDistribution(
   auto cell = cells.begin();
   for (const char* distribution : kDistributions) {
     for (int p = 0; p < Axes(s); ++p) {
-      const sim::OnlineResult& r = (*cell++)->online_result;
+      const sim::RunResult& r = (*cell++)->result;
       table.AddRow({distribution, Table::Num(s.sweep.values[p], 2),
                     Table::Num(r.outage.OutageRate(), 5),
                     Table::Num(100 * r.RejectionRate(), 2),
@@ -333,7 +333,7 @@ util::Result<Tables> AblationEcmp(const sim::Scenario& s,
   Table table({"trunk width", "outage rate", "rejection %",
                "mean running time (s)"});
   for (int p = 0; p < Axes(s); ++p) {
-    const sim::OnlineResult& r = cells[p]->online_result;
+    const sim::RunResult& r = cells[p]->result;
     table.AddRow({std::to_string(static_cast<int64_t>(s.sweep.values[p])),
                   Table::Num(r.outage.OutageRate(), 5),
                   Table::Num(100 * r.RejectionRate(), 2),
@@ -355,17 +355,17 @@ util::Result<Tables> AblationPercentile(const sim::Scenario& s,
   Table table({"abstraction", "rejection %", "mean running time (s)",
                "mean concurrency"});
   auto add_row = [&table](const std::string& label,
-                          const sim::OnlineResult& r) {
+                          const sim::RunResult& r) {
     table.AddRow({label, Table::Num(100 * r.RejectionRate(), 2),
                   Table::Num(r.MeanRunningTime(), 1),
                   Table::Num(r.MeanConcurrency(), 1)});
   };
-  add_row("mean-VC", mean->online_result);
+  add_row("mean-VC", mean->result);
   for (int p = 0; p < Axes(s); ++p) {
     add_row("q-VC(q=" + Table::Num(s.sweep.values[p], 2) + ")",
-            q_vc[p]->online_result);
+            q_vc[p]->result);
   }
-  add_row(SvcLabel(s), svc->online_result);
+  add_row(SvcLabel(s), svc->result);
   return Tables{{"Ablation: deterministic percentile frontier vs SVC (load " +
                      Percent(s.arrivals.load) + "%)",
                  std::move(table)}};

@@ -30,7 +30,6 @@
 
 #include "bench_common.h"
 #include "obs/core.h"
-#include "obs/metrics.h"
 #include "scenario_reports.h"
 #include "sim/sweep_runner.h"
 #include "util/strings.h"
@@ -182,8 +181,8 @@ int main(int argc, char** argv) {
       w.Member("axis_value", cell.axis_value);
       w.Member("mode", cell.online ? "online" : "batch");
       w.Member("wall_s", cell.wall_s);
+      const sim::RunResult& r = cell.result;
       if (cell.online) {
-        const sim::OnlineResult& r = cell.online_result;
         w.Member("accepted", r.accepted);
         w.Member("rejected", r.rejected);
         w.Member("rejection_rate", r.RejectionRate());
@@ -196,7 +195,6 @@ int main(int argc, char** argv) {
                       util::Table::Num(r.MeanRunningTime(), 1),
                       util::Table::Num(r.outage.OutageRate(), 5)});
       } else {
-        const sim::BatchResult& r = cell.batch;
         w.Member("makespan_seconds", r.total_completion_time);
         w.Member("outage_rate", r.outage.OutageRate());
         w.Member("mean_running_seconds", r.MeanRunningTime());
@@ -222,18 +220,7 @@ int main(int argc, char** argv) {
     }
   }
   w.EndArray();
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
-  w.Key("metrics");
-  w.BeginObject();
-  w.Key("counters");
-  w.BeginObject();
-  for (const auto& c : snapshot.counters) w.Member(c.name, c.value);
-  w.EndObject();
-  w.Key("gauges");
-  w.BeginObject();
-  for (const auto& g : snapshot.gauges) w.Member(g.name, g.value);
-  w.EndObject();
-  w.EndObject();
+  bench::AddMetricsMember(w);
   w.EndObject();
   if (!out.empty()) {
     if (!obs::WriteFile(out, w.str() + "\n")) return 1;

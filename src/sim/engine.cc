@@ -79,7 +79,7 @@ bool Engine::TryStart(const workload::JobSpec& spec, double now) {
   }
   core::Placement& placement = *result;
   if (placement.subtree_root != topology::kNoVertex) {
-    placement_levels_.push_back(topo_->level(placement.subtree_root));
+    result_.placement_levels.push_back(topo_->level(placement.subtree_root));
   }
 
   ActiveJob job;
@@ -91,27 +91,26 @@ bool Engine::TryStart(const workload::JobSpec& spec, double now) {
 
   // One flow per task; every task is a source and a destination for exactly
   // one flow (paper's workload model), i.e. dst is a fixed-point-free
-  // permutation of the tasks.
-  std::vector<int> dst_of(spec.size);
+  // permutation of the tasks: a random derangement.  Links are full-duplex:
+  // per direction, a link that splits the job m / N-m carries about
+  // m*(N-m)/(N-1) * mu, between half of the hose-model demand
+  // min(m, N-m)*mu the SVC reservation is based on (at an even split) and
+  // all of it (when m << N).  Only the two directions combined,
+  // 2*m*(N-m)/(N-1) * mu, reach the hose demand, and only at an even split.
   if (spec.size > 1) {
-    if (config_.flow_pattern == FlowPattern::kRing) {
-      for (int i = 0; i < spec.size; ++i) dst_of[i] = (i + 1) % spec.size;
-    } else {
-      // Random derangement: shuffle, then use the cyclic structure of the
-      // shuffled order (i -> next in shuffled sequence), which has no fixed
-      // points and is exactly one big cycle over a random order.
-      std::vector<int> order(spec.size);
-      for (int i = 0; i < spec.size; ++i) order[i] = i;
-      for (int i = spec.size - 1; i > 0; --i) {
-        const int j = static_cast<int>(rng_.UniformInt(0, i));
-        std::swap(order[i], order[j]);
-      }
-      for (int i = 0; i < spec.size; ++i) {
-        dst_of[order[i]] = order[(i + 1) % spec.size];
-      }
+    // Shuffle, then use the cyclic structure of the shuffled order (i ->
+    // next in shuffled sequence), which has no fixed points and is exactly
+    // one big cycle over a random order.
+    std::vector<int> order(spec.size);
+    for (int i = 0; i < spec.size; ++i) order[i] = i;
+    for (int i = spec.size - 1; i > 0; --i) {
+      const int j = static_cast<int>(rng_.UniformInt(0, i));
+      std::swap(order[i], order[j]);
     }
-  }
-  if (spec.size > 1) {
+    std::vector<int> dst_of(spec.size);
+    for (int i = 0; i < spec.size; ++i) {
+      dst_of[order[i]] = order[(i + 1) % spec.size];
+    }
     for (int i = 0; i < spec.size; ++i) {
       const topology::VertexId src = placement.vm_machine[i];
       const topology::VertexId dst = placement.vm_machine[dst_of[i]];
@@ -193,7 +192,7 @@ void Engine::AppendSeriesSample(double now) {
   config_.series->Append(line);
 }
 
-void Engine::Step(double now, std::vector<int64_t>& completed) {
+void Engine::Step(double now, std::vector<JobRecord>& completed) {
   SVC_TRACE_SPAN("engine/step");
   const double dt = kTimeStep;
   const double end = now + dt;
@@ -259,17 +258,14 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
     }
   }
 
-  if (config_.measure_outage) {
-    busy_link_seconds_ += cached_busy_links_;
-    outage_link_seconds_ += cached_outage_links_;
-    // Epoch split: ticks with any element down are charged to the failure
-    // bucket too, so steady-epoch outage (where epsilon must still hold)
-    // can be reported separately from outage caused by the faults
-    // themselves.
-    if (failure_epoch_) {
-      failure_busy_link_seconds_ += cached_busy_links_;
-      failure_outage_link_seconds_ += cached_outage_links_;
-    }
+  result_.outage.busy_link_seconds += cached_busy_links_;
+  result_.outage.outage_link_seconds += cached_outage_links_;
+  // Epoch split: ticks with any element down are charged to the failure
+  // bucket too, so steady-epoch outage (where epsilon must still hold) can
+  // be reported separately from outage caused by the faults themselves.
+  if (failure_epoch_) {
+    result_.failure_outage.busy_link_seconds += cached_busy_links_;
+    result_.failure_outage.outage_link_seconds += cached_outage_links_;
   }
 
   SVC_METRIC_GAUGE_SET("engine/flows", static_cast<double>(flows_.size()));
@@ -301,7 +297,10 @@ void Engine::Step(double now, std::vector<int64_t>& completed) {
   for (auto it = active_.begin(); it != active_.end();) {
     const ActiveJob& job = it->second;
     if (job.flows_left == 0 && end >= job.compute_done - 1e-9) {
-      completed.push_back(it->first);
+      completed.push_back({.id = it->first,
+                           .arrival_time = job.spec.arrival_time,
+                           .start_time = job.start_time,
+                           .finish_time = end});
       it = active_.erase(it);
     } else {
       ++it;
@@ -360,11 +359,11 @@ bool Engine::ApplyFaultEvents(double now) {
       util::Result<core::FaultOutcome> drained =
           manager_.DrainMachine(event.vertex, *config_.allocator);
       if (drained) {
-        ++planned_drains_;
+        ++result_.planned_drains;
         for (const core::TenantOutcome& tenant : drained->tenants) {
           if (!tenant.recovered) continue;
-          ++tenants_migrated_;
-          if (tenant.switched_over) ++tenants_switched_;
+          ++result_.tenants_migrated;
+          if (tenant.switched_over) ++result_.tenants_switched;
           RepathJob(tenant.id);
         }
         if (!drained->tenants.empty()) flows_dirty_ = true;
@@ -385,20 +384,21 @@ bool Engine::ApplyFaultEvents(double now) {
                          << " skipped: " << outcome.status().ToText();
         continue;
       }
-      recovery_latency_us_.push_back(
+      result_.recovery_latency_us.push_back(
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - start)
               .count());
-      ++faults_injected_;
-      tenants_affected_ += static_cast<int64_t>(outcome->tenants.size());
+      ++result_.faults_injected;
+      result_.tenants_affected +=
+          static_cast<int64_t>(outcome->tenants.size());
       SetUplinkCables(event.vertex, false);
       for (const core::TenantOutcome& tenant : outcome->tenants) {
         if (tenant.recovered) {
-          ++tenants_recovered_;
-          if (tenant.switched_over) ++tenants_switched_;
+          ++result_.tenants_recovered;
+          if (tenant.switched_over) ++result_.tenants_switched;
           RepathJob(tenant.id);
         } else {
-          ++tenants_evicted_;
+          ++result_.tenants_evicted;
           EvictJob(tenant.id);
         }
       }
@@ -409,7 +409,7 @@ bool Engine::ApplyFaultEvents(double now) {
                          << " skipped: " << status.ToText();
         continue;
       }
-      ++fault_recoveries_;
+      ++result_.fault_recoveries;
       SetUplinkCables(event.vertex, true);
     }
     // Any applied event changes link capacities: invalidate the cached
@@ -422,10 +422,23 @@ bool Engine::ApplyFaultEvents(double now) {
   return applied;
 }
 
-BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
-  BatchResult result;
-  std::deque<workload::JobSpec> queue(jobs.begin(), jobs.end());
+RunResult Engine::RunBatch(std::vector<workload::JobSpec> jobs) {
+  // Every job is queued at t = 0, in the given order.
+  for (workload::JobSpec& job : jobs) job.arrival_time = 0;
+  return Run(jobs, Misfit::kWait);
+}
 
+RunResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
+  std::sort(jobs.begin(), jobs.end(),
+            [](const auto& lhs, const auto& rhs) {
+              return lhs.arrival_time < rhs.arrival_time;
+            });
+  return Run(jobs, Misfit::kReject);
+}
+
+RunResult Engine::Run(const std::vector<workload::JobSpec>& jobs,
+                      Misfit misfit) {
+  result_ = RunResult{};
   if (config_.faults.enabled()) {
     FaultConfig faults = config_.faults;
     if (faults.horizon_seconds <= 0) {
@@ -436,180 +449,85 @@ BatchResult Engine::RunBatch(const std::vector<workload::JobSpec>& jobs) {
   next_fault_ = 0;
   failure_epoch_ = false;
 
+  // jobs[0, decided) are decided; jobs[decided, offered) have arrived and
+  // wait in the FIFO (only under kWait does it outlast the instant).
+  size_t decided = 0;
+  size_t offered = 0;
+  bool retry = false;  // may the FIFO head fit now?
   double now = 0;
-  std::unordered_map<int64_t, double> start_times;
-  // Strict-FIFO admission of the queue head(s).
-  auto admit_fifo = [&] {
-    while (!queue.empty()) {
-      if (TryStart(queue.front(), now)) {
-        start_times[queue.front().id] = now;
-        queue.pop_front();
-        continue;
-      }
-      if (UnallocatableEvenEmpty(queue.front())) {
-        // The head job cannot fit even in an empty datacenter; skip it
-        // immediately so it neither deadlocks the batch nor stalls the
-        // FIFO queue until the fabric drains.
-        SVC_LOG(Debug) << "job " << queue.front().id
-                       << " unallocatable on an empty datacenter; skipped";
-        ++result.unallocatable_jobs;
-        queue.pop_front();
-        continue;
-      }
-      break;  // strict FIFO: wait for completions (or a recovery)
-    }
-  };
-
-  // Faults precede admissions at the same instant, as in RunOnline.
-  ApplyFaultEvents(now);
-  admit_fifo();
-  // Quiesced here and at every loop bottom: a trigger latched during
-  // admission dumps between admissions.
-  obs::FlightRecorder::Global().MaybeTriggerPending();
-  std::vector<int64_t> completed;
-  while (!active_.empty() || !queue.empty()) {
+  std::vector<JobRecord> completed;
+  while (decided < jobs.size() || !active_.empty()) {
     if (now >= config_.max_seconds) {
-      SVC_LOG(Error) << "batch simulation hit the max_seconds safety stop at "
+      SVC_LOG(Error) << "simulation hit the max_seconds safety stop at "
                      << now;
       break;
     }
+    // Faults precede admissions at the same instant: a job decided at the
+    // fault time already sees the degraded datacenter.
+    if (ApplyFaultEvents(now)) retry = true;
+    for (; offered < jobs.size() && jobs[offered].arrival_time <= now;
+         ++offered) {
+      retry = true;
+    }
+    for (; retry && decided < offered; ++decided) {
+      const workload::JobSpec& spec = jobs[decided];
+      if (TryStart(spec, now)) {
+        ++result_.accepted;
+      } else if (misfit == Misfit::kReject) {
+        ++result_.rejected;
+      } else if (UnallocatableEvenEmpty(spec)) {
+        // The head job cannot fit even in an empty datacenter; skip it
+        // immediately so it neither deadlocks the batch nor stalls the
+        // FIFO queue until the fabric drains.
+        SVC_LOG(Debug) << "job " << spec.id
+                       << " unallocatable on an empty datacenter; skipped";
+        ++result_.unallocatable_jobs;
+      } else {
+        break;  // strict FIFO: wait for a completion or a fault event
+      }
+      if (misfit == Misfit::kReject) {
+        // The samples the paper takes at every arrival.
+        result_.concurrency_samples.push_back(
+            static_cast<int>(active_.size()));
+        result_.max_occupancy_samples.push_back(manager_.MaxOccupancy());
+        if (config_.admission.survivability) {
+          result_.backup_share_samples.push_back(
+              manager_.ledger().MaxBackupShare());
+        }
+      }
+    }
+    retry = false;
+    // The admission group settled, so a latched inconsistency dumps here
+    // between admissions.
+    obs::FlightRecorder::Global().MaybeTriggerPending();
     if (active_.empty()) {
-      // Queue blocked with nothing running: only a scheduled recovery (or
-      // an eviction by a later fault — it frees capacity too) can change
-      // the verdict, so jump straight to the next fault event.
-      if (next_fault_ >= fault_schedule_.size()) break;
-      now = std::max(now, fault_schedule_[next_fault_].time);
-      ApplyFaultEvents(now);
-      admit_fifo();
+      // Idle: jump to the next arrival instead of stepping through empty
+      // seconds.  A job waiting in the FIFO with nothing running can only
+      // be helped by a scheduled recovery, so jump to the next fault event.
+      if (offered < jobs.size()) {
+        now = std::max(now, jobs[offered].arrival_time);
+      } else if (decided < jobs.size() &&
+                 next_fault_ < fault_schedule_.size()) {
+        now = std::max(now, fault_schedule_[next_fault_].time);
+        retry = true;
+      } else {
+        break;
+      }
       continue;
     }
     completed.clear();
     Step(now, completed);
     now += kTimeStep;
-    const bool capacity_changed = ApplyFaultEvents(now);
-    if (!completed.empty()) {
-      for (int64_t id : completed) {
-        manager_.Release(id);
-        JobRecord record;
-        record.id = id;
-        record.arrival_time = 0;
-        record.start_time = start_times.at(id);
-        record.finish_time = now;
-        result.jobs.push_back(record);
-        result.total_completion_time = now;
-      }
-    }
-    if (!completed.empty() || capacity_changed) admit_fifo();
-    obs::FlightRecorder::Global().MaybeTriggerPending();
-  }
-  obs::FlightRecorder::Global().MaybeTriggerPending();
-  result.simulated_seconds = now;
-  result.outage = {outage_link_seconds_, busy_link_seconds_};
-  result.failure_outage = {failure_outage_link_seconds_,
-                           failure_busy_link_seconds_};
-  result.placement_levels = placement_levels_;
-  result.faults_injected = faults_injected_;
-  result.fault_recoveries = fault_recoveries_;
-  result.tenants_affected = tenants_affected_;
-  result.tenants_recovered = tenants_recovered_;
-  result.tenants_evicted = tenants_evicted_;
-  result.tenants_switched = tenants_switched_;
-  result.planned_drains = planned_drains_;
-  result.tenants_migrated = tenants_migrated_;
-  result.recovery_latency_us = std::move(recovery_latency_us_);
-  return result;
-}
-
-OnlineResult Engine::RunOnline(std::vector<workload::JobSpec> jobs) {
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto& lhs, const auto& rhs) {
-              return lhs.arrival_time < rhs.arrival_time;
-            });
-  OnlineResult result;
-  size_t next = 0;
-  double now = 0;
-  std::vector<int64_t> completed;
-  std::unordered_map<int64_t, double> start_times;
-  std::unordered_map<int64_t, double> arrival_times;
-
-  if (config_.faults.enabled()) {
-    FaultConfig faults = config_.faults;
-    if (faults.horizon_seconds <= 0) {
-      faults.horizon_seconds = config_.max_seconds;
-    }
-    fault_schedule_ = BuildFaultSchedule(*topo_, faults);
-  }
-  next_fault_ = 0;
-  failure_epoch_ = false;
-
-  while (next < jobs.size() || !active_.empty()) {
-    if (now >= config_.max_seconds) {
-      SVC_LOG(Error) << "online simulation hit the max_seconds safety stop";
-      break;
-    }
-    // Faults precede arrivals at the same instant: an arrival at the fault
-    // time already sees the degraded datacenter.
-    ApplyFaultEvents(now);
-    // Per-arrival bookkeeping, in arrival order: the admission decision,
-    // then the samples the paper takes at every arrival.
-    for (; next < jobs.size() && jobs[next].arrival_time <= now; ++next) {
-      const workload::JobSpec& spec = jobs[next];
-      if (TryStart(spec, now)) {
-        ++result.accepted;
-        start_times[spec.id] = now;
-        arrival_times[spec.id] = spec.arrival_time;
-      } else {
-        ++result.rejected;
-      }
-      result.concurrency_samples.push_back(
-          static_cast<int>(active_.size()));
-      result.max_occupancy_samples.push_back(manager_.MaxOccupancy());
-      if (config_.admission.survivability) {
-        result.backup_share_samples.push_back(
-            manager_.ledger().MaxBackupShare());
-      }
-    }
-    // The admission group settled, so a latched inconsistency dumps here
-    // between admissions.
-    obs::FlightRecorder::Global().MaybeTriggerPending();
-    if (active_.empty()) {
-      // Idle period: jump to the next arrival instead of stepping through
-      // empty seconds.
-      if (next < jobs.size()) {
-        now = std::max(now, jobs[next].arrival_time);
-        continue;
-      }
-      break;
-    }
-    completed.clear();
-    Step(now, completed);
-    now += kTimeStep;
-    for (int64_t id : completed) {
-      manager_.Release(id);
-      JobRecord record;
-      record.id = id;
-      record.arrival_time = arrival_times.at(id);
-      record.start_time = start_times.at(id);
-      record.finish_time = now;
-      result.jobs.push_back(record);
+    for (const JobRecord& record : completed) {
+      manager_.Release(record.id);
+      result_.jobs.push_back(record);
+      result_.total_completion_time = now;
+      retry = true;
     }
   }
   obs::FlightRecorder::Global().MaybeTriggerPending();
-  result.simulated_seconds = now;
-  result.outage = {outage_link_seconds_, busy_link_seconds_};
-  result.failure_outage = {failure_outage_link_seconds_,
-                           failure_busy_link_seconds_};
-  result.placement_levels = placement_levels_;
-  result.faults_injected = faults_injected_;
-  result.fault_recoveries = fault_recoveries_;
-  result.tenants_affected = tenants_affected_;
-  result.tenants_recovered = tenants_recovered_;
-  result.tenants_evicted = tenants_evicted_;
-  result.tenants_switched = tenants_switched_;
-  result.planned_drains = planned_drains_;
-  result.tenants_migrated = tenants_migrated_;
-  result.recovery_latency_us = std::move(recovery_latency_us_);
-  return result;
+  result_.simulated_seconds = now;
+  return std::move(result_);
 }
 
 }  // namespace svc::sim

@@ -8,16 +8,18 @@
 // leaves it uncapped and the network's max-min fair sharing arbitrates —
 // the "statistical sharing" the paper's framework relies on.
 //
-// Two scenarios:
-//   RunBatch  — all jobs queued FIFO at t=0; whenever a job completes the
-//               topmost job(s) that fit are started (paper VI-B1).
+// Two scenarios share one run loop and differ only in what happens to a
+// job that does not fit when it is offered:
+//   RunBatch  — all jobs queued FIFO at t=0; a job that does not fit waits
+//               at the head until a completion or a fault event frees
+//               capacity, then the topmost job(s) that fit start (paper
+//               VI-B1).
 //   RunOnline — Poisson arrivals; a job that cannot be allocated at its
 //               arrival instant is rejected (paper VI-B2).  Concurrency and
 //               max-occupancy are sampled at every arrival.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -33,23 +35,6 @@
 #include "workload/workload.h"
 
 namespace svc::sim {
-
-// How a job's tasks are paired into flows.  Every task is a source and a
-// destination for exactly one flow (paper's workload model) — i.e. the
-// pairing is a fixed-point-free permutation of the tasks.
-enum class FlowPattern {
-  // dst(i) drawn as a random derangement.  Links are full-duplex: per
-  // direction, a link that splits the job m / N-m carries about
-  // m*(N-m)/(N-1) * mu, between half of the hose-model demand
-  // min(m, N-m)*mu the SVC reservation is based on (at an even split) and
-  // all of it (when m << N).  Only the two directions combined,
-  // 2*m*(N-m)/(N-1) * mu, reach the hose demand, and only at an even split.
-  kRandomPermutation,
-  // dst(i) = (i+1) mod N: a ring (pipeline-shaped jobs).  Only ~2 flows
-  // cross any link under contiguous placement — far below the hose bound,
-  // making the reservation very conservative for such jobs.
-  kRing,
-};
 
 // How deterministic reservations are enforced at the hypervisor (see
 // enforce/token_bucket.h).  SVC flows are never rate limited either way.
@@ -67,10 +52,8 @@ struct SimConfig {
   core::AdmissionOptions admission;
   double max_seconds = 2e6;        // safety stop, flagged in the result log
   uint64_t seed = 1;
-  FlowPattern flow_pattern = FlowPattern::kRandomPermutation;
-  // Count bandwidth outages: (link, second) pairs where offered demand
-  // exceeded capacity, over (link, second) pairs carrying any demand.
-  // This measures the paper's constraint (1) end to end.
+  // Unread: bandwidth outages are always counted (RunResult::outage).
+  // Kept because perfbench/src/workloads.cc assigns it.
   bool measure_outage = true;
   Enforcement enforcement = Enforcement::kHardCap;
   // Token-bucket depth as seconds of the reservation rate (B * this).
@@ -78,19 +61,20 @@ struct SimConfig {
   // Reserved percentile for Abstraction::kPercentileVc (paper: 0.95).
   double vc_quantile = 0.95;
   // Fault plane (RunOnline and RunBatch): seeded failure schedule +
-  // recovery policy.  Horizon defaults to max_seconds when left 0.  Fault
-  // events are applied before admissions at the same instant; fault events
-  // mark the flow set dirty, so the steady-tick fast path never replays
-  // stale rates across a capacity change.
+  // recovery policy.  Horizon defaults to max_seconds when left 0.  At each
+  // instant the jobs that finished are released first, then the fault
+  // events due are applied, then jobs are admitted; fault events mark the
+  // flow set dirty, so the steady-tick fast path never replays stale rates
+  // across a capacity change.
   FaultConfig faults;
   // Optional JSONL time-series sink (borrowed; must outlive the run).  Every
   // `series_period` simulated seconds the engine appends one sample line
   // with the active-job/flow counts, busy/outage link counts, the mean and
   // max offered link utilization, and the ledger's max occupancy.  The link
   // figures come from the max-min solver's offered-load sums on the last
-  // solved tick (a steady tick repeats them) and do not depend on
-  // measure_outage.  The sink may be shared by concurrent sweep replicas;
-  // lines carry the engine's seed to tell streams apart.
+  // solved tick (a steady tick repeats them).  The sink may be shared by
+  // concurrent sweep replicas; lines carry the engine's seed to tell
+  // streams apart.
   obs::TimeSeriesSink* series = nullptr;
   double series_period = 100.0;  // simulated seconds between samples
   // Cross-check every tick's max-min rates, bit for bit, against
@@ -110,8 +94,8 @@ class Engine {
  public:
   Engine(const topology::Topology& topo, SimConfig config);
 
-  BatchResult RunBatch(const std::vector<workload::JobSpec>& jobs);
-  OnlineResult RunOnline(std::vector<workload::JobSpec> jobs);
+  RunResult RunBatch(std::vector<workload::JobSpec> jobs);
+  RunResult RunOnline(std::vector<workload::JobSpec> jobs);
 
   const core::NetworkManager& manager() const { return manager_; }
 
@@ -145,6 +129,20 @@ class Engine {
     uint64_t ecmp_hash = 0;
   };
 
+  // What happens to a job that does not fit when it is offered.
+  enum class Misfit {
+    kWait,    // RunBatch: it waits at the FIFO head
+    kReject,  // RunOnline: it is rejected
+  };
+
+  // The run loop both scenarios share.  `jobs`, sorted by arrival_time,
+  // are offered once simulated time reaches it and decided in that order.
+  // Each instant releases the jobs that finished, applies the fault events
+  // due, then decides offered jobs; under kWait a waiting head is retried
+  // only after a completion, an applied fault event or an idle jump to the
+  // next fault event, since nothing else can make it fit.
+  RunResult Run(const std::vector<workload::JobSpec>& jobs, Misfit misfit);
+
   // The admission request a job spec maps to under the configured
   // abstraction (pure).
   core::Request MakeRequest(const workload::JobSpec& spec) const;
@@ -159,8 +157,9 @@ class Engine {
   // run and must not block the FIFO queue until the fabric drains.
   bool UnallocatableEvenEmpty(const workload::JobSpec& spec);
 
-  // Advances one time step; returns ids of jobs that completed at `now+dt`.
-  void Step(double now, std::vector<int64_t>& completed);
+  // Advances one time step; appends the records of the jobs that completed
+  // at `now+dt`.
+  void Step(double now, std::vector<JobRecord>& completed);
 
   // Asserts that the current flow rates equal an unfiltered max-min solve
   // (SimConfig.check_incremental).
@@ -170,9 +169,8 @@ class Engine {
   // the manager's HandleFault/HandleRecovery, drains/restores the cable
   // capacities the max-min solver sees, re-paths the flows of recovered
   // tenants, and drops the flows and active records of evicted jobs.
-  // Accounting lands in the fault accumulator members (both run modes
-  // share this path).  Returns true iff any event applied — capacity
-  // changed, so queued FIFO admissions are worth retrying.
+  // Accounting lands in result_.  Returns true iff any event applied —
+  // capacity changed, so queued FIFO admissions are worth retrying.
   bool ApplyFaultEvents(double now);
 
   // Drains (up=false) or restores (up=true) every cable of vertex's uplink.
@@ -194,11 +192,9 @@ class Engine {
   std::vector<FlowMeta> meta_;
   std::unordered_map<int64_t, ActiveJob> active_;
 
-  std::vector<int> placement_levels_;  // locality of accepted placements
-
-  // Outage totals (see SimConfig.measure_outage).
-  int64_t outage_link_seconds_ = 0;
-  int64_t busy_link_seconds_ = 0;
+  // The record of the current run: TryStart, Step and ApplyFaultEvents
+  // accumulate into it, and Run hands it back.
+  RunResult result_;
 
   // Incremental-step state: when the flow set and every desired rate are
   // unchanged since the previous tick, the max-min rates and the per-tick
@@ -209,25 +205,12 @@ class Engine {
   int64_t cached_outage_links_ = 0;  // over-capacity links at that solve
   std::vector<SimFlow> check_flows_;  // scratch for CheckIncrementalRates
 
-  // Fault-plane state (RunOnline): the pre-built schedule, a cursor into
-  // it, and whether any element is currently down (failure epoch — outage
+  // Fault-plane state: the pre-built schedule, a cursor into it, and
+  // whether any element is currently down (failure epoch — outage
   // accounting is split on this flag).
   std::vector<FaultEvent> fault_schedule_;
   size_t next_fault_ = 0;
   bool failure_epoch_ = false;
-  int64_t failure_outage_link_seconds_ = 0;
-  int64_t failure_busy_link_seconds_ = 0;
-  // Fault accounting shared by RunOnline and RunBatch (copied into the
-  // result record when the run finishes).
-  int64_t faults_injected_ = 0;
-  int64_t fault_recoveries_ = 0;
-  int64_t tenants_affected_ = 0;
-  int64_t tenants_recovered_ = 0;
-  int64_t tenants_evicted_ = 0;
-  int64_t tenants_switched_ = 0;
-  int64_t planned_drains_ = 0;
-  int64_t tenants_migrated_ = 0;
-  std::vector<double> recovery_latency_us_;
 
   // Re-paths every flow of `job_id` onto the tenant's current placement
   // with the original ECMP hashes (no fresh RNG draws).

@@ -18,8 +18,9 @@
 
 namespace svc::sim {
 
-// One scheduled fault-plane event, applied by Engine::RunOnline when
-// simulated time reaches `time`.
+// One scheduled fault-plane event, applied by Engine::RunOnline and
+// Engine::RunBatch when simulated time reaches `time`, after the jobs that
+// finished at that instant are released and before any job is admitted.
 struct FaultEvent {
   double time = 0;
   topology::VertexId vertex = topology::kNoVertex;

@@ -2,42 +2,29 @@
 
 namespace svc::sim {
 
-double BatchResult::MeanRunningTime() const {
-  if (jobs.empty()) return 0;
-  double sum = 0;
-  for (const JobRecord& job : jobs) sum += job.running_time();
-  return sum / static_cast<double>(jobs.size());
-}
-
 namespace {
-double MeanOf(const std::vector<int>& values) {
+template <typename T>
+double MeanOf(const std::vector<T>& values) {
   if (values.empty()) return 0;
   double sum = 0;
-  for (int v : values) sum += v;
+  for (const T& v : values) sum += v;
   return sum / static_cast<double>(values.size());
 }
 }  // namespace
 
-double BatchResult::MeanPlacementLevel() const {
-  return MeanOf(placement_levels);
+double RunResult::MeanConcurrency() const {
+  return MeanOf(concurrency_samples);
 }
 
-double OnlineResult::MeanPlacementLevel() const {
-  return MeanOf(placement_levels);
-}
-
-double OnlineResult::MeanConcurrency() const {
-  if (concurrency_samples.empty()) return 0;
-  double sum = 0;
-  for (int sample : concurrency_samples) sum += sample;
-  return sum / static_cast<double>(concurrency_samples.size());
-}
-
-double OnlineResult::MeanRunningTime() const {
+double RunResult::MeanRunningTime() const {
   if (jobs.empty()) return 0;
   double sum = 0;
   for (const JobRecord& job : jobs) sum += job.running_time();
   return sum / static_cast<double>(jobs.size());
+}
+
+double RunResult::MeanPlacementLevel() const {
+  return MeanOf(placement_levels);
 }
 
 }  // namespace svc::sim

@@ -1,12 +1,8 @@
-// Result records for the two evaluation scenarios.
+// The result record of a simulation run, shared by both disciplines.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "stats/ecdf.h"
-#include "stats/moments.h"
 
 namespace svc::sim {
 
@@ -34,44 +30,23 @@ struct OutageStats {
   }
 };
 
-struct BatchResult {
-  double total_completion_time = 0;  // makespan of the batch
-  std::vector<JobRecord> jobs;       // completed jobs
-  int64_t unallocatable_jobs = 0;    // skipped (could never fit even empty)
+// What one Engine::RunBatch or Engine::RunOnline run returns.  Both
+// disciplines fill every field but these:
+//   * unallocatable_jobs: RunBatch only.  A batch job that does not fit
+//     waits in the FIFO, so a batch run leaves `rejected` at 0.
+//   * rejected and the three per-arrival sample vectors: RunOnline only.
+// A batch run's job records all have arrival_time 0.
+struct RunResult {
+  std::vector<JobRecord> jobs;  // completed jobs, in completion order
+  int64_t accepted = 0;         // admitted jobs
+  int64_t rejected = 0;         // no fit at arrival
+  int64_t unallocatable_jobs = 0;  // skipped: no fit even on an empty fabric
+  double total_completion_time = 0;  // last completion: the batch makespan
   double simulated_seconds = 0;
   OutageStats outage;
   // Level of the subtree each accepted placement fit in (0 = one machine):
   // the locality metric the lowest-subtree rule optimizes.
   std::vector<int> placement_levels;
-
-  // --- Fault plane (SimConfig.faults; same semantics as OnlineResult) ---
-  int64_t faults_injected = 0;
-  int64_t fault_recoveries = 0;
-  int64_t tenants_affected = 0;
-  int64_t tenants_recovered = 0;
-  int64_t tenants_evicted = 0;
-  int64_t tenants_switched = 0;  // recovered by activating a backup group
-  int64_t planned_drains = 0;    // drain events applied
-  int64_t tenants_migrated = 0;  // moved off a machine by a planned drain
-  OutageStats failure_outage;
-  OutageStats steady_outage() const {
-    return {outage.outage_link_seconds - failure_outage.outage_link_seconds,
-            outage.busy_link_seconds - failure_outage.busy_link_seconds};
-  }
-  std::vector<double> recovery_latency_us;
-
-  // Mean running time per job, the Fig. 6 statistic.
-  double MeanRunningTime() const;
-  double MeanPlacementLevel() const;
-};
-
-struct OnlineResult {
-  std::vector<JobRecord> jobs;  // accepted & completed jobs
-  int64_t accepted = 0;
-  int64_t rejected = 0;
-  double simulated_seconds = 0;
-  OutageStats outage;
-  std::vector<int> placement_levels;  // see BatchResult
 
   // Sampled at every job arrival (paper Sections VI-B2/B3).
   std::vector<int> concurrency_samples;
@@ -108,8 +83,12 @@ struct OnlineResult {
     return total == 0 ? 0.0 : static_cast<double>(rejected) / total;
   }
   double MeanConcurrency() const;
+  // Mean running time per job, the Fig. 6 statistic.
   double MeanRunningTime() const;
   double MeanPlacementLevel() const;
 };
+
+// perfbench/src/workloads.cc names the record by its online-era name.
+using OnlineResult = RunResult;
 
 }  // namespace svc::sim

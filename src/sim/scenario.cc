@@ -546,11 +546,8 @@ ScenarioCell RunCell(const Scenario& s, const CellSpec& spec,
   cell.axis_value = spec.axis_value;
   cell.online = online;
   Engine engine(topo, config);
-  if (online) {
-    cell.online_result = engine.RunOnline(std::move(jobs));
-  } else {
-    cell.batch = engine.RunBatch(jobs);
-  }
+  cell.result = online ? engine.RunOnline(std::move(jobs))
+                        : engine.RunBatch(std::move(jobs));
   cell.wall_s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();

@@ -191,17 +191,18 @@ const std::vector<std::string>& RegisteredScenarioNames();
 
 // --- Execution ---
 
-// One finished grid cell.  Exactly one of batch / online is meaningful
-// (`online` tells which); `axis_index` is -1 for `once` variants.
+// One finished grid cell: `online` tells which run filled `result`
+// (RunOnline, else RunBatch; see RunResult for the fields each fills);
+// `axis_index` is -1 for `once` variants.
 struct ScenarioCell {
   std::string label;
   int axis_index = -1;
   double axis_value = 0;
   bool online = false;
-  BatchResult batch;
-  OnlineResult online_result;
-  // Wall-clock seconds the cell took, set-up included.  The one
-  // non-deterministic field: identity checks compare the others.
+  RunResult result;
+  // Wall-clock seconds the cell took, set-up included.  Like
+  // result.recovery_latency_us it is wall clock, so identity checks
+  // compare every other field.
   double wall_s = 0;
 };
 
@@ -223,8 +224,8 @@ struct ScenarioRunOptions {
 // Validates, expands the grid (axis-major over the non-`once` variants in
 // declaration order, then the `once` variants), and fans the cells across
 // a SweepRunner.  Every cell rebuilds its topology, workload, and engine
-// from the scenario's fixed seeds, so the results are bit-identical to the
-// legacy bespoke benches at any thread count.
+// from the scenario's fixed seeds, so the results are bit-identical at any
+// thread count.
 util::Result<ScenarioRunResult> RunScenario(
     const Scenario& scenario, const ScenarioRunOptions& options = {});
 

@@ -296,20 +296,6 @@ TEST(Engine, EmptyWorkload) {
   EXPECT_EQ(online.accepted + online.rejected, 0);
 }
 
-TEST(Engine, RingFlowPatternOption) {
-  const topology::Topology topo = topology::BuildStar(4, 1, 2000);
-  core::HomogeneousDpAllocator alloc;
-  SimConfig config;
-  config.abstraction = workload::Abstraction::kSvc;
-  config.allocator = &alloc;
-  config.seed = 22;
-  config.flow_pattern = FlowPattern::kRing;
-  Engine engine(topo, config);
-  const auto result = engine.RunBatch({MakeJob(1, 4, 10, 200, 20, 2000)});
-  ASSERT_EQ(result.jobs.size(), 1u);
-  EXPECT_GE(result.jobs[0].running_time(), 10 - 1e-9);
-}
-
 TEST(Engine, SvcJobsShareIdleBandwidth) {
   // One high-demand SVC job alone on an uncongested fabric finishes its
   // flows at nearly full draw rate (no cap), beating its mean-VC twin.

@@ -30,6 +30,14 @@ using core::NetworkManager;
 using core::RecoveryPolicy;
 using core::Request;
 
+// The metrics registry's current value of counter `name` (0 if unset).
+int64_t CounterValue(const std::string& name) {
+  for (const auto& c : obs::Registry::Global().Collect().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
 // --- Ledger fault state ---
 
 TEST(FaultLedger, SetLinkStateDrainsAndRestoresCapacity) {
@@ -273,16 +281,9 @@ TEST(FaultManager, ReleaseUnknownBumpsCounter) {
   const topology::Topology topo = topology::BuildStar(2, 2, 1000);
   NetworkManager manager(topo, 0.05);
   obs::SetMetricsEnabled(true);
-  const auto value_of = [] {
-    const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
-    for (const auto& c : snapshot.counters) {
-      if (c.name == "manager/release_unknown") return c.value;
-    }
-    return static_cast<decltype(snapshot.counters[0].value)>(0);
-  };
-  const auto before = value_of();
+  const int64_t before = CounterValue("manager/release_unknown");
   manager.Release(424242);
-  EXPECT_EQ(value_of(), before + 1);
+  EXPECT_EQ(CounterValue("manager/release_unknown"), before + 1);
   obs::SetMetricsEnabled(false);
 }
 
@@ -335,10 +336,9 @@ TEST(FaultSchedule, SameSeedSameBytesDifferentSeedDiffers) {
 
 // One fault-churn run; `decisions` receives its decision stream (every
 // admit, reject and eviction, in publication order).
-sim::OnlineResult RunChurn(const topology::Topology& topo,
-                           const core::Allocator& alloc,
-                           RecoveryPolicy policy,
-                           std::vector<obs::DecisionRecord>* decisions) {
+sim::RunResult RunChurn(const topology::Topology& topo,
+                        const core::Allocator& alloc, RecoveryPolicy policy,
+                        std::vector<obs::DecisionRecord>* decisions) {
   sim::SimConfig config;
   config.abstraction = workload::Abstraction::kSvc;
   config.allocator = &alloc;
@@ -367,7 +367,7 @@ sim::OnlineResult RunChurn(const topology::Topology& topo,
   obs::SetDecisionsEnabled(true);
   obs::ClearDecisions();
   sim::Engine engine(topo, config);
-  sim::OnlineResult result = engine.RunOnline(std::move(jobs));
+  sim::RunResult result = engine.RunOnline(std::move(jobs));
   *decisions = obs::CollectDecisions();
   obs::SetDecisionsEnabled(false);
   EXPECT_TRUE(engine.manager().StateValid());
@@ -381,8 +381,8 @@ TEST(FaultEngine, FixedSeedReplaysBitIdentically) {
        {RecoveryPolicy::kReallocate, RecoveryPolicy::kPatch,
         RecoveryPolicy::kEvict}) {
     std::vector<obs::DecisionRecord> decisions_a, decisions_b;
-    const sim::OnlineResult a = RunChurn(topo, alloc, policy, &decisions_a);
-    const sim::OnlineResult b = RunChurn(topo, alloc, policy, &decisions_b);
+    const sim::RunResult a = RunChurn(topo, alloc, policy, &decisions_a);
+    const sim::RunResult b = RunChurn(topo, alloc, policy, &decisions_b);
     EXPECT_GT(a.faults_injected, 0) << "churn run injected no faults";
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_EQ(a.rejected, b.rejected);
@@ -470,7 +470,7 @@ TEST(FaultEngine, RunBatchAppliesScriptedFaults) {
   config.faults.scripted.push_back(
       {200.0, topo.machines()[0], FaultKind::kMachine, /*fail=*/false});
   sim::Engine engine(topo, config);
-  const sim::BatchResult result = engine.RunBatch({big, small});
+  const sim::RunResult result = engine.RunBatch({big, small});
   EXPECT_EQ(result.faults_injected, 1);
   EXPECT_EQ(result.fault_recoveries, 1);
   EXPECT_EQ(result.tenants_affected, 1);
@@ -517,13 +517,74 @@ TEST(FaultEngine, ScriptedFaultEvictsAndRecovers) {
         {200.0, m, FaultKind::kMachine, /*fail=*/false});
   }
   sim::Engine engine2(topo, config);
-  const sim::OnlineResult result = engine2.RunOnline({job, late});
+  const sim::RunResult result = engine2.RunOnline({job, late});
   EXPECT_EQ(result.accepted, 2);
   EXPECT_EQ(result.faults_injected, 4);
   EXPECT_EQ(result.fault_recoveries, 4);
   EXPECT_EQ(result.tenants_evicted, 1);
   EXPECT_TRUE(engine2.manager().StateValid());
   EXPECT_TRUE(engine2.manager().Faults().empty());
+}
+
+// A fault due inside the tick in which a job finishes must not touch that
+// job: both disciplines release the jobs that finished at an instant before
+// they apply the fault events due then.  Jobs 1 and 2 share a machine; job
+// 1 finishes at t = 100, and the machine fails at t = 99.5, which the
+// engine applies at the t = 100 instant.  Only job 2 is still placed
+// there, so it is the one tenant affected and evicted, and job 1 is
+// released exactly once.
+TEST(FaultEngine, FinishedJobIsReleasedBeforeTheTicksFault) {
+  const topology::Topology topo = topology::BuildStar(4, 4, 10000);
+  core::HomogeneousDpAllocator alloc;
+  workload::JobSpec first;
+  first.id = 1;
+  first.size = 2;
+  first.compute_time = 100;
+  first.rate_mean = 100;
+  first.rate_stddev = 0;
+  first.flow_mbits = 10;
+  workload::JobSpec second = first;
+  second.id = 2;
+  second.compute_time = 400;
+
+  // The machine the allocator gives job 1 on the empty fabric.
+  NetworkManager probe(topo, 0.05);
+  const util::Result<core::Placement> placed = probe.Admit(
+      workload::MakeRequest(first, workload::Abstraction::kSvc, 0.95), alloc);
+  ASSERT_TRUE(placed) << placed.status().ToText();
+  const topology::VertexId machine = placed->vm_machine[0];
+
+  sim::SimConfig config;
+  config.allocator = &alloc;
+  config.seed = 5;
+  config.max_seconds = 5000;
+  config.faults.policy = RecoveryPolicy::kEvict;
+  config.faults.scripted.push_back(
+      {99.5, machine, FaultKind::kMachine, /*fail=*/true});
+  config.faults.scripted.push_back(
+      {300.0, machine, FaultKind::kMachine, /*fail=*/false});
+
+  obs::SetMetricsEnabled(true);
+  for (const bool online : {false, true}) {
+    SCOPED_TRACE(online ? "RunOnline" : "RunBatch");
+    const int64_t unknown = CounterValue("manager/release_unknown");
+    const int64_t evictions = CounterValue("fault/evictions");
+    sim::Engine engine(topo, config);
+    const sim::RunResult result = online ? engine.RunOnline({first, second})
+                                         : engine.RunBatch({first, second});
+    EXPECT_EQ(result.accepted, 2);
+    EXPECT_EQ(result.faults_injected, 1);
+    EXPECT_EQ(result.tenants_affected, 1);
+    EXPECT_EQ(result.tenants_evicted, 1);
+    EXPECT_EQ(CounterValue("fault/evictions"), evictions + 1);
+    EXPECT_EQ(CounterValue("manager/release_unknown"), unknown);
+    ASSERT_EQ(result.jobs.size(), 1u);
+    EXPECT_EQ(result.jobs[0].id, 1);
+    EXPECT_EQ(result.jobs[0].finish_time, 100);
+    EXPECT_EQ(engine.manager().live_count(), 0u);
+    EXPECT_TRUE(engine.manager().StateValid());
+  }
+  obs::SetMetricsEnabled(false);
 }
 
 }  // namespace

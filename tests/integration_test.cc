@@ -36,10 +36,10 @@ workload::WorkloadConfig MiniWorkload(int jobs) {
   return config;
 }
 
-OnlineResult RunOnline(const topology::Topology& topo,
-                       workload::Abstraction abstraction,
-                       const core::Allocator& alloc, double epsilon,
-                       double load, uint64_t seed, int jobs = 120) {
+RunResult RunOnline(const topology::Topology& topo,
+                    workload::Abstraction abstraction,
+                    const core::Allocator& alloc, double epsilon,
+                    double load, uint64_t seed, int jobs = 120) {
   workload::WorkloadConfig wconfig = MiniWorkload(jobs);
   workload::WorkloadGenerator gen(wconfig, seed);
   // GenerateOnline's lambda formula uses this workload's own means, so

@@ -190,8 +190,8 @@ TEST(MaxMinIncremental, EngineCrossCheckMatchesUncheckedRun) {
     }
     return engine.RunBatch(jobs);
   };
-  const BatchResult checked = run(true);
-  const BatchResult unchecked = run(false);
+  const RunResult checked = run(true);
+  const RunResult unchecked = run(false);
   EXPECT_EQ(checked.total_completion_time, unchecked.total_completion_time);
   EXPECT_EQ(checked.simulated_seconds, unchecked.simulated_seconds);
   EXPECT_EQ(checked.outage.outage_link_seconds,

@@ -21,45 +21,47 @@
 namespace svc::sim {
 namespace {
 
-// Every deterministic field of two cells must match exactly; the one
-// wall-clock output (recovery_latency_us) is excluded by contract (see
-// sim/metrics.h).
+// Every deterministic field of two cells must match exactly, whichever
+// discipline ran them; the wall-clock outputs (wall_s, and the values of
+// recovery_latency_us, whose count still matches) are excluded by contract
+// (see sim/metrics.h).
 void ExpectCellsIdentical(const ScenarioCell& a, const ScenarioCell& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.axis_index, b.axis_index);
   EXPECT_EQ(a.axis_value, b.axis_value);
-  ASSERT_EQ(a.online, b.online);
-  if (a.online) {
-    const OnlineResult& x = a.online_result;
-    const OnlineResult& y = b.online_result;
-    EXPECT_EQ(x.accepted, y.accepted);
-    EXPECT_EQ(x.rejected, y.rejected);
-    EXPECT_EQ(x.simulated_seconds, y.simulated_seconds);
-    EXPECT_EQ(x.outage.outage_link_seconds, y.outage.outage_link_seconds);
-    EXPECT_EQ(x.outage.busy_link_seconds, y.outage.busy_link_seconds);
-    EXPECT_EQ(x.placement_levels, y.placement_levels);
-    EXPECT_EQ(x.concurrency_samples, y.concurrency_samples);
-    EXPECT_EQ(x.max_occupancy_samples, y.max_occupancy_samples);
-    EXPECT_EQ(x.faults_injected, y.faults_injected);
-    EXPECT_EQ(x.tenants_affected, y.tenants_affected);
-    EXPECT_EQ(x.tenants_recovered, y.tenants_recovered);
-    EXPECT_EQ(x.tenants_evicted, y.tenants_evicted);
-    EXPECT_EQ(x.tenants_switched, y.tenants_switched);
-    ASSERT_EQ(x.jobs.size(), y.jobs.size());
-    for (size_t i = 0; i < x.jobs.size(); ++i) {
-      EXPECT_EQ(x.jobs[i].id, y.jobs[i].id);
-      EXPECT_EQ(x.jobs[i].arrival_time, y.jobs[i].arrival_time);
-      EXPECT_EQ(x.jobs[i].start_time, y.jobs[i].start_time);
-      EXPECT_EQ(x.jobs[i].finish_time, y.jobs[i].finish_time);
-    }
-  } else {
-    const BatchResult& x = a.batch;
-    const BatchResult& y = b.batch;
-    EXPECT_EQ(x.total_completion_time, y.total_completion_time);
-    EXPECT_EQ(x.unallocatable_jobs, y.unallocatable_jobs);
-    EXPECT_EQ(x.simulated_seconds, y.simulated_seconds);
-    EXPECT_EQ(x.placement_levels, y.placement_levels);
-    EXPECT_EQ(x.jobs.size(), y.jobs.size());
+  EXPECT_EQ(a.online, b.online);
+  const RunResult& x = a.result;
+  const RunResult& y = b.result;
+  EXPECT_EQ(x.accepted, y.accepted);
+  EXPECT_EQ(x.rejected, y.rejected);
+  EXPECT_EQ(x.unallocatable_jobs, y.unallocatable_jobs);
+  EXPECT_EQ(x.total_completion_time, y.total_completion_time);
+  EXPECT_EQ(x.simulated_seconds, y.simulated_seconds);
+  EXPECT_EQ(x.outage.outage_link_seconds, y.outage.outage_link_seconds);
+  EXPECT_EQ(x.outage.busy_link_seconds, y.outage.busy_link_seconds);
+  EXPECT_EQ(x.placement_levels, y.placement_levels);
+  EXPECT_EQ(x.concurrency_samples, y.concurrency_samples);
+  EXPECT_EQ(x.max_occupancy_samples, y.max_occupancy_samples);
+  EXPECT_EQ(x.backup_share_samples, y.backup_share_samples);
+  EXPECT_EQ(x.faults_injected, y.faults_injected);
+  EXPECT_EQ(x.fault_recoveries, y.fault_recoveries);
+  EXPECT_EQ(x.tenants_affected, y.tenants_affected);
+  EXPECT_EQ(x.tenants_recovered, y.tenants_recovered);
+  EXPECT_EQ(x.tenants_evicted, y.tenants_evicted);
+  EXPECT_EQ(x.tenants_switched, y.tenants_switched);
+  EXPECT_EQ(x.planned_drains, y.planned_drains);
+  EXPECT_EQ(x.tenants_migrated, y.tenants_migrated);
+  EXPECT_EQ(x.failure_outage.outage_link_seconds,
+            y.failure_outage.outage_link_seconds);
+  EXPECT_EQ(x.failure_outage.busy_link_seconds,
+            y.failure_outage.busy_link_seconds);
+  EXPECT_EQ(x.recovery_latency_us.size(), y.recovery_latency_us.size());
+  ASSERT_EQ(x.jobs.size(), y.jobs.size());
+  for (size_t i = 0; i < x.jobs.size(); ++i) {
+    EXPECT_EQ(x.jobs[i].id, y.jobs[i].id);
+    EXPECT_EQ(x.jobs[i].arrival_time, y.jobs[i].arrival_time);
+    EXPECT_EQ(x.jobs[i].start_time, y.jobs[i].start_time);
+    EXPECT_EQ(x.jobs[i].finish_time, y.jobs[i].finish_time);
   }
 }
 

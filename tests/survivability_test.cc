@@ -588,7 +588,7 @@ TEST(SurvivableEngine, PlannedDrainMigratesWithoutEviction) {
   sim::AppendPlannedDrain(target, 100.0, 150.0, &config.faults.scripted);
 
   sim::Engine engine(topo, config);
-  const sim::OnlineResult result = engine.RunOnline({job, late});
+  const sim::RunResult result = engine.RunOnline({job, late});
   EXPECT_EQ(result.accepted, 2);
   EXPECT_EQ(result.planned_drains, 1);
   EXPECT_EQ(result.tenants_migrated, 1);

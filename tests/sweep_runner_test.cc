@@ -116,7 +116,7 @@ TEST(SweepRunner, SerialRunnerExecutesInline) {
 }
 
 // The headline guarantee: full simulation replicas fanned across 4 threads
-// produce field-for-field identical BatchResults to the serial baseline.
+// produce field-for-field identical RunResults to the serial baseline.
 TEST(SweepRunner, ParallelSweepBitIdenticalToSerial) {
   const topology::Topology topo = topology::BuildStar(16, 2, 2000);
   core::HomogeneousDpAllocator alloc;
@@ -127,7 +127,7 @@ TEST(SweepRunner, ParallelSweepBitIdenticalToSerial) {
   wconfig.rate_means = {100, 200, 300};
 
   auto make_tasks = [&] {
-    std::vector<std::function<BatchResult()>> tasks;
+    std::vector<std::function<RunResult()>> tasks;
     for (uint64_t k = 0; k < 8; ++k) {
       tasks.push_back([&, k] {
         const uint64_t seed = 7 + 1000 * k;
@@ -149,8 +149,8 @@ TEST(SweepRunner, ParallelSweepBitIdenticalToSerial) {
   const auto actual = parallel.Run(make_tasks());
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    const BatchResult& a = expected[i];
-    const BatchResult& b = actual[i];
+    const RunResult& a = expected[i];
+    const RunResult& b = actual[i];
     EXPECT_EQ(a.total_completion_time, b.total_completion_time)
         << "replica " << i;
     EXPECT_EQ(a.simulated_seconds, b.simulated_seconds) << "replica " << i;
