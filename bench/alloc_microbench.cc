@@ -7,13 +7,13 @@
 // BENCH_ALLOC.json) for tools/bench_diff.py.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
-#include "bench_common.h"
 #include "obs/core.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,6 +25,7 @@
 #include "svc/manager.h"
 #include "svc/scratch_arena.h"
 #include "topology/builders.h"
+#include "util/json.h"
 
 namespace {
 
@@ -235,13 +236,39 @@ void BM_HomogeneousDpSteadyAllocsObsOn(benchmark::State& state) {
 }
 BENCHMARK(BM_HomogeneousDpSteadyAllocsObsOn);
 
+// One benchmark result as the --json file records it.
+struct BenchRecord {
+  std::string name;
+  int64_t iterations = 0;
+  double real_ns_per_iter = 0;
+  double cpu_ns_per_iter = 0;
+  std::vector<std::pair<std::string, double>> counters;
+};
+
+// Appends a "benchmarks": [...] member to the currently open JSON object.
+void AddBenchmarksMember(util::JsonWriter& w,
+                         const std::vector<BenchRecord>& records) {
+  w.Key("benchmarks");
+  w.BeginArray();
+  for (const BenchRecord& record : records) {
+    w.BeginObject();
+    w.Member("name", record.name);
+    w.Member("iterations", record.iterations);
+    w.Member("real_ns_per_iter", record.real_ns_per_iter);
+    w.Member("cpu_ns_per_iter", record.cpu_ns_per_iter);
+    for (const auto& [key, value] : record.counters) w.Member(key, value);
+    w.EndObject();
+  }
+  w.EndArray();
+}
+
 // Console output plus a capture of every run for the --json emitter.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      svc::bench::BenchRecord record;
+      BenchRecord record;
       record.name = run.benchmark_name();
       record.iterations = run.iterations;
       if (run.iterations > 0) {
@@ -258,12 +285,12 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<svc::bench::BenchRecord>& records() const {
+  const std::vector<BenchRecord>& records() const {
     return records_;
   }
 
  private:
-  std::vector<svc::bench::BenchRecord> records_;
+  std::vector<BenchRecord> records_;
 };
 
 }  // namespace
@@ -292,7 +319,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     svc::util::JsonWriter w;
     w.BeginObject();
-    svc::bench::AddBenchmarksMember(w, reporter.records());
+    AddBenchmarksMember(w, reporter.records());
     w.EndObject();
     if (!svc::obs::WriteFile(json_path, w.str() + "\n")) return 1;
     std::printf("wrote %s\n", json_path.c_str());

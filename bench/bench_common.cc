@@ -113,22 +113,6 @@ void EmitTable(const std::string& title, const util::Table& table, bool csv) {
   if (csv) std::printf("--- csv ---\n%s\n", table.ToCsv().c_str());
 }
 
-void AddBenchmarksMember(util::JsonWriter& w,
-                         const std::vector<BenchRecord>& records) {
-  w.Key("benchmarks");
-  w.BeginArray();
-  for (const BenchRecord& record : records) {
-    w.BeginObject();
-    w.Member("name", record.name);
-    w.Member("iterations", record.iterations);
-    w.Member("real_ns_per_iter", record.real_ns_per_iter);
-    w.Member("cpu_ns_per_iter", record.cpu_ns_per_iter);
-    for (const auto& [key, value] : record.counters) w.Member(key, value);
-    w.EndObject();
-  }
-  w.EndArray();
-}
-
 void AddMetricsMember(util::JsonWriter& w) {
   const obs::MetricsSnapshot snapshot = obs::Registry::Global().Collect();
   w.Key("metrics");

@@ -1,13 +1,10 @@
-// Shared scaffolding for the experiment drivers (scenario_run,
-// fault_recovery) and alloc_microbench: the observability flags and the
-// ObsScope that arms them, a die-on-error scenario run, table output, and the
-// BENCH_*.json record writer.  EXPERIMENTS.md records the paper-vs-measured
-// comparison for each figure.
+// Scaffolding for scenario_run: the observability flags and the ObsScope
+// that arms them, a die-on-error scenario run, table output, and the JSON
+// metrics block.  EXPERIMENTS.md records the paper-vs-measured comparison
+// for each figure.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/time_series.h"
 #include "sim/scenario.h"
@@ -18,9 +15,8 @@
 namespace svc::bench {
 
 // The five observability flags (--metrics-out, --trace-out,
-// --series-period, --decisions-out, --flight-dir), declared once for every
-// binary that arms an ObsScope.  Empty paths disable the corresponding
-// output.
+// --series-period, --decisions-out, --flight-dir) that an ObsScope arms.
+// Empty paths disable the corresponding output.
 class ObsFlags {
  public:
   explicit ObsFlags(util::FlagSet& flags);
@@ -83,20 +79,6 @@ sim::ScenarioRunResult RunScenarioOrDie(const sim::Scenario& scenario,
 // Prints the table plus a trailing blank line; also echoes CSV when `csv`
 // is set (pass the --csv flag value through).
 void EmitTable(const std::string& title, const util::Table& table, bool csv);
-
-// One timed benchmark result for the JSON emitters (alloc_microbench
-// --json and fault_recovery's BENCH_FAULT.json share this shape).
-struct BenchRecord {
-  std::string name;
-  int64_t iterations = 0;
-  double real_ns_per_iter = 0;
-  double cpu_ns_per_iter = 0;
-  std::vector<std::pair<std::string, double>> counters;
-};
-
-// Appends a "benchmarks": [...] member to the currently open JSON object.
-void AddBenchmarksMember(util::JsonWriter& w,
-                         const std::vector<BenchRecord>& records);
 
 // Appends a "metrics": {"counters": {...}, "gauges": {...}} member, a
 // snapshot of the metrics registry, to the currently open JSON object.

@@ -371,6 +371,99 @@ util::Result<Tables> AblationPercentile(const sim::Scenario& s,
                  std::move(table)}};
 }
 
+// --- The fault plane ---
+
+double Mean(const std::vector<double>& samples) {
+  if (samples.empty()) return 0.0;
+  double sum = 0;
+  for (double s : samples) sum += s;
+  return sum / static_cast<double>(samples.size());
+}
+
+double Max(const std::vector<double>& samples) {
+  double max = 0;
+  for (double s : samples) max = std::max(max, s);
+  return max;
+}
+
+// fault_recovery and fault_correlated: one row per variant and MTBF, the
+// policy and survivability read from the variant (or inherited from the
+// scenario).  The first table is the recovery outcome; the second the
+// fault rate, the planned drains and the backup bandwidth held in reserve
+// (worst link, sampled at arrivals) against the share of affected tenants
+// a backup activation recovered.
+util::Result<Tables> FaultChurn(const sim::Scenario& s,
+                                const sim::ScenarioRunResult& result) {
+  CellFinder find(result);
+  std::vector<const sim::ScenarioCell*> cells;
+  for (const sim::VariantConfig& v : s.variants) {
+    for (int p = 0; p < Axes(s); ++p) cells.push_back(find(v.label, p));
+  }
+  if (!find.status().ok()) return find.status();
+  Table recovery({"policy", "surv", "mtbf", "faults", "recovered",
+                  "switched", "evicted", "rej rate", "steady outage",
+                  "failure outage"});
+  Table reserve({"policy", "surv", "mtbf", "faults/s", "drains", "migrated",
+                 "backup share mean", "backup share max", "backup used"});
+  auto cell = cells.begin();
+  for (const sim::VariantConfig& v : s.variants) {
+    const std::string policy = v.policy.empty() ? s.faults.policy : v.policy;
+    const bool survivable =
+        v.survivable < 0 ? s.admission.survivability : v.survivable == 1;
+    const std::string surv = survivable ? "on" : "off";
+    for (int p = 0; p < Axes(s); ++p) {
+      const sim::RunResult& r = (*cell++)->result;
+      const std::string mtbf = Table::Num(s.sweep.values[p], 0);
+      recovery.AddRow({policy, surv, mtbf, std::to_string(r.faults_injected),
+                       std::to_string(r.tenants_recovered),
+                       std::to_string(r.tenants_switched),
+                       std::to_string(r.tenants_evicted),
+                       Table::Num(r.RejectionRate(), 4),
+                       Table::Num(r.steady_outage().OutageRate(), 5),
+                       Table::Num(r.failure_outage.OutageRate(), 5)});
+      const double faults_per_s =
+          r.simulated_seconds > 0 ? r.faults_injected / r.simulated_seconds
+                                  : 0.0;
+      const double backup_used =
+          r.tenants_affected > 0
+              ? static_cast<double>(r.tenants_switched) / r.tenants_affected
+              : 0.0;
+      reserve.AddRow({policy, surv, mtbf, Table::Num(faults_per_s, 4),
+                      std::to_string(r.planned_drains),
+                      std::to_string(r.tenants_migrated),
+                      Table::Num(Mean(r.backup_share_samples), 4),
+                      Table::Num(Max(r.backup_share_samples), 4),
+                      Table::Num(backup_used, 4)});
+    }
+  }
+  return Tables{
+      {"Fault recovery: failure churn vs recovery policy",
+       std::move(recovery)},
+      {"Fault recovery: fault rate, planned drains and backup reservation",
+       std::move(reserve)}};
+}
+
+// fault_drill: one backup-covered machine failure under sigma = 0 jobs,
+// which must end with zero steady outage and every affected tenant
+// switched over.
+util::Result<Tables> FaultDrill(const sim::Scenario&,
+                                const sim::ScenarioRunResult& result) {
+  CellFinder find(result);
+  const sim::ScenarioCell* drill = find("default", -1);
+  if (!find.status().ok()) return find.status();
+  const sim::RunResult& r = drill->result;
+  Table table({"affected", "switched", "evicted", "steady outage",
+               "failure outage", "backup share max"});
+  table.AddRow({std::to_string(r.tenants_affected),
+                std::to_string(r.tenants_switched),
+                std::to_string(r.tenants_evicted),
+                Table::Num(r.steady_outage().OutageRate(), 5),
+                Table::Num(r.failure_outage.OutageRate(), 5),
+                Table::Num(Max(r.backup_share_samples), 4)});
+  return Tables{{"Switchover drill: one backup-covered machine failure",
+                 std::move(table)}};
+}
+
 const std::vector<std::pair<std::string, Report>>& Reports() {
   static const std::vector<std::pair<std::string, Report>> reports = {
       {"fig5", Pivot("Fig. 5: total completion time (s) of batched jobs",
@@ -395,6 +488,9 @@ const std::vector<std::pair<std::string, Report>>& Reports() {
       {"ablation_distribution", AblationDistribution},
       {"ablation_ecmp", AblationEcmp},
       {"ablation_percentile", AblationPercentile},
+      {"fault_recovery", FaultChurn},
+      {"fault_correlated", FaultChurn},
+      {"fault_drill", FaultDrill},
   };
   return reports;
 }

@@ -1,5 +1,6 @@
 // Per-scenario report tables: the series each paper figure and ablation
-// plots, printed by scenario_run after a scenario's generic cell table.
+// plots, and the fault scenarios' recovery tables, printed by scenario_run
+// after a scenario's generic cell table.
 //
 // A report is keyed by scenario name and reads that scenario's cells by
 // variant label and sweep index.  Every value in a title comes from the

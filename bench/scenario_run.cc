@@ -1,9 +1,10 @@
 // scenario_run: the one experiment front end.  Every figure, ablation and
 // fault scenario is a named registry entry (sim/scenario.h); this binary
 // runs any of them, or a scenario JSON file, with the shared observability
-// flags, prints each scenario's generic cell table and then its figure or
-// ablation report (bench/scenario_reports.h), and writes a machine-readable
-// BENCH_SCENARIO.json summary keyed by the scenario's config hash.
+// flags, prints each scenario's generic cell table and then its figure,
+// ablation or fault report (bench/scenario_reports.h), and writes a
+// machine-readable BENCH_SCENARIO.json summary keyed by the scenario's
+// config hash.
 //
 //   scenario_run --list                      # registry inventory
 //   scenario_run --scenario fig7             # run one registry entry
@@ -32,7 +33,6 @@
 #include "obs/core.h"
 #include "scenario_reports.h"
 #include "sim/sweep_runner.h"
-#include "util/strings.h"
 
 namespace {
 

@@ -186,7 +186,7 @@ class LinkLedger {
   // Fraction of link v's occupancy held by backup reservations: worst-case
   // occupancy minus no-failure occupancy, clamped to [0, 1] and 0 when
   // either side is non-finite (drained link).  The "backup bandwidth tax"
-  // statistic for bench/fault_recovery.
+  // statistic of the fault scenarios' reports.
   double BackupShare(topology::VertexId v) const;
 
   // Maximum BackupShare over all links.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <span>
@@ -373,7 +372,6 @@ bool Engine::ApplyFaultEvents(double now) {
       }
     }
     if (event.fail) {
-      const auto start = std::chrono::steady_clock::now();
       util::Result<core::FaultOutcome> outcome = manager_.HandleFault(
           event.kind, event.vertex, config_.faults.policy,
           *config_.allocator);
@@ -384,10 +382,6 @@ bool Engine::ApplyFaultEvents(double now) {
                          << " skipped: " << outcome.status().ToText();
         continue;
       }
-      result_.recovery_latency_us.push_back(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - start)
-              .count());
       ++result_.faults_injected;
       result_.tenants_affected +=
           static_cast<int64_t>(outcome->tenants.size());

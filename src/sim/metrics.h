@@ -73,10 +73,6 @@ struct RunResult {
     return {outage.outage_link_seconds - failure_outage.outage_link_seconds,
             outage.busy_link_seconds - failure_outage.busy_link_seconds};
   }
-  // Wall-clock latency of each HandleFault call, in microseconds.  The one
-  // nondeterministic output of the fault plane; excluded from bit-identical
-  // replay comparisons.
-  std::vector<double> recovery_latency_us;
 
   double RejectionRate() const {
     const int64_t total = accepted + rejected;

@@ -200,9 +200,8 @@ struct ScenarioCell {
   double axis_value = 0;
   bool online = false;
   RunResult result;
-  // Wall-clock seconds the cell took, set-up included.  Like
-  // result.recovery_latency_us it is wall clock, so identity checks
-  // compare every other field.
+  // Wall-clock seconds the cell took, set-up included: the one field that
+  // identity checks leave out, since `result` holds no wall-clock value.
   double wall_s = 0;
 };
 

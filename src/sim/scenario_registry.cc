@@ -1,8 +1,8 @@
 // Built-in scenarios: every figure and ablation the benches used to
-// hand-assemble, as registry entries scenario_run (and fault_recovery, and
-// the daemon) load by name.  The parameter values here are the legacy
-// bench defaults verbatim — a registered scenario run with --threads 1
-// reproduces the legacy bench's decision stream bit for bit.
+// hand-assemble, and the fault suite, as registry entries scenario_run (and
+// the daemon) load by name.  The figure and ablation parameter values are
+// the legacy bench defaults verbatim — a registered scenario run with
+// --threads 1 reproduces the legacy bench's decision stream bit for bit.
 #include <mutex>
 
 #include "sim/scenario.h"
@@ -275,18 +275,20 @@ std::vector<Scenario> BuildRegistry() {
     s.faults.mttr_seconds = 60;
     s.faults.horizon_seconds = 20000;
     s.faults.seed = 44;
+    // The groups fire at 500, 1,000 and 1,500 s: a run ends with its last
+    // job, by about 2,400 s, long before the churn horizon.
     CorrelatedEventConfig event;
     event.kind = "rack_power";
     event.index = 0;
-    event.time_frac = 0.25;
+    event.time_frac = 0.025;
     s.faults.correlated.push_back(event);
     event.kind = "tor_loss";
     event.index = 1;
-    event.time_frac = 0.5;
+    event.time_frac = 0.05;
     s.faults.correlated.push_back(event);
     event.kind = "planned_drain";
     event.index = 0;
-    event.time_frac = 0.75;
+    event.time_frac = 0.075;
     s.faults.correlated.push_back(event);
     s.sweep.parameter = "mtbf";
     s.sweep.values = {300, 900, 2700};
@@ -316,7 +318,7 @@ std::vector<Scenario> BuildRegistry() {
     s.arrivals.mode = "static";
     s.max_seconds = 4000;
     s.fixed_jobs.count = 8;
-    s.fixed_jobs.size = 4;
+    s.fixed_jobs.size = 8;  // two 4-slot machines each, so flows load links
     s.fixed_jobs.compute_time = 3000;
     s.fixed_jobs.rate_mean = 100;
     s.fixed_jobs.rho = 0;

@@ -1,7 +1,5 @@
 #include "util/strings.h"
 
-#include <stdexcept>
-
 namespace svc::util {
 
 std::vector<std::string> Split(const std::string& text, char sep) {
@@ -17,48 +15,6 @@ std::vector<std::string> Split(const std::string& text, char sep) {
     start = pos + 1;
   }
   return parts;
-}
-
-std::string Trim(const std::string& text) {
-  size_t begin = 0;
-  size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
-std::vector<double> ParseDoubleList(const std::string& text) {
-  std::vector<double> values;
-  for (const auto& part : Split(text, ',')) {
-    const std::string trimmed = Trim(part);
-    if (trimmed.empty()) continue;
-    size_t used = 0;
-    double v = std::stod(trimmed, &used);
-    if (used != trimmed.size()) {
-      throw std::invalid_argument("malformed double: '" + trimmed + "'");
-    }
-    values.push_back(v);
-  }
-  return values;
-}
-
-std::vector<int64_t> ParseIntList(const std::string& text) {
-  std::vector<int64_t> values;
-  for (const auto& part : Split(text, ',')) {
-    const std::string trimmed = Trim(part);
-    if (trimmed.empty()) continue;
-    size_t used = 0;
-    long long v = std::stoll(trimmed, &used);
-    if (used != trimmed.size()) {
-      throw std::invalid_argument("malformed int: '" + trimmed + "'");
-    }
-    values.push_back(v);
-  }
-  return values;
 }
 
 }  // namespace svc::util

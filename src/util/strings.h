@@ -1,4 +1,4 @@
-// Small string helpers shared by benches and the workload parser.
+// String splitting for the svcctl interpreter's arguments.
 #pragma once
 
 #include <string>
@@ -8,15 +8,5 @@ namespace svc::util {
 
 // Splits `text` on `sep`, keeping empty fields.
 std::vector<std::string> Split(const std::string& text, char sep);
-
-// Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& text);
-
-// Parses a comma-separated list of doubles ("1,2,3.5"); throws
-// std::invalid_argument on malformed input.
-std::vector<double> ParseDoubleList(const std::string& text);
-
-// Parses a comma-separated list of ints.
-std::vector<int64_t> ParseIntList(const std::string& text);
 
 }  // namespace svc::util

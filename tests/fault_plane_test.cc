@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/fault_injector.h"
+#include "sim/scenario.h"
 #include "svc/homogeneous_search.h"
 #include "svc/manager.h"
 #include "svc/slot_map.h"
@@ -426,9 +427,6 @@ TEST(FaultEngine, FixedSeedReplaysBitIdentically) {
         EXPECT_EQ(x.links[l].slack, y.links[l].slack);
       }
     }
-    // recovery_latency_us is wall clock (explicitly nondeterministic), but
-    // its cardinality is one entry per handled fault.
-    EXPECT_EQ(a.recovery_latency_us.size(), b.recovery_latency_us.size());
     // Epoch split is consistent: failure epochs are a subset of all ticks.
     EXPECT_LE(a.failure_outage.busy_link_seconds,
               a.outage.busy_link_seconds);
@@ -585,6 +583,66 @@ TEST(FaultEngine, FinishedJobIsReleasedBeforeTheTicksFault) {
     EXPECT_TRUE(engine.manager().StateValid());
   }
   obs::SetMetricsEnabled(false);
+}
+
+// --- The registry's fault scenarios ---
+
+// fault_correlated on a 10 x 10 fabric: random machine and link churn at
+// two MTBFs plus the scripted rack-power, ToR-loss and planned-drain
+// groups, under every recovery policy with and without survivable
+// admission.  Every cell must inject faults and keep its steady-epoch
+// outage within epsilon, and the planned drain must land in at least one
+// cell (it is skipped where its machine is already down).  Some element is
+// down at every tick of these runs, so the epsilon check compares 0/0
+// until the outage census is kept per link (docs/ROBUSTNESS.md).
+TEST(FaultEngine, CorrelatedChurnKeepsSteadyOutageWithinEpsilon) {
+  sim::Scenario s = *sim::FindScenario("fault_correlated");
+  s.topology.racks = 10;
+  s.topology.machines_per_rack = 10;
+  s.topology.racks_per_agg = 5;
+  s.workload.num_jobs = 60;
+  s.workload.mean_job_size = 8;
+  s.workload.max_job_size = 24;
+  s.sweep.values = {200, 900};
+  s.faults.horizon_seconds = 8000;
+  s.max_seconds = 4 * s.faults.horizon_seconds;
+  sim::ScenarioRunOptions options;
+  options.threads = 4;
+  const util::Result<sim::ScenarioRunResult> run =
+      sim::RunScenario(s, options);
+  ASSERT_TRUE(run) << run.status().ToText();
+  ASSERT_EQ(run->cells.size(), s.variants.size() * s.sweep.values.size());
+  int64_t drains = 0;
+  for (const sim::ScenarioCell& cell : run->cells) {
+    SCOPED_TRACE(cell.label + " mtbf " + std::to_string(cell.axis_value));
+    const sim::RunResult& r = cell.result;
+    EXPECT_GT(r.faults_injected, 0);
+    EXPECT_LE(r.steady_outage().OutageRate(), s.admission.epsilon);
+    drains += r.planned_drains;
+  }
+  EXPECT_GT(drains, 0) << "no cell applied the planned drain";
+}
+
+// fault_drill as registered: sigma = 0 tenants, each spanning two
+// machines, and one scripted failure of a machine hosting a VM of the
+// first admitted tenant.  A permutation pairing sends at most min(m, N-m)
+// flows across any cut, so offered load never exceeds the hose
+// reservation, and the backup groups cover the failure: the steady epoch
+// must carry load and see no outage at all, every affected tenant must
+// switch over, and none may be evicted.
+TEST(FaultEngine, SwitchoverDrillHasZeroSteadyOutage) {
+  const util::Result<sim::ScenarioRunResult> run =
+      sim::RunScenario(*sim::FindScenario("fault_drill"));
+  ASSERT_TRUE(run) << run.status().ToText();
+  ASSERT_EQ(run->cells.size(), 1u);
+  const sim::RunResult& r = run->cells[0].result;
+  EXPECT_EQ(r.faults_injected, 1);
+  EXPECT_GT(r.tenants_affected, 0);
+  EXPECT_EQ(r.tenants_switched, r.tenants_affected);
+  EXPECT_EQ(r.tenants_evicted, 0);
+  const sim::OutageStats steady = r.steady_outage();
+  EXPECT_GT(steady.busy_link_seconds, 0) << "the drill loaded no link";
+  EXPECT_EQ(steady.outage_link_seconds, 0);
 }
 
 }  // namespace

@@ -21,10 +21,8 @@
 namespace svc::sim {
 namespace {
 
-// Every deterministic field of two cells must match exactly, whichever
-// discipline ran them; the wall-clock outputs (wall_s, and the values of
-// recovery_latency_us, whose count still matches) are excluded by contract
-// (see sim/metrics.h).
+// Every field of two cells must match exactly, whichever discipline ran
+// them, apart from the wall-clock wall_s (see sim/scenario.h).
 void ExpectCellsIdentical(const ScenarioCell& a, const ScenarioCell& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.axis_index, b.axis_index);
@@ -55,7 +53,6 @@ void ExpectCellsIdentical(const ScenarioCell& a, const ScenarioCell& b) {
             y.failure_outage.outage_link_seconds);
   EXPECT_EQ(x.failure_outage.busy_link_seconds,
             y.failure_outage.busy_link_seconds);
-  EXPECT_EQ(x.recovery_latency_us.size(), y.recovery_latency_us.size());
   ASSERT_EQ(x.jobs.size(), y.jobs.size());
   for (size_t i = 0; i < x.jobs.size(); ++i) {
     EXPECT_EQ(x.jobs[i].id, y.jobs[i].id);
@@ -154,8 +151,8 @@ TEST(ScenarioIdentity, BuiltinConfigHashesArePinned) {
       {"ablation_ecmp", "2f555c9cc8a44f83"},
       {"ablation_percentile", "52134957166c7ff9"},
       {"fault_recovery", "22768b0a74ebf9f7"},
-      {"fault_correlated", "c60d23e5b5a0ad4f"},
-      {"fault_drill", "016c2778e220bdbb"},
+      {"fault_correlated", "560798313cee46b7"},
+      {"fault_drill", "cd39910c7dabe567"},
       {"work_conserving", "06d49d0b9ff0e38e"},
       {"flash_crowd", "2be61b75e6dda5f1"},
       {"diurnal", "c1985f49a27a5e36"},
@@ -402,15 +399,22 @@ TEST(ScenarioAllocator, NameDerivesFromAbstraction) {
   EXPECT_EQ(ScenarioAllocatorName(scenario), "first-fit");
 }
 
-// fig7 at a reduced job count: the sweep fans cells across threads, and the
+// fig7 at a reduced size: the sweep fans cells across threads, and the
 // per-cell results must not depend on the thread count (each cell rebuilds
 // topology/workload/engine from the scenario's fixed seeds).  Two loads
-// keep all four variants in 8 cells, two per worker at 4 threads.
+// keep all four variants in 8 cells, two per worker at 4 threads, each
+// running 32 jobs on the decision-stream test's 400-slot fabric below.
+// CI's registry identity step checks every scenario on the full fabric.
 TEST(ScenarioRun, Fig7ResultsIdenticalAcrossThreadCounts) {
   const Scenario* fig7 = FindScenario("fig7");
   ASSERT_NE(fig7, nullptr);
   Scenario reduced = *fig7;
-  reduced.workload.num_jobs = 24;
+  reduced.topology.racks = 10;
+  reduced.topology.machines_per_rack = 10;
+  reduced.topology.racks_per_agg = 5;
+  reduced.workload.num_jobs = 32;
+  reduced.workload.mean_job_size = 8;
+  reduced.workload.max_job_size = 24;
   reduced.sweep.values.resize(2);
 
   ScenarioRunOptions serial;

@@ -66,28 +66,6 @@ TEST(Split, NoSeparator) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Trim, Whitespace) {
-  EXPECT_EQ(Trim("  x y  "), "x y");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-}
-
-TEST(ParseDoubleList, Valid) {
-  const auto values = ParseDoubleList("1, 2.5,3");
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_DOUBLE_EQ(values[1], 2.5);
-}
-
-TEST(ParseDoubleList, Malformed) {
-  EXPECT_THROW(ParseDoubleList("1,abc"), std::invalid_argument);
-}
-
-TEST(ParseIntList, Valid) {
-  const auto values = ParseIntList("1,2,3");
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[2], 3);
-}
-
 TEST(Table, AlignsAndCounts) {
   Table t({"col", "value"});
   t.AddRow({"a", "1"});

@@ -2,9 +2,8 @@
 """Diff two benchmark snapshots: bench JSON before and after a change.
 
 Reads the ``benchmarks`` records that ``bench/alloc_microbench --json``
-(BENCH_ALLOC.json) and ``bench/fault_recovery`` (BENCH_FAULT.json) write,
-and ``bench/scenario_run`` output (any snapshot with a ``scenarios``
-list; see below).
+(BENCH_ALLOC.json) writes, and ``bench/scenario_run`` output (any
+snapshot with a ``scenarios`` list; see below).
 
 Compares each benchmark's throughput and the metrics counters of a
 *before* and an *after* snapshot, prints a delta table, and exits non-zero
@@ -19,7 +18,7 @@ what lets CI run it as a perf-smoke gate:
 A record's throughput is whatever key ends in ``_per_sec``; a record
 without one (google-benchmark's, from alloc_microbench) is rated at
 1e9 / ``real_ns_per_iter`` iterations per second.  A record with neither
-(fault_recovery's, which time nothing) has no rate to diff.
+has no rate to diff.
 
 ``--require-speedup NAME:FACTOR`` additionally fails unless the named
 benchmark got at least FACTOR times faster — used to assert headline
@@ -28,9 +27,8 @@ improvements (e.g. ``--require-speedup BM_HomogeneousDpSteadyAllocs:2.0``).
 ``--require-zero NAME:METRIC`` fails unless benchmark NAME in the *after*
 snapshot carries METRIC with the exact value 0 — used to gate hard
 correctness properties that a bench reports as a counter, e.g.
-``--require-zero fault_drill_switchover:steady_outage_rate`` (survivable
-placements must ride out a backup-covered single failure with zero
-steady-epoch outage).
+``--require-zero BM_HomogeneousDpSteadyAllocs:allocs_per_call`` (the
+steady-state allocator must not touch the heap).
 
 The allocs_per_call field, when present on both sides, is a hard gate:
 any increase fails regardless of the threshold (the zero-allocation
@@ -49,8 +47,8 @@ are informational, because the cells of one sweep run concurrently and
 their wall-clock depends on scheduling.  A scenario whose ``config_hash``
 differs between the snapshots is a warning, not a failure.
 
-scenario_run and fault_recovery snapshots record their host CPU count as
-a top-level ``hardware_threads``.  Two snapshots whose counts differ get a
+scenario_run snapshots record their host CPU count as a top-level
+``hardware_threads``.  Two snapshots whose counts differ get a
 warning, not a failure: their parallel numbers are not comparable.
 
 ``--list`` prints the benchmark and scenario names a snapshot carries
@@ -229,30 +227,9 @@ def main():
     before_benches = {b["name"]: b for b in before.get("benchmarks", [])}
     after_benches = {b["name"]: b for b in after.get("benchmarks", [])}
 
-    # Snapshots are only apples-to-apples when they measured the same
-    # scenario configuration (fabric, workload, seed, epsilon).  A config
-    # hash mismatch is a warning, not a failure: diffing across
-    # configurations is sometimes exactly what the user wants to do.
-    b_scn = before.get("scenario")
-    a_scn = after.get("scenario")
-    if (
-        b_scn
-        and a_scn
-        and b_scn.get("config_hash") != a_scn.get("config_hash")
-    ):
-        print(
-            "WARNING: scenario config differs between snapshots "
-            f"(before: {b_scn.get('name', '?')}"
-            f"@{b_scn.get('config_hash', '?')}, "
-            f"after: {a_scn.get('name', '?')}"
-            f"@{a_scn.get('config_hash', '?')}); "
-            "deltas may reflect the workload, not the change",
-            file=sys.stderr,
-        )
-
     # Parallel numbers (scenario wall_s under --threads) are only comparable
-    # between hosts with the same CPU count; a mismatch is a warning for
-    # the same reason.
+    # between hosts with the same CPU count.  A mismatch is a warning, not a
+    # failure: diffing across hosts is sometimes exactly what the user wants.
     b_hw = before.get("hardware_threads")
     a_hw = after.get("hardware_threads")
     if b_hw is not None and a_hw is not None and b_hw != a_hw:
